@@ -14,17 +14,19 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .assignment import OverlapMatrix, mclr_assign, save_assignment
+from .assignment import overlap_for_config, save_assignment
 from .config import GaConfig, ScenarioConfig
 from .errors import (
     InconsistentInputs,
+    InvalidConfig,
     MeshcaError,
     ParseError,
     SearchSpaceTooLarge,
 )
-from .ga import ALGORITHMS, run
+from .ga import ALGORITHMS, rank_table_for, run
 from .harness import (
     RESULTS_HEADER,
     brute_force_optimum,
@@ -34,8 +36,7 @@ from .harness import (
     run_sweep,
     write_history_csv,
 )
-from .fitness import fairness_fitness, network_metrics
-from .ranking import rank_links, score_nodes
+from .fitness import network_metrics
 from .topology import (
     build_conflict_graph,
     generate_topology,
@@ -64,7 +65,7 @@ def _out_dir(args) -> Path:
 
 
 def _dump_ranks(t, path: Path) -> None:
-    table = rank_links(t, score_nodes(t))
+    table = rank_table_for(t)
     position = {int(lid): i for i, lid in enumerate(table.schedule)}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -97,7 +98,7 @@ def _cmd_assign(args) -> int:
     t = load_topology(args.topology)
     seed = args.seed if args.seed is not None else t.seed
     cg = build_conflict_graph(t)
-    m = OverlapMatrix.orthogonal(t.params.channels)
+    m = overlap_for_config(t.params)
     ga = GaConfig.from_dict(_load_json(args.ga)) if args.ga else GaConfig()
     result = run(args.algo, t, cg, m, t.params.radio_model, ga, seed=seed)
     out = _out_dir(args)
@@ -122,6 +123,10 @@ def _cmd_sweep(args) -> int:
     ga = GaConfig()
     if args.config:
         doc = _load_json(args.config)
+        if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), list):
+            raise InvalidConfig(
+                f"sweep config {args.config} needs a \"scenarios\" list"
+            )
         scenarios = [ScenarioConfig.from_dict(d) for d in doc["scenarios"]]
         algorithms = doc.get("algorithms", algorithms)
         if "ga" in doc:
@@ -157,10 +162,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_oracle(args) -> int:
     t = load_topology(args.topology)
-    channels = args.channels or t.params.channels
+    cfg = t.params
+    if args.channels is not None:
+        cfg = replace(cfg, channels=args.channels)
+        cfg.validate()
     cg = build_conflict_graph(t)
-    m = OverlapMatrix.orthogonal(channels)
-    result = brute_force_optimum(t, cg, m, t.params.radio_model, channels,
+    m = overlap_for_config(cfg)
+    result = brute_force_optimum(t, cg, m, cfg.radio_model, cfg.channels,
                                  fitness_kind=args.fitness)
     print(f"optimum {args.fitness} fitness: {result.fitness!r} "
           f"({result.feasible}/{result.candidates} feasible candidates)")

@@ -18,6 +18,26 @@ INIT_KINDS = ("semi_chaotic", "random")
 OVERLAP_KINDS = ("orthogonal", "graded")
 
 
+def _checked_fields(cls, d: Any) -> dict[str, Any]:
+    """``d`` as keyword arguments for ``cls``, with each key a field of
+    ``cls`` and each value of its default's type (an int passes for a
+    float; a bool passes only for a bool)."""
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{cls.__name__} must be a JSON object, got {d!r}")
+    defaults = vars(cls())
+    for key, value in d.items():
+        if key not in defaults:
+            raise InvalidConfig(f"unknown {cls.__name__} field {key!r}")
+        want = type(defaults[key])
+        allowed = (int, float) if want is float else (want,)
+        if (not isinstance(value, allowed)
+                or isinstance(value, bool) != (want is bool)):
+            raise InvalidConfig(
+                f"{cls.__name__}.{key} must be {want.__name__}, got {value!r}"
+            )
+    return d
+
+
 @dataclass(frozen=True)
 class RadioModel:
     """Analytic link-rate model parameters.
@@ -53,7 +73,7 @@ class RadioModel:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RadioModel":
-        return cls(**d)
+        return cls(**_checked_fields(cls, d))
 
 
 @dataclass(frozen=True)
@@ -133,10 +153,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScenarioConfig":
-        d = dict(d)
-        rm = d.pop("radio_model", None)
-        cfg = cls(**d, radio_model=RadioModel.from_dict(rm) if rm else RadioModel())
-        return cfg
+        if isinstance(d, dict) and "radio_model" in d:
+            d = {**d, "radio_model": RadioModel.from_dict(d["radio_model"] or {})}
+        return cls(**_checked_fields(cls, d))
 
 
 @dataclass(frozen=True)
@@ -194,4 +213,4 @@ class GaConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "GaConfig":
-        return cls(**d)
+        return cls(**_checked_fields(cls, d))

@@ -206,6 +206,12 @@ def _check_population(pop: list[Individual], t: Topology) -> None:
             )
 
 
+def rank_table_for(t: Topology) -> LinkRankTable:
+    """The topology's link-rank table; build it once per topology and
+    pass it to :func:`run` for every algorithm."""
+    return rank_links(t, score_nodes(t))
+
+
 def run_ga(t: Topology, cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
            cfg: GaConfig, seed: int,
            primary: ChannelAssignment | None = None,
@@ -223,7 +229,7 @@ def run_ga(t: Topology, cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
     if cfg.init_kind == "semi_chaotic":
         if primary is None:
             if rank_table is None:
-                rank_table = rank_links(t, score_nodes(t))
+                rank_table = rank_table_for(t)
             primary = mclr_assign(t, cg, rank_table, m, k)
         k = primary.channel_count
         pop = init_population_semi_chaotic(primary, t, cg, m, rm, cfg, init_ss)
@@ -293,19 +299,23 @@ def run_ga(t: Topology, cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
 
 def run(algorithm: str, t: Topology, cg: ConflictGraph, m: OverlapMatrix,
         rm: RadioModel, cfg: GaConfig | None = None, seed: int = 0,
-        theta: float | None = None) -> GaResult:
+        theta: float | None = None,
+        rank_table: LinkRankTable | None = None) -> GaResult:
     """Run one of the named algorithm variants.
 
     ``mclr`` evaluates the greedy heuristic with no search (iterations
     0); the GA variants override the config's init and fitness kinds as
-    described in the module docstring.
+    described in the module docstring. ``rank_table`` defaults to
+    :func:`rank_table_for` of ``t``, built only for the variants that
+    use it (all but ``ia_ga``).
     """
     cfg = cfg or GaConfig()
     if algorithm not in ALGORITHMS:
         raise InvalidConfig(
             f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}"
         )
-    rank_table = rank_links(t, score_nodes(t))
+    if rank_table is None and algorithm != "ia_ga":
+        rank_table = rank_table_for(t)
     if algorithm == "mclr":
         primary = mclr_assign(t, cg, rank_table, m, int(t.params.channels),
                               theta=theta)

@@ -35,7 +35,7 @@ from .fitness import (
     jain_index,
     network_metrics,
 )
-from .ga import ALGORITHMS, GaResult, run
+from .ga import ALGORITHMS, GaResult, rank_table_for, run
 from .topology import ConflictGraph, Topology, build_conflict_graph, load_topology
 
 RESULTS_HEADER = [
@@ -132,17 +132,23 @@ def replicate_seed(master_seed: int, scenario_index: int,
 
 def run_replicate(config: ScenarioConfig, seed: int, algorithms: list[str],
                   ga: GaConfig) -> list[tuple[MetricsRecord, GaResult]]:
-    """Generate one topology and run each algorithm on it."""
+    """Generate one topology and run each algorithm on it.
+
+    The conflict graph, overlap matrix and link-rank table are built once
+    and shared by every algorithm, so each record's ``wall_ms`` covers
+    the algorithm alone.
+    """
     from .topology import generate_topology
 
     t = generate_topology(config, seed)
     cg = build_conflict_graph(t)
     m = overlap_for_config(config)
+    rank_table = rank_table_for(t)
     out = []
     for algorithm in algorithms:
         start = time.perf_counter()
         result = run(algorithm, t, cg, m, config.radio_model, ga,
-                     seed=seed + GA_SEED_OFFSET)
+                     seed=seed + GA_SEED_OFFSET, rank_table=rank_table)
         wall_ms = (time.perf_counter() - start) * 1000.0
         metrics = network_metrics(result.best.assignment, t, cg, m)
         record = build_record(config.name, seed, algorithm, t,
@@ -424,14 +430,16 @@ def evaluate_file(topology_path: str | Path,
                   assignment_path: str | Path) -> MetricsRecord:
     """Recompute all metrics for an externally supplied assignment.
 
-    The assignment must cover exactly the topology's link ids.
+    The assignment must cover exactly the topology's link ids with the
+    topology's channel count. Channels overlap as the topology's scenario
+    says (:func:`overlap_for_config`), as in :func:`run_replicate`.
 
     Raises
     ------
     ParseError
         If either file is malformed.
     InconsistentInputs
-        If the files do not describe the same set of links.
+        If the files do not describe the same set of links or channels.
     """
     t = load_topology(topology_path)
     a, meta = load_assignment(assignment_path)
@@ -440,9 +448,14 @@ def evaluate_file(topology_path: str | Path,
             f"assignment covers {len(a.genes)} links, topology has "
             f"{t.link_count}"
         )
+    if a.channel_count != t.params.channels:
+        raise InconsistentInputs(
+            f"assignment uses {a.channel_count} channels, topology has "
+            f"{t.params.channels}"
+        )
     start = time.perf_counter()
     cg = build_conflict_graph(t)
-    m = OverlapMatrix.orthogonal(a.channel_count)
+    m = overlap_for_config(t.params)
     report = fairness_fitness(a, t, cg, m, t.params.radio_model)
     metrics = network_metrics(a, t, cg, m)
     wall_ms = (time.perf_counter() - start) * 1000.0

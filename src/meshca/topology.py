@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .errors import ConnectivityUnreachable, ParseError
+from .errors import ConnectivityUnreachable, InvalidRequiredRate, ParseError
 
 PLACEMENT_ATTEMPTS = 1000
 
@@ -180,52 +180,53 @@ def build_conflict_graph(t: Topology) -> ConflictGraph:
     return ConflictGraph(L, edges)
 
 
-def _connected(n: int, pairs: np.ndarray) -> bool:
-    if n == 0:
-        return False
-    adj: list[list[int]] = [[] for _ in range(n)]
+def _adjacency(n: int, pairs: list[tuple[int, int]]) -> list[set[int]]:
+    adj: list[set[int]] = [set() for _ in range(n)]
     for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _search(adj: list[set[int]], src: int, dst: int = -1) -> set[int]:
+    """Nodes reached by a depth-first search from ``src``; the search
+    stops early once it reaches ``dst``."""
+    seen = {src}
+    stack = [src]
+    while stack and dst not in seen:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
                 stack.append(w)
-    return bool(seen.all())
+    return seen
 
 
-def _prune_to_degree_cap(n: int, pairs: list[tuple[int, int]],
+def _prune_to_degree_cap(adj: list[set[int]],
                          lengths: dict[tuple[int, int], float],
                          cap: int) -> list[tuple[int, int]]:
-    """Drop each over-connected node's longest links while the graph stays
-    connected. The cap is a target, not a guarantee: a removal that would
-    disconnect the graph is skipped."""
-    kept = set(pairs)
-    degree = [0] * n
-    for a, b in pairs:
-        degree[a] += 1
-        degree[b] += 1
-    for v in range(n):
-        if degree[v] <= cap:
+    """Drop each over-connected node's longest links (ties by pair) while
+    the graph stays connected, pruning ``adj`` in place; return the kept
+    ``(a, b)`` pairs, ``a < b``, sorted. The cap is a target, not a
+    guarantee: a removal that would disconnect the graph is skipped.
+
+    ``adj`` must be connected on entry, as placement guarantees. Removing
+    ``(a, b)`` then keeps it connected iff ``b`` is still reachable from
+    ``a``, and each accepted removal keeps that precondition.
+    """
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) <= cap:
             continue
-        incident = sorted(
-            (p for p in kept if v in p),
-            key=lambda p: (-lengths[p], p),
-        )
-        for p in incident:
-            if degree[v] <= cap:
+        incident = sorted(((min(v, w), max(v, w)) for w in nbrs),
+                          key=lambda p: (-lengths[p], p))
+        for a, b in incident:
+            if len(nbrs) <= cap:
                 break
-            trial = kept - {p}
-            if _connected(n, np.array(sorted(trial), dtype=np.int64)):
-                kept = trial
-                degree[p[0]] -= 1
-                degree[p[1]] -= 1
-    return sorted(kept)
+            adj[a].discard(b)
+            adj[b].discard(a)
+            if b not in _search(adj, a, b):
+                adj[a].add(b)
+                adj[b].add(a)
+    return [(a, b) for a, nbrs in enumerate(adj) for b in sorted(nbrs) if a < b]
 
 
 def _zero_interference_rate(length: float, cfg: ScenarioConfig) -> float:
@@ -266,9 +267,8 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
                               axis=-1)
         ia, ib = np.nonzero(np.triu(dist <= config.comm_range, k=1))
         pairs = list(zip(ia.tolist(), ib.tolist()))
-        if not pairs:
-            continue
-        if _connected(n, np.array(pairs, dtype=np.int64)):
+        adj = _adjacency(n, pairs)
+        if len(_search(adj, 0)) == n:
             break
     else:
         raise ConnectivityUnreachable(
@@ -281,7 +281,7 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
         (int(a), int(b)): _euclid(xs[a], ys[a], xs[b], ys[b])
         for a, b in pairs
     }
-    pairs = _prune_to_degree_cap(n, pairs, lengths, config.degree_cap)
+    pairs = _prune_to_degree_cap(adj, lengths, config.degree_cap)
 
     center = np.array([config.area_w / 2.0, config.area_h / 2.0])
     center_dist = np.linalg.norm(positions - center, axis=1)
@@ -312,6 +312,17 @@ def load_topology(path: str | Path) -> Topology:
 
     Link lengths are recomputed from node coordinates, so a save/load
     round trip is bit-exact.
+
+    Raises
+    ------
+    ParseError
+        If the file is unreadable or malformed: node or link ids not
+        ``0..n-1`` in order, a node without radios, an endpoint that is
+        not a node id, a self-loop or a repeated node pair.
+    InvalidConfig
+        If the scenario parameters fail validation.
+    InvalidRequiredRate
+        If a link's required rate is not positive.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -319,21 +330,39 @@ def load_topology(path: str | Path) -> Topology:
         raise ParseError(f"cannot read topology file {path}: {exc}") from exc
     try:
         params = ScenarioConfig.from_dict(doc["params"])
+        params.validate()
         nodes = [
             Node(id=nd["id"], x=nd["x"], y=nd["y"], radios=nd["radios"],
                  is_gateway=nd["gateway"])
             for nd in doc["nodes"]
         ]
-        pos = {nd.id: (nd.x, nd.y) for nd in nodes}
+        n = len(nodes)
+        if [nd.id for nd in nodes] != list(range(n)):
+            raise ParseError(f"{path}: node ids must be 0..{n - 1} in order")
+        if not all(nd.radios >= 1 for nd in nodes):
+            raise ParseError(f"{path}: every node needs at least one radio")
         links = []
-        for ld in doc["links"]:
-            ax, ay = pos[ld["a"]]
-            bx, by = pos[ld["b"]]
+        pairs = set()
+        for lid, ld in enumerate(doc["links"]):
+            a, b, rate = ld["a"], ld["b"], ld["required_rate"]
+            if ld["id"] != lid:
+                raise ParseError(f"{path}: link {lid} has id {ld['id']!r}; "
+                                 f"link ids must be 0..L-1 in order")
+            if not (0 <= a < n and 0 <= b < n) or a == b:
+                raise ParseError(f"{path}: link {lid} joins {a!r} and {b!r}; "
+                                 f"endpoints must be two distinct node ids")
+            if (min(a, b), max(a, b)) in pairs:
+                raise ParseError(f"{path}: link {lid} repeats node pair {a}-{b}")
+            pairs.add((min(a, b), max(a, b)))
+            if not rate > 0:
+                raise InvalidRequiredRate(
+                    f"{path}: link {lid} has required_rate {rate!r}, "
+                    f"which must be positive")
             links.append(Link(
-                id=ld["id"], a=ld["a"], b=ld["b"],
-                length=_euclid(ax, ay, bx, by),
-                required_rate=ld["required_rate"],
+                id=lid, a=a, b=b,
+                length=_euclid(nodes[a].x, nodes[a].y, nodes[b].x, nodes[b].y),
+                required_rate=rate,
             ))
         return Topology(nodes, links, params, doc["seed"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed topology file {path}: {exc}") from exc

@@ -1,10 +1,18 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from meshca import ScenarioConfig
+from meshca import (
+    OverlapMatrix,
+    RadioModel,
+    ScenarioConfig,
+    brute_force_optimum,
+    build_conflict_graph,
+    load_topology,
+)
 from meshca.cli import main
 
 
@@ -15,6 +23,14 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+@pytest.fixture
+def topology_path(tmp_path):
+    cfg = small_config(tmp_path)
+    main(["gen", "--config", str(cfg), "--seed", "1",
+          "--out", str(tmp_path)])
+    return tmp_path / "topology-clitest-seed1.json"
 
 
 class TestGen:
@@ -47,13 +63,6 @@ class TestGen:
 
 
 class TestAssignEvalOracle:
-    @pytest.fixture
-    def topology_path(self, tmp_path):
-        cfg = small_config(tmp_path)
-        main(["gen", "--config", str(cfg), "--seed", "1",
-              "--out", str(tmp_path)])
-        return tmp_path / "topology-clitest-seed1.json"
-
     def test_assign_then_eval_round_trip(self, tmp_path, topology_path,
                                          capsys):
         ga = tmp_path / "ga.json"
@@ -112,6 +121,111 @@ class TestAssignEvalOracle:
               "--out", str(tmp_path)])
         topo = tmp_path / "topology-clitest-seed3.json"
         assert main(["oracle", "--topology", str(topo)]) == 4
+
+
+    @pytest.mark.parametrize("channels", [None, 4])
+    def test_oracle_scores_with_scenario_overlap(self, tmp_path, capsys,
+                                                 channels):
+        cfg = small_config(tmp_path, node_count=4, comm_range=400.0,
+                           interference_distance=600.0, channels=6,
+                           overlap_kind="graded", overlap_span=3)
+        main(["gen", "--config", str(cfg), "--seed", "3",
+              "--out", str(tmp_path)])
+        topo = tmp_path / "topology-clitest-seed3.json"
+        argv = ["oracle", "--topology", str(topo)]
+        if channels:
+            argv += ["--channels", str(channels)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        k = channels or 6
+        t = load_topology(topo)
+        want = brute_force_optimum(t, build_conflict_graph(t),
+                                   OverlapMatrix.graded(k, span=3),
+                                   RadioModel(), k)
+        assert f"fitness: {want.fitness!r} " in capsys.readouterr().out
+
+
+def _break_topology(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+class TestInputErrors:
+    """Malformed input exits with the documented code, prints one error
+    line and no traceback, and triggers no numeric warning."""
+
+    def _exit_code(self, argv, capsys):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return code
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda d: d["links"][0].update(required_rate=0), 2),
+        (lambda d: d["links"][0].update(required_rate=-1.0), 2),
+        (lambda d: d["links"][0].update(id=999), 3),
+        (lambda d: d["links"][0].update(b=len(d["nodes"])), 3),
+        (lambda d: d["links"][0].update(b=d["links"][0]["a"]), 3),
+        (lambda d: d["nodes"][0].update(radios=0), 3),
+        (lambda d: d["params"].update(channels=0), 2),
+    ], ids=["zero_rate", "negative_rate", "link_id_999",
+            "endpoint_out_of_range", "self_loop", "node_without_radios",
+            "zero_channels"])
+    def test_bad_topology_file(self, tmp_path, topology_path, capsys, edit,
+                               code):
+        _break_topology(topology_path, edit)
+        assert self._exit_code(["assign", "--algo", "mclr", "--topology",
+                                str(topology_path), "--out", str(tmp_path)],
+                               capsys) == code
+
+    @pytest.mark.parametrize("doc", [
+        {"node_count": 20, "bogus": 1},
+        {"node_count": "20"},
+        {"radio_model": {"tss": "loud"}},
+    ], ids=["unknown_key", "wrong_type", "wrong_radio_type"])
+    def test_bad_gen_config_exits_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        assert self._exit_code(["gen", "--config", str(cfg), "--out",
+                                str(tmp_path)], capsys) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"population_size": "6"},
+        {"population_size": 6, "elitism": True},
+    ], ids=["wrong_type", "unknown_key"])
+    def test_bad_ga_config_exits_2(self, tmp_path, topology_path, capsys, doc):
+        ga = tmp_path / "ga.json"
+        ga.write_text(json.dumps(doc))
+        assert self._exit_code(["assign", "--topology", str(topology_path),
+                                "--ga", str(ga), "--out", str(tmp_path)],
+                               capsys) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"algorithms": ["mclr"]},
+        {"scenarios": [{"node_count": 8, "bogus": 1}]},
+        {"scenarios": [{"node_count": 8}], "ga": {"stall_window": 2.5}},
+    ], ids=["no_scenarios", "unknown_scenario_key", "wrong_ga_type"])
+    def test_bad_sweep_config_exits_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        assert self._exit_code(["sweep", "--config", str(cfg), "--out",
+                                str(tmp_path)], capsys) == 2
+
+    def test_unknown_key_module_invocation_has_no_traceback(self, tmp_path):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"node_count": 20, "bogus": 1}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "meshca.cli", "gen", "--config", str(cfg),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "bogus" in proc.stderr
 
 
 class TestSweepCommand:

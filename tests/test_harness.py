@@ -15,17 +15,21 @@ from meshca import (
     brute_force_optimum,
     build_conflict_graph,
     evaluate_file,
+    fairness_fitness,
     generate_topology,
     run,
     run_sweep,
     save_assignment,
     save_topology,
 )
+import meshca.ga
+from meshca.cli import main
 from meshca.harness import (
     MetricsRecord,
     aggregate_records,
     read_results_csv,
     replicate_seed,
+    run_replicate,
 )
 from conftest import make_topology
 
@@ -195,6 +199,15 @@ class TestSweep:
                      "fig11_iterations"):
             assert (tmp_path / f"{stem}.dat").exists()
 
+    def test_replicate_ranks_nodes_once(self, monkeypatch):
+        calls = []
+        score_nodes = meshca.ga.score_nodes
+        monkeypatch.setattr(meshca.ga, "score_nodes",
+                            lambda t: calls.append(t) or score_nodes(t))
+        run_replicate(tiny_scenario(), 3, ["mclr", "ia_ga", "scga", "fa_scga"],
+                      GaConfig(population_size=6, max_iterations=2))
+        assert len(calls) == 1
+
     def test_replicate_seed_is_stable(self):
         assert replicate_seed(0, 0, 0) == replicate_seed(0, 0, 0)
         assert replicate_seed(0, 0, 0) != replicate_seed(0, 0, 1)
@@ -262,6 +275,40 @@ class TestEvaluateFile:
         save_assignment(short, assign_path)
         with pytest.raises(InconsistentInputs):
             evaluate_file(topo_path, assign_path)
+
+
+    def test_channel_count_mismatch_raises(self, tmp_path):
+        t, cg, m, a, topo_path, assign_path = self._write_pair(tmp_path)
+        save_assignment(ChannelAssignment(a.genes, 4), assign_path)
+        with pytest.raises(InconsistentInputs):
+            evaluate_file(topo_path, assign_path)
+
+
+class TestEntryPointsAgree:
+    def test_sweep_and_eval_agree_under_graded_overlap(self, tmp_path, capsys):
+        cfg = ScenarioConfig(node_count=20, channels=11, overlap_kind="graded")
+        [(record, result)] = run_replicate(cfg, 3, ["mclr"], GaConfig())
+        topo_path = tmp_path / "t.json"
+        assign_path = tmp_path / "a.csv"
+        t = generate_topology(cfg, 3)
+        save_topology(t, topo_path)
+        save_assignment(result.best.assignment, assign_path,
+                        algorithm="mclr", seed=3)
+        evaluated = evaluate_file(topo_path, assign_path)
+        assert main(["assign", "--algo", "mclr", "--topology", str(topo_path),
+                     "--out", str(tmp_path)]) == 0
+        assigned = MetricsRecord.from_csv_row(
+            capsys.readouterr().out.splitlines()[-1].split(","))
+        for other in (evaluated, assigned):
+            assert other.fairness_index == record.fairness_index
+            assert other.fni == record.fni
+            assert other.nc_raw == record.nc_raw
+        # the case is sensitive: orthogonal scoring disagrees here
+        orthogonal = fairness_fitness(result.best.assignment, t,
+                                      build_conflict_graph(t),
+                                      OverlapMatrix.orthogonal(11),
+                                      cfg.radio_model)
+        assert orthogonal.fairness_index != record.fairness_index
 
 
 class TestMetricsRecordCsv:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from meshca import (
     ConnectivityUnreachable,
     InvalidConfig,
+    InvalidRequiredRate,
+    ParseError,
     ScenarioConfig,
     build_conflict_graph,
     generate_topology,
@@ -15,6 +18,7 @@ from meshca import (
     min_link_distance,
     save_topology,
 )
+from meshca.topology import _adjacency, _prune_to_degree_cap
 from conftest import make_topology
 
 
@@ -100,6 +104,93 @@ class TestGenerateTopology:
         cfg = ScenarioConfig(node_count=30, gateway_count=3)
         t = generate_topology(cfg, seed=11)
         assert len(t.gateways) == 3
+
+
+def connected_full_bfs(n, pairs):
+    """Reference connectivity check: one BFS over the whole pair array."""
+    if n == 0:
+        return False
+    adj = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return bool(seen.all())
+
+
+def prune_full_bfs(n, pairs, lengths, cap):
+    """Reference degree-cap prune: every trial removal rebuilds the sorted
+    pair array and checks connectivity with a full BFS."""
+    kept = set(pairs)
+    degree = [0] * n
+    for a, b in pairs:
+        degree[a] += 1
+        degree[b] += 1
+    for v in range(n):
+        if degree[v] <= cap:
+            continue
+        incident = sorted(
+            (p for p in kept if v in p),
+            key=lambda p: (-lengths[p], p),
+        )
+        for p in incident:
+            if degree[v] <= cap:
+                break
+            trial = kept - {p}
+            if connected_full_bfs(n, np.array(sorted(trial), dtype=np.int64)):
+                kept = trial
+                degree[p[0]] -= 1
+                degree[p[1]] -= 1
+    return sorted(kept)
+
+
+@st.composite
+def connected_geometric_graphs(draw):
+    """Connected geometric graphs on an integer grid, so that equal link
+    lengths (and coincident nodes) occur and exercise the tie order."""
+    n = draw(st.integers(2, 40))
+    grid = draw(st.integers(4, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pos = rng.integers(0, grid, size=(n, 2)).tolist()
+    radius = draw(st.floats(1.0, grid / 2))
+    while True:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if math.dist(pos[i], pos[j]) <= radius]
+        if connected_full_bfs(n, pairs):
+            break
+        radius *= 1.25
+    lengths = {(i, j): math.dist(pos[i], pos[j]) for i, j in pairs}
+    return n, pairs, lengths, draw(st.integers(1, 6))
+
+
+class TestDegreeCapPrune:
+    @given(connected_geometric_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_bfs_reference(self, graph):
+        n, pairs, lengths, cap = graph
+        pruned = _prune_to_degree_cap(_adjacency(n, pairs), lengths, cap)
+        assert pruned == prune_full_bfs(n, pairs, lengths, cap)
+        assert connected_full_bfs(n, pruned)
+
+    # SHA-256 prefixes of json.dumps(to_dict()) from the full-BFS prune
+    @pytest.mark.parametrize("n, seed, digest", [
+        (94, 1, "4323cee9e6647af1"),
+        (200, 1, "cac20e6944bde507"),
+        (300, 7, "f299eb5be4f62f3e"),
+    ])
+    def test_generated_topology_bytes_are_pinned(self, n, seed, digest):
+        side = round(1000 * math.sqrt(n / 94), 1)
+        cfg = ScenarioConfig(node_count=n, area_w=side, area_h=side)
+        doc = json.dumps(generate_topology(cfg, seed).to_dict())
+        assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
 
 
 class TestMinLinkDistance:
@@ -198,4 +289,32 @@ class TestTopologyFile:
             load_topology(path)
         path.write_text(json.dumps({"nodes": []}))
         with pytest.raises(ParseError):
+            load_topology(path)
+
+
+class TestLoadTopologyValidation:
+    @pytest.mark.parametrize("edit, error", [
+        (lambda d: d["links"][0].update(required_rate=0.0), InvalidRequiredRate),
+        (lambda d: d["links"][0].update(required_rate=-2.5), InvalidRequiredRate),
+        (lambda d: d["links"][1].update(id=999), ParseError),
+        (lambda d: d["links"].reverse(), ParseError),
+        (lambda d: d["links"][0].update(b=len(d["nodes"])), ParseError),
+        (lambda d: d["links"][0].update(a=-1), ParseError),
+        (lambda d: d["links"][0].update(b=d["links"][0]["a"]), ParseError),
+        (lambda d: d["links"].append({**d["links"][0], "id": len(d["links"])}),
+         ParseError),
+        (lambda d: d["nodes"][0].update(id=99), ParseError),
+        (lambda d: d["nodes"][0].update(radios=0), ParseError),
+        (lambda d: d["params"].update(channels=0), InvalidConfig),
+    ], ids=["zero_rate", "negative_rate", "link_id_999", "link_ids_out_of_order",
+            "endpoint_past_last_node", "negative_endpoint", "self_loop",
+            "repeated_pair", "node_id_gap", "node_without_radios",
+            "invalid_params"])
+    def test_malformed_document_rejected(self, tmp_path, small_random_topology,
+                                         edit, error):
+        doc = small_random_topology.to_dict()
+        edit(doc)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error):
             load_topology(path)
