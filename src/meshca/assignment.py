@@ -17,7 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, NoFeasibleChannel, ParseError
+from .errors import (
+    InvalidAssignment,
+    InvalidConfig,
+    NoFeasibleChannel,
+    ParseError,
+)
 from .topology import ConflictGraph, Topology
 from .ranking import LinkRankTable
 
@@ -96,34 +101,33 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
 
     ``genes`` is (L,) or (P, L); the result has the same shape. Each
     link's index sums ``ratio[gene(l), gene(n)]`` over its conflict
-    neighbors n.
+    neighbors n: its per-channel neighbour counts (conflict adjacency
+    times one-hot genes, exact integers) weighted by its overlap row.
+
+    Raises
+    ------
+    InvalidAssignment
+        If a gene lies outside ``[0, channel_count)``.
     """
     genes = np.asarray(genes)
-    squeeze = genes.ndim == 1
     g = np.atleast_2d(genes)
-    out = np.zeros(g.shape, dtype=float)
-    if cg.edge_count:
-        contrib = m.ratio[g[:, cg.src], g[:, cg.dst]]
-        starts = np.flatnonzero(np.r_[True, cg.src[1:] != cg.src[:-1]])
-        sums = np.add.reduceat(contrib, starts, axis=1)
-        out[:, cg.src[starts]] = sums
-    return out[0] if squeeze else out
+    k = m.channel_count
+    if g.size and (g.min() < 0 or g.max() >= k):
+        raise InvalidAssignment(
+            f"genes must lie in [0, {k}), got {g.min()}..{g.max()}"
+        )
+    p, n_links = g.shape
+    onehot = (g.T[:, :, None] == np.arange(k)).astype(float)  # (L, P, K)
+    counts = (cg.adjacency @ onehot.reshape(n_links, p * k)).reshape(n_links, p, k)
+    out = np.ascontiguousarray((counts * m.ratio[g.T]).sum(axis=2).T)
+    return out[0] if genes.ndim == 1 else out
 
 
 def link_interference_index(l: int, a: ChannelAssignment, cg: ConflictGraph,
                             m: OverlapMatrix) -> float:
     """Interference index of link ``l``: the sum of overlap ratios with
     its assigned conflict neighbors (unassigned neighbors contribute 0)."""
-    return _channel_interference(l, int(a.genes[l]), a.genes, cg, m)
-
-
-def _channel_interference(l: int, channel: int, genes: np.ndarray,
-                          cg: ConflictGraph, m: OverlapMatrix) -> float:
-    nbr_genes = genes[cg.neighbors[l]]
-    nbr_genes = nbr_genes[nbr_genes >= 0]
-    if not len(nbr_genes):
-        return 0.0
-    return float(m.ratio[channel, nbr_genes].sum())
+    return float(_channel_interference_all(l, a.genes, cg, m)[a.genes[l]])
 
 
 def _channel_interference_all(l: int, genes: np.ndarray, cg: ConflictGraph,

@@ -39,3 +39,8 @@ class ParseError(MeshcaError):
 
 class InconsistentInputs(MeshcaError):
     """Topology and assignment files do not describe the same network."""
+
+
+class InvalidAssignment(MeshcaError):
+    """A chromosome has a gene outside ``[0, channel_count)`` or breaks a
+    node's radio budget."""

@@ -6,7 +6,9 @@ dimensionless free-space SNR surrogate ``tss / (10 * path_loss_exp *
 ``bandwidth * log2(1 + SNR)``, then link fairness as the achieved
 fraction of the required rate clamped to 1. The fitness of the whole
 chromosome is Jain's index over the link fairness values, which is 1
-exactly when every link is equally (un)satisfied.
+exactly when every link is equally (un)satisfied. Every step also takes
+a (P, L) batch of chromosomes, scored row by row with the same result
+as one chromosome at a time.
 
 The ``(1 + interference)`` factor keeps the SNR finite for
 interference-free links while preserving monotonicity: doubling the
@@ -94,29 +96,32 @@ def link_fairness(actual: float, required: float) -> float:
     return min(1.0, float(actual) / float(required))
 
 
-def jain_index(values) -> float:
+def jain_index(values):
     """Jain's fairness index ``(sum x)^2 / (n * sum x^2)``.
 
     Scale-free and bounded in (0, 1]; equals 1 iff all values are equal.
     Values are normalized by their maximum before accumulating, which is
     algebraically a no-op but makes equal allocations evaluate to 1.0
-    exactly.
+    exactly. A (L,) vector gives a float; a (P, L) batch gives the (P,)
+    indices of its rows, each bit-identical to the 1-d call on that row.
 
     Raises
     ------
     AllZeroValues
-        If every value is zero (the index is undefined).
+        If every value of a vector (or of any batch row) is zero (the
+        index is undefined).
     """
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError("jain_index expects a non-empty 1-d vector")
-    peak = x.max()
-    if peak == 0.0:
+    if x.ndim not in (1, 2) or x.shape[-1] == 0:
+        raise ValueError("jain_index expects a non-empty 1-d vector or 2-d batch")
+    peak = x.max(axis=-1, keepdims=True)
+    if (peak == 0.0).any():
         raise AllZeroValues("Jain's index is undefined for all-zero values")
     x = x / peak
-    s1 = x.sum()
-    s2 = (x * x).sum()
-    return float(s1 * s1 / (len(x) * s2))
+    s1 = x.sum(axis=-1)
+    s2 = (x * x).sum(axis=-1)
+    out = s1 * s1 / (x.shape[-1] * s2)
+    return float(out) if x.ndim == 1 else out
 
 
 def _batch_link_fairness(genes: np.ndarray, t: Topology, cg: ConflictGraph,

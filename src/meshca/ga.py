@@ -8,6 +8,11 @@ standard deviation. Crossover keeps, gene by gene, the parent whose link
 fairness is higher; mutation re-draws weak genes at random. The loop is
 elitist and stops on the fairness target, a stall, or the iteration cap.
 
+The population is held as arrays: (P, L) genes, (P, L) link fairness
+and (P,) fitness, evaluated a generation at a time; the operators take
+and return such arrays. Only the final best individual becomes an
+:class:`Individual` with a full :class:`~meshca.fitness.FitnessReport`.
+
 Four algorithm variants share the loop:
 
 ``fa_scga``
@@ -40,8 +45,8 @@ from .assignment import (
     repair_radio_constraint,
 )
 from .config import GaConfig, RadioModel
-from .errors import InvalidConfig
-from .fitness import FitnessReport, _batch_link_fairness, jain_index
+from .errors import InvalidAssignment, InvalidConfig
+from .fitness import FitnessReport, _batch_link_fairness, fairness_fitness, jain_index
 from .ranking import LinkRankTable, rank_links, score_nodes
 from .topology import ConflictGraph, Topology
 
@@ -73,135 +78,135 @@ class GaResult:
     stop_reason: str
 
 
-def _evaluate_batch(genes: np.ndarray, channel_count: int, t: Topology,
-                    cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
-                    fitness_kind: str) -> list[Individual]:
-    interference, snr, rate, fairness = _batch_link_fairness(genes, t, cg, m, rm)
-    out = []
-    for i in range(genes.shape[0]):
-        report = FitnessReport(
-            interference=interference[i],
-            snr=snr[i],
-            actual_rate=rate[i],
-            link_fairness=fairness[i],
-            fairness_index=jain_index(fairness[i]),
-            total_interference=float(interference[i].sum()),
-        )
-        value = (report.fairness_index if fitness_kind == "fairness"
-                 else -report.total_interference)
-        out.append(Individual(
-            assignment=ChannelAssignment(genes[i].copy(), channel_count),
-            report=report,
-            fitness=value,
-        ))
-    return out
+def _evaluate_batch(genes: np.ndarray, t: Topology, cg: ConflictGraph,
+                    m: OverlapMatrix, rm: RadioModel,
+                    fitness_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Link fairness (P, L) and fitness (P,) of a (P, L) gene array: each
+    row's Jain index, or minus its total interference."""
+    interference, _, _, fairness = _batch_link_fairness(genes, t, cg, m, rm)
+    if fitness_kind == "fairness":
+        return fairness, jain_index(fairness)
+    return fairness, -interference.sum(axis=1)
+
+
+def _individual(genes: np.ndarray, channel_count: int, t: Topology,
+                cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
+                fitness_kind: str) -> Individual:
+    a = ChannelAssignment(genes.copy(), channel_count)
+    report = fairness_fitness(a, t, cg, m, rm)
+    return Individual(a, report, report.fairness_index
+                      if fitness_kind == "fairness"
+                      else -report.total_interference)
 
 
 def _randomize_genes(genes: np.ndarray, targets: np.ndarray, t: Topology,
-                     channel_count: int, binding: bool,
-                     rng: np.random.Generator) -> None:
-    """Re-draw the given genes uniformly from their feasible channels,
-    in ascending link-id order so draws are reproducible."""
+                     channel_count: int, rng: np.random.Generator) -> None:
+    """Re-draw the given genes uniformly from their feasible channels
+    under a binding radio budget, in ascending link-id order so draws
+    are reproducible."""
     for lid in targets:
         lid = int(lid)
-        if binding:
-            cand = feasible_channels(lid, genes, t, channel_count)
-            if not cand:
-                continue  # keep the existing gene
+        cand = feasible_channels(lid, genes, t, channel_count)
+        if cand:  # otherwise keep the existing gene
             genes[lid] = cand[rng.integers(len(cand))]
-        else:
-            genes[lid] = rng.integers(channel_count)
 
 
 def init_population_semi_chaotic(primary: ChannelAssignment, t: Topology,
                                  cg: ConflictGraph, m: OverlapMatrix,
-                                 rm: RadioModel, cfg: GaConfig,
-                                 seed) -> list[Individual]:
-    """Population around the primary chromosome: individual 0 is the
-    primary itself; the others keep its zero-interference (strong) genes
-    and randomize the rest."""
+                                 cfg: GaConfig, seed) -> np.ndarray:
+    """(P, L) genes around the primary chromosome: row 0 is the primary
+    itself; the others keep its zero-interference (strong) genes and
+    randomize the rest."""
     cfg.validate()
     rng = np.random.default_rng(seed)
     k = primary.channel_count
     weak = np.flatnonzero(interference_matrix(primary.genes, cg, m) > 0.0)
-    binding = radio_constraint_binding(t, k)
     genes = np.tile(primary.genes, (cfg.population_size, 1))
-    for i in range(1, cfg.population_size):
-        _randomize_genes(genes[i], weak, t, k, binding, rng)
-    return _evaluate_batch(genes, k, t, cg, m, rm, cfg.fitness_kind)
+    if not radio_constraint_binding(t, k):
+        genes[1:, weak] = rng.integers(k, size=(cfg.population_size - 1,
+                                                len(weak)))
+        return genes
+    for row in genes[1:]:
+        _randomize_genes(row, weak, t, k, rng)
+    return genes
 
 
 def init_population_random(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
-                           rm: RadioModel, cfg: GaConfig,
-                           seed) -> list[Individual]:
-    """Uniformly random population; genes are drawn link by link from
-    the channels the radio budgets allow."""
+                           cfg: GaConfig, seed) -> np.ndarray:
+    """(P, L) uniformly random genes, drawn link by link from the
+    channels the radio budgets allow."""
     cfg.validate()
     rng = np.random.default_rng(seed)
     k = int(t.params.channels)
     if not radio_constraint_binding(t, k):
-        genes = rng.integers(k, size=(cfg.population_size, t.link_count))
-    else:
-        genes = np.full((cfg.population_size, t.link_count), UNASSIGNED,
-                        dtype=np.int64)
-        for i in range(cfg.population_size):
-            book = _RadioBook(t)
-            for lid in range(t.link_count):
-                cand = book.candidates(lid, k)
-                if not cand:
-                    _assign_stuck(lid, genes[i], book, t, cg, m)
-                    continue
-                c = cand[rng.integers(len(cand))]
-                genes[i, lid] = c
-                book.add(lid, c)
-    return _evaluate_batch(genes.astype(np.int64), k, t, cg, m, rm,
-                           cfg.fitness_kind)
+        return rng.integers(k, size=(cfg.population_size, t.link_count))
+    genes = np.full((cfg.population_size, t.link_count), UNASSIGNED,
+                    dtype=np.int64)
+    for row in genes:
+        book = _RadioBook(t)
+        for lid in range(t.link_count):
+            cand = book.candidates(lid, k)
+            if not cand:
+                _assign_stuck(lid, row, book, t, cg, m)
+                continue
+            c = cand[rng.integers(len(cand))]
+            row[lid] = c
+            book.add(lid, c)
+    return genes
 
 
-def select_parents(pop: list[Individual]) -> list[Individual]:
-    """Individuals whose fitness reaches the population mean plus one
-    population standard deviation; if fewer than two qualify, the top
-    two by fitness (ties toward the lower index)."""
-    fitness = np.array([ind.fitness for ind in pop])
-    cutoff = fitness.mean() + fitness.std()
-    selected = [ind for ind, f in zip(pop, fitness) if f >= cutoff]
+def select_parents(fitness: np.ndarray) -> np.ndarray:
+    """Indices of the individuals whose fitness reaches the population
+    mean plus one population standard deviation, in population order;
+    if fewer than two qualify, the top two by fitness (ties toward the
+    lower index)."""
+    fitness = np.asarray(fitness, dtype=float)
+    selected = np.flatnonzero(fitness >= fitness.mean() + fitness.std())
     if len(selected) >= 2:
         return selected
-    order = sorted(range(len(pop)), key=lambda i: (-fitness[i], i))
-    return [pop[i] for i in order[:2]]
+    return np.argsort(-fitness, kind="stable")[:2]
 
 
-def crossover(a: Individual, b: Individual, t: Topology, cg: ConflictGraph,
-              m: OverlapMatrix) -> ChannelAssignment:
-    """Child takes each gene from the parent whose link fairness is
-    higher there (ties toward parent ``a``), then gets repaired if the
-    mix broke a radio budget."""
-    take_a = a.report.link_fairness >= b.report.link_fairness
-    genes = np.where(take_a, a.assignment.genes, b.assignment.genes)
-    k = a.assignment.channel_count
-    genes = repair_radio_constraint(genes, t, cg, m, k)
-    return ChannelAssignment(genes, k)
+def crossover(genes_a: np.ndarray, fairness_a: np.ndarray,
+              genes_b: np.ndarray, fairness_b: np.ndarray, t: Topology,
+              cg: ConflictGraph, m: OverlapMatrix,
+              channel_count: int) -> np.ndarray:
+    """Children taking each gene from the parent whose link fairness is
+    higher there (ties toward parent ``a``), each repaired if the mix
+    broke a radio budget. Parents are (L,) rows or (n, L) batches, and
+    the children have the same shape."""
+    children = np.where(fairness_a >= fairness_b, genes_a, genes_b)
+    if radio_constraint_binding(t, channel_count):
+        rows = children.reshape(-1, children.shape[-1])
+        for i, row in enumerate(rows):
+            rows[i] = repair_radio_constraint(row, t, cg, m, channel_count)
+    return children
 
 
-def mutate(c: ChannelAssignment, report: FitnessReport, cfg: GaConfig,
-           t: Topology, seed) -> ChannelAssignment:
-    """Re-draw each weak gene (link fairness below the strong-gene
-    threshold) with probability ``mutation_prob``; strong genes are
-    never touched."""
-    rng = np.random.default_rng(seed)
-    genes = c.genes.copy()
-    weak = np.flatnonzero(report.link_fairness < cfg.strong_gene_threshold)
-    if cfg.mutation_prob > 0.0 and len(weak):
+def mutate(genes: np.ndarray, fairness: np.ndarray, cfg: GaConfig,
+           t: Topology, channel_count: int, seeds) -> np.ndarray:
+    """Mutated copies of (n, L) genes: in row i, drawing from a generator
+    seeded with ``seeds[i]``, each weak gene (link fairness below the
+    strong-gene threshold) is re-drawn with probability
+    ``mutation_prob``; strong genes are never touched."""
+    out = np.array(genes, dtype=np.int64)
+    binding = radio_constraint_binding(t, channel_count)
+    for row, fair, seed in zip(out, fairness, seeds):
+        rng = np.random.default_rng(int(seed))
+        weak = np.flatnonzero(fair < cfg.strong_gene_threshold)
         hit = weak[rng.random(len(weak)) < cfg.mutation_prob]
-        binding = radio_constraint_binding(t, c.channel_count)
-        _randomize_genes(genes, hit, t, c.channel_count, binding, rng)
-    return ChannelAssignment(genes, c.channel_count)
+        if binding:
+            _randomize_genes(row, hit, t, channel_count, rng)
+        else:
+            row[hit] = rng.integers(channel_count, size=len(hit))
+    return out
 
 
-def _check_population(pop: list[Individual], t: Topology) -> None:
-    for i, ind in enumerate(pop):
-        if not is_valid_assignment(ind.assignment, t):
-            raise RuntimeError(
+def _check_population(genes: np.ndarray, t: Topology,
+                      channel_count: int) -> None:
+    for i, row in enumerate(genes):
+        if not is_valid_assignment(ChannelAssignment(row, channel_count), t):
+            raise InvalidAssignment(
                 f"individual {i} violates the radio constraint (library bug)"
             )
 
@@ -220,7 +225,8 @@ def run_ga(t: Topology, cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
     per-generation statistics, and the executed iteration count.
 
     A pure function of its inputs and the seed: repeat calls are
-    bit-identical.
+    bit-identical. With ``cfg.validate_every_generation``, a generation
+    that breaks a radio budget raises :class:`InvalidAssignment`.
     """
     cfg.validate()
     ss = np.random.SeedSequence(seed)
@@ -232,29 +238,28 @@ def run_ga(t: Topology, cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
                 rank_table = rank_table_for(t)
             primary = mclr_assign(t, cg, rank_table, m, k)
         k = primary.channel_count
-        pop = init_population_semi_chaotic(primary, t, cg, m, rm, cfg, init_ss)
+        genes = init_population_semi_chaotic(primary, t, cg, m, cfg, init_ss)
     else:
-        pop = init_population_random(t, cg, m, rm, cfg, init_ss)
+        genes = init_population_random(t, cg, m, cfg, init_ss)
     rng = np.random.default_rng(loop_ss)
-
-    def stats(generation: int, best: float) -> GenerationStats:
-        fitness = np.array([ind.fitness for ind in pop])
-        return GenerationStats(generation, best,
-                               float(fitness.mean()), float(fitness.std()))
-
-    if cfg.validate_every_generation:
-        _check_population(pop, t)
-    best_idx = max(range(len(pop)), key=lambda i: (pop[i].fitness, -i))
-    best = pop[best_idx]
-    history = [stats(0, best.fitness)]
-    iterations = 0
-    last_improvement = 0
-    stop_reason = "max_iterations"
+    fairness, fitness = _evaluate_batch(genes, t, cg, m, rm, cfg.fitness_kind)
+    best_genes, best_fitness = None, -np.inf
+    history = []
+    iterations = last_improvement = 0
     while True:
-        if cfg.fitness_kind == "fairness" and best.fitness >= cfg.target_fairness:
+        if cfg.validate_every_generation:
+            _check_population(genes, t, k)
+        i = int(np.argmax(fitness))  # first of the best
+        if fitness[i] > best_fitness:
+            best_genes, best_fitness = genes[i].copy(), fitness[i]
+            last_improvement = iterations
+        history.append(GenerationStats(iterations, float(best_fitness),
+                                       float(fitness.mean()),
+                                       float(fitness.std())))
+        if cfg.fitness_kind == "fairness" and best_fitness >= cfg.target_fairness:
             stop_reason = "target"
             break
-        if cfg.fitness_kind == "interference" and best.fitness >= 0.0:
+        if cfg.fitness_kind == "interference" and best_fitness >= 0.0:
             stop_reason = "optimum"
             break
         if iterations - last_improvement >= cfg.stall_window:
@@ -264,33 +269,27 @@ def run_ga(t: Topology, cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
             stop_reason = "max_iterations"
             break
 
-        parents = select_parents(pop)
+        parents = select_parents(fitness)
         n = cfg.population_size
-        pick_a = rng.integers(len(parents), size=n)
-        pick_b = rng.integers(len(parents), size=n)
-        children = np.empty((n, t.link_count), dtype=np.int64)
-        for i in range(n):
-            children[i] = crossover(parents[pick_a[i]], parents[pick_b[i]],
-                                    t, cg, m).genes
-        child_pop = _evaluate_batch(children, k, t, cg, m, rm, cfg.fitness_kind)
+        a = parents[rng.integers(len(parents), size=n)]
+        b = parents[rng.integers(len(parents), size=n)]
+        children = crossover(genes[a], fairness[a], genes[b], fairness[b],
+                             t, cg, m, k)
+        child_fairness, _ = _evaluate_batch(children, t, cg, m, rm,
+                                            cfg.fitness_kind)
         mutation_seeds = rng.integers(np.iinfo(np.int64).max, size=n)
-        for i in range(n):
-            children[i] = mutate(child_pop[i].assignment, child_pop[i].report,
-                                 cfg, t, int(mutation_seeds[i])).genes
-        children[0] = best.assignment.genes  # elitism
-        pop = _evaluate_batch(children, k, t, cg, m, rm, cfg.fitness_kind)
-        if cfg.validate_every_generation:
-            _check_population(pop, t)
+        # child 0 is replaced by the elite, so it is not mutated
+        children[1:] = mutate(children[1:], child_fairness[1:], cfg, t, k,
+                              mutation_seeds[1:])
+        children[0] = best_genes  # elitism
+        genes = children
+        fairness, fitness = _evaluate_batch(genes, t, cg, m, rm,
+                                            cfg.fitness_kind)
         iterations += 1
-        gen_best_idx = max(range(len(pop)), key=lambda i: (pop[i].fitness, -i))
-        if pop[gen_best_idx].fitness > best.fitness:
-            best = pop[gen_best_idx]
-            last_improvement = iterations
-        history.append(stats(iterations, best.fitness))
     return GaResult(
         algorithm=f"{cfg.init_kind}+{cfg.fitness_kind}",
         seed=int(seed) if np.isscalar(seed) else -1,
-        best=best,
+        best=_individual(best_genes, k, t, cg, m, rm, cfg.fitness_kind),
         history=history,
         iterations=iterations,
         stop_reason=stop_reason,
@@ -319,10 +318,9 @@ def run(algorithm: str, t: Topology, cg: ConflictGraph, m: OverlapMatrix,
     if algorithm == "mclr":
         primary = mclr_assign(t, cg, rank_table, m, int(t.params.channels),
                               theta=theta)
-        pop = _evaluate_batch(primary.genes[None, :], primary.channel_count,
-                              t, cg, m, rm, cfg.fitness_kind)
-        best = pop[0]
-        result = GaResult(
+        best = _individual(primary.genes, primary.channel_count, t, cg, m,
+                           rm, cfg.fitness_kind)
+        return GaResult(
             algorithm="mclr",
             seed=seed,
             best=best,
@@ -330,7 +328,6 @@ def run(algorithm: str, t: Topology, cg: ConflictGraph, m: OverlapMatrix,
             iterations=0,
             stop_reason="heuristic",
         )
-        return result
     kinds = {
         "fa_scga": ("semi_chaotic", "fairness"),
         "scga": ("semi_chaotic", "interference"),

@@ -401,11 +401,7 @@ def brute_force_optimum(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
         feasible_total += len(genes)
         interference, _, _, fairness = _batch_link_fairness(genes, t, cg, m, rm)
         if fitness_kind == "fairness":
-            # same max-normalized evaluation as jain_index, row-wise
-            norm = fairness / fairness.max(axis=1, keepdims=True)
-            s1 = norm.sum(axis=1)
-            s2 = (norm * norm).sum(axis=1)
-            values = s1 * s1 / (L * s2)
+            values = jain_index(fairness)
         else:
             values = -interference.sum(axis=1)
         i = int(np.argmax(values))

@@ -104,27 +104,13 @@ class ConflictGraph:
     def __init__(self, link_count: int, edges: np.ndarray):
         self.link_count = link_count
         self.edges = edges  # (E, 2) with edges[:, 0] < edges[:, 1]
-        self.neighbors: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(link_count)
-        ]
-        nbr: list[list[int]] = [[] for _ in range(link_count)]
-        for a, b in edges:
-            nbr[a].append(b)
-            nbr[b].append(a)
-        for i, lst in enumerate(nbr):
-            self.neighbors[i] = np.array(sorted(lst), dtype=np.int64)
+        # dense 0/1 adjacency: one matrix product counts every link's
+        # neighbours per channel for a whole population
+        self.adjacency = np.zeros((link_count, link_count))
+        self.adjacency[edges[:, 0], edges[:, 1]] = 1.0
+        self.adjacency[edges[:, 1], edges[:, 0]] = 1.0
+        self.neighbors = [np.flatnonzero(row) for row in self.adjacency]
         self.degrees = np.array([len(n) for n in self.neighbors], dtype=np.int64)
-        # directed edge arrays (both orientations), sorted by source, for
-        # vectorized per-link accumulation
-        if len(edges):
-            src = np.concatenate([edges[:, 0], edges[:, 1]])
-            dst = np.concatenate([edges[:, 1], edges[:, 0]])
-            order = np.argsort(src, kind="stable")
-            self.src = src[order]
-            self.dst = dst[order]
-        else:
-            self.src = np.empty(0, dtype=np.int64)
-            self.dst = np.empty(0, dtype=np.int64)
 
     @property
     def edge_count(self) -> int:
@@ -318,7 +304,8 @@ def load_topology(path: str | Path) -> Topology:
     ParseError
         If the file is unreadable or malformed: node or link ids not
         ``0..n-1`` in order, a node without radios, an endpoint that is
-        not a node id, a self-loop or a repeated node pair.
+        not a node id, a self-loop, a repeated node pair, or links that
+        do not connect every node.
     InvalidConfig
         If the scenario parameters fail validation.
     InvalidRequiredRate
@@ -363,6 +350,8 @@ def load_topology(path: str | Path) -> Topology:
                 length=_euclid(nodes[a].x, nodes[a].y, nodes[b].x, nodes[b].y),
                 required_rate=rate,
             ))
+        if n and len(_search(_adjacency(n, pairs), 0)) < n:
+            raise ParseError(f"{path}: the links do not connect every node")
         return Topology(nodes, links, params, doc["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed topology file {path}: {exc}") from exc

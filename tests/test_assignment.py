@@ -1,10 +1,14 @@
+import math
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshca import (
     ChannelAssignment,
+    ConflictGraph,
+    InvalidAssignment,
     InvalidConfig,
     NoFeasibleChannel,
     OverlapMatrix,
@@ -21,7 +25,7 @@ from meshca import (
     save_assignment,
     score_nodes,
 )
-from meshca.assignment import repair_radio_constraint
+from meshca.assignment import interference_matrix, repair_radio_constraint
 from conftest import line_topology, make_topology
 
 
@@ -97,6 +101,75 @@ class TestLinkInterferenceIndex:
                 assert link_interference_index(
                     lid, a, cg, OverlapMatrix.orthogonal(3)
                 ) == float(same)
+
+
+def reference_interference(genes, cg, m):
+    """The per-edge gather that the neighbour-count kernel replaced:
+    ``ratio[gene(src), gene(dst)]`` over both orientations of every
+    conflict edge, summed per source link in neighbour order."""
+    g = np.atleast_2d(genes)
+    out = np.zeros(g.shape)
+    if cg.edge_count:
+        src = np.concatenate([cg.edges[:, 0], cg.edges[:, 1]])
+        dst = np.concatenate([cg.edges[:, 1], cg.edges[:, 0]])
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        contrib = m.ratio[g[:, src], g[:, dst]]
+        starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
+        out[:, src[starts]] = np.add.reduceat(contrib, starts, axis=1)
+    return out[0] if np.ndim(genes) == 1 else out
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random conflict graph (possibly empty), channel count 1..12 and
+    genes of shape (L,), (1, L) or (P, L)."""
+    n_links = draw(st.integers(0, 16))
+    pairs = [(a, b) for a in range(n_links) for b in range(a + 1, n_links)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    cg = ConflictGraph(n_links, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    k = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(n_links,), (1, n_links),
+                                  (draw(st.integers(2, 6)), n_links)]))
+    flat = draw(st.lists(st.integers(0, k - 1), min_size=math.prod(shape),
+                         max_size=math.prod(shape)))
+    return cg, k, np.array(flat, dtype=np.int64).reshape(shape)
+
+
+class TestInterferenceKernel:
+    @given(kernel_cases(), st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_edge_reference(self, case, span):
+        cg, k, genes = case
+        orthogonal, graded = OverlapMatrix.orthogonal(k), OverlapMatrix.graded(k, span)
+        got = interference_matrix(genes, cg, orthogonal)
+        assert got.shape == genes.shape
+        assert np.array_equal(got, reference_interference(genes, cg, orthogonal))
+        got = interference_matrix(genes, cg, graded)
+        assert got.shape == genes.shape
+        np.testing.assert_allclose(
+            got, reference_interference(genes, cg, graded), rtol=1e-12, atol=0)
+        # a row's indices do not depend on the rest of the batch
+        for row, want in zip(np.atleast_2d(genes), np.atleast_2d(got)):
+            assert np.array_equal(interference_matrix(row, cg, graded), want)
+
+    def test_empty_conflict_graph_is_interference_free(self):
+        cg = ConflictGraph(5, np.empty((0, 2), dtype=np.int64))
+        m = OverlapMatrix.graded(4)
+        for genes in (np.zeros(5, dtype=int), np.zeros((1, 5), dtype=int),
+                      np.arange(15).reshape(3, 5) % 4):
+            assert np.array_equal(interference_matrix(genes, cg, m),
+                                  np.zeros(genes.shape))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_gene_out_of_range_raises(self, bad):
+        cg = build_conflict_graph(clique_topology(4))
+        m = OverlapMatrix.orthogonal(3)
+        genes = np.array([0, 1, bad, 2])
+        with pytest.raises(InvalidAssignment):
+            interference_matrix(genes, cg, m)
+        with pytest.raises(InvalidAssignment):
+            interference_matrix(np.stack([genes * 0, genes]), cg, m)
 
 
 class TestLeastInterferingChannel:

@@ -14,6 +14,7 @@ from meshca import (
     load_topology,
 )
 from meshca.cli import main
+from test_topology import isolate_node_zero
 
 
 def small_config(tmp_path, **overrides):
@@ -181,6 +182,14 @@ class TestInputErrors:
         assert self._exit_code(["assign", "--algo", "mclr", "--topology",
                                 str(topology_path), "--out", str(tmp_path)],
                                capsys) == code
+
+    def test_disconnected_topology_exits_3(self, tmp_path, capsys):
+        assert main(["gen", "--seed", "3", "--out", str(tmp_path)]) == 0
+        [path] = tmp_path.glob("topology-*-seed3.json")
+        _break_topology(path, isolate_node_zero)
+        assert self._exit_code(["assign", "--algo", "mclr", "--topology",
+                                str(path), "--out", str(tmp_path)],
+                               capsys) == 3
 
     @pytest.mark.parametrize("doc", [
         {"node_count": 20, "bogus": 1},

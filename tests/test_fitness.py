@@ -118,6 +118,20 @@ class TestJainIndex:
         assert jain_index([2.0, 2.0, 2.0]) == 1.0
         assert jain_index([2.0, 2.0, 2.0001]) < 1.0
 
+    @given(st.integers(1, 30).flatmap(lambda n: st.lists(
+        st.lists(st.just(0.0) | st.floats(1e-290, 1e6), min_size=n,
+                 max_size=n).filter(lambda row: max(row) > 0.0),
+        min_size=1, max_size=8)))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_rows_bit_for_bit(self, rows):
+        batch = jain_index(np.array(rows))
+        assert batch.shape == (len(rows),)
+        assert batch.tolist() == [jain_index(row) for row in rows]
+
+    def test_batch_with_an_all_zero_row_raises(self):
+        with pytest.raises(AllZeroValues):
+            jain_index(np.array([[1.0, 0.5], [0.0, 0.0]]))
+
 
 class TestFairnessFitness:
     def _setup(self, genes, channels=2, required=None):

@@ -318,3 +318,21 @@ class TestLoadTopologyValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(error):
             load_topology(path)
+
+    def test_disconnected_links_rejected(self, tmp_path):
+        # a generated topology is connected; dropping node 0's links
+        # (and renumbering the rest) leaves node 0 isolated
+        doc = generate_topology(ScenarioConfig(), 3).to_dict()
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert load_topology(path).link_count == len(doc["links"])
+        isolate_node_zero(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="do not connect"):
+            load_topology(path)
+
+
+def isolate_node_zero(doc):
+    """Drop every link of node 0 and renumber the others."""
+    links = [ld for ld in doc["links"] if 0 not in (ld["a"], ld["b"])]
+    doc["links"] = [{**ld, "id": i} for i, ld in enumerate(links)]
