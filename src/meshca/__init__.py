@@ -73,7 +73,6 @@ from .harness import (
     MetricsRecord,
     OracleResult,
     brute_force_optimum,
-    desk_scale_scenarios,
     evaluate_file,
     paper_scale_scenarios,
     run_replicate,
@@ -117,7 +116,6 @@ __all__ = [
     "brute_force_optimum",
     "build_conflict_graph",
     "crossover",
-    "desk_scale_scenarios",
     "evaluate_file",
     "fairness_fitness",
     "feasible_channels",

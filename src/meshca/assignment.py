@@ -144,69 +144,35 @@ def _channel_interference_all(l: int, genes: np.ndarray, cg: ConflictGraph,
 # radio constraint
 
 
-class _RadioBook:
-    """Per-node counts of channels in use by assigned incident links."""
-
-    def __init__(self, t: Topology):
-        self.t = t
-        self.counts: list[dict[int, int]] = [{} for _ in range(t.node_count)]
-
-    def add(self, lid: int, channel: int) -> None:
-        for v in (self.t.link_a[lid], self.t.link_b[lid]):
-            c = self.counts[v]
-            c[channel] = c.get(channel, 0) + 1
-
-    def remove(self, lid: int, channel: int) -> None:
-        for v in (self.t.link_a[lid], self.t.link_b[lid]):
-            c = self.counts[v]
-            c[channel] -= 1
-            if not c[channel]:
-                del c[channel]
-
-    def used(self, v: int) -> set[int]:
-        return set(self.counts[v])
-
-    def candidates(self, lid: int, channel_count: int) -> list[int]:
-        """Channels assignable to ``lid`` without breaking either
-        endpoint's radio budget, given the links recorded so far."""
-        t = self.t
-        allowed = None
-        for v in (t.link_a[lid], t.link_b[lid]):
-            used = self.used(v)
-            if len(used) >= t.radios[v]:
-                allowed = used if allowed is None else allowed & used
-        if allowed is None:
-            return list(range(channel_count))
-        return sorted(c for c in allowed if c < channel_count)
-
-
 def radio_constraint_binding(t: Topology, channel_count: int) -> bool:
-    """False when no node can exceed its radio budget (channel count at
-    most the smallest radio count), enabling unconstrained fast paths."""
-    return channel_count > int(t.radios.min())
+    """True when some node has more incident links than radios and fewer
+    radios than channels, so its radio budget can bind; otherwise every
+    channel is feasible for every link, enabling unconstrained fast paths."""
+    return bool((t.radios[t.crowded] < channel_count).any())
 
 
-def _genes_within_budget(genes: np.ndarray, t: Topology) -> bool:
-    for v in range(t.node_count):
-        incident = t.incident_links[v]
-        if len(incident) <= t.radios[v]:
-            continue
-        used = {int(genes[l]) for l in incident if genes[l] >= 0}
-        if len(used) > t.radios[v]:
-            return False
-    return True
+def channels_in_use(genes: np.ndarray, t: Topology) -> np.ndarray:
+    """Distinct assigned channels at each of ``t.crowded``'s nodes, for an
+    (L,) row or a (P, L) batch of genes (shape (C,) or (P, C));
+    ``UNASSIGNED`` genes are not counted. No other node can exceed its
+    radio budget: its distinct channels are at most its link count."""
+    sub = np.sort(np.asarray(genes)[..., t.crowded_links], axis=-1)
+    distinct = 1 + np.count_nonzero(np.diff(sub, axis=-1), axis=-1)
+    return distinct - (sub[..., 0] == UNASSIGNED)
+
+
+def within_budget(genes: np.ndarray, t: Topology) -> np.ndarray:
+    """Whether an (L,) row, or each row of a (P, L) batch, keeps every
+    node within its radio budget."""
+    return (channels_in_use(genes, t) <= t.radios[t.crowded]).all(axis=-1)
 
 
 def radio_violations(a: ChannelAssignment, t: Topology) -> list[tuple[int, int]]:
     """Nodes whose incident links use more distinct channels than they
     have radios, as (node_id, distinct_channel_count) pairs."""
-    out = []
-    for v in range(t.node_count):
-        channels = {int(a.genes[l]) for l in t.incident_links[v]
-                    if a.genes[l] >= 0}
-        if len(channels) > t.radios[v]:
-            out.append((v, len(channels)))
-    return out
+    counts = channels_in_use(a.genes, t)
+    over = counts > t.radios[t.crowded]
+    return [(int(v), int(c)) for v, c in zip(t.crowded[over], counts[over])]
 
 
 def is_valid_assignment(a: ChannelAssignment, t: Topology) -> bool:
@@ -219,28 +185,63 @@ def is_valid_assignment(a: ChannelAssignment, t: Topology) -> bool:
     return not radio_violations(a, t)
 
 
-def feasible_channels(lid: int, genes: np.ndarray, t: Topology,
-                      channel_count: int) -> list[int]:
-    """Channels link ``lid`` could switch to, keeping both endpoints
-    within their radio budgets given every other gene. The link's own
-    current channel is always feasible, so the result is never empty for
-    a valid assignment."""
+class _RadioBook:
+    """A gene row plus, per crowded node (``Topology.crowded``), how many
+    of its assigned incident links hold each channel. Other nodes have
+    no more links than radios, so their budgets never bind and they are
+    not counted. :meth:`set` keeps the row and the counts in step."""
+
+    def __init__(self, t: Topology, genes: np.ndarray, channel_count: int):
+        self.t = t
+        self.genes = genes
+        self.channel_count = channel_count
+        row = genes.tolist()
+        self.counts: dict[int, dict[int, int]] = {}
+        for v in t.crowded.tolist():
+            held = self.counts[v] = {}
+            for c in (row[lid] for lid in t.incident_links[v]):
+                if c >= 0:
+                    held[c] = held.get(c, 0) + 1
+
+    def set(self, lid: int, channel: int) -> None:
+        """Give ``lid`` the channel, in the row and in the counts."""
+        old = int(self.genes[lid])
+        self.genes[lid] = channel
+        link = self.t.links[lid]
+        for v in (link.a, link.b):
+            held = self.counts.get(v)
+            if held is None:
+                continue
+            if old >= 0:
+                held[old] -= 1
+                if not held[old]:
+                    del held[old]
+            held[channel] = held.get(channel, 0) + 1
+
+
+def feasible_channels(lid: int, book: _RadioBook) -> list[int]:
+    """Channels link ``lid`` may hold, keeping both endpoints within
+    their radio budgets given every other link recorded in ``book``. The
+    link's own recorded channel is always included, so the result is
+    never empty for an assigned link."""
+    t = book.t
+    own = int(book.genes[lid])
+    link = t.links[lid]
     allowed = None
-    for v in (t.link_a[lid], t.link_b[lid]):
-        used = {int(genes[l]) for l in t.incident_links[v]
-                if l != lid and genes[l] >= 0}
+    for v in (link.a, link.b):
+        held = book.counts.get(v, {})
+        used = {c for c, n in held.items() if n > (c == own)}
         if len(used) >= t.radios[v]:
             allowed = used if allowed is None else allowed & used
     if allowed is None:
-        return list(range(channel_count))
-    own = int(genes[lid])
+        return list(range(book.channel_count))
     if own >= 0:
-        allowed = allowed | {own}
-    return sorted(c for c in allowed if 0 <= c < channel_count)
+        allowed.add(own)
+    return sorted(c for c in allowed if c < book.channel_count)
 
 
-def _assign_stuck(lid: int, genes: np.ndarray, book: _RadioBook,
-                  t: Topology, cg: ConflictGraph, m: OverlapMatrix) -> None:
+def _assign_stuck(lid: int, book: _RadioBook, cg: ConflictGraph,
+                  m: OverlapMatrix) -> None:
     """Both endpoints are at budget with disjoint palettes: merge them.
 
     The link takes the least-interfering channel already used at either
@@ -249,23 +250,21 @@ def _assign_stuck(lid: int, genes: np.ndarray, book: _RadioBook,
     its budget. Reachable only under tight radio budgets; in the worst
     case a region degrades to a common channel, which is always valid.
     """
+    t, genes = book.t, book.genes
     u, v = int(t.link_a[lid]), int(t.link_b[lid])
-    pool = sorted(book.used(u) | book.used(v))
+    pool = sorted(book.counts[u].keys() | book.counts[v].keys())
     per_channel = _channel_interference_all(lid, genes, cg, m)
     c = min(pool, key=lambda ch: (per_channel[ch], ch))
-    genes[lid] = c
-    book.add(lid, c)
+    book.set(lid, c)
     queue = [u, v]
     while queue:
         x = queue.pop()
-        if len(book.used(x)) <= t.radios[x]:
+        if len(book.counts.get(x, ())) <= t.radios[x]:
             continue
         for l2 in t.incident_links[x]:
             old = int(genes[l2])
             if old >= 0 and old != c:
-                book.remove(l2, old)
-                genes[l2] = c
-                book.add(l2, c)
+                book.set(l2, c)
                 queue.extend((int(t.link_a[l2]), int(t.link_b[l2])))
 
 
@@ -281,22 +280,21 @@ def repair_radio_constraint(genes: np.ndarray, t: Topology, cg: ConflictGraph,
     on every prefix)."""
     if not radio_constraint_binding(t, channel_count):
         return genes
-    if _genes_within_budget(genes, t):
+    if within_budget(genes, t):
         return genes
     out = np.full(t.link_count, UNASSIGNED, dtype=np.int64)
-    book = _RadioBook(t)
+    book = _RadioBook(t, out, channel_count)
     for lid in range(t.link_count):
-        cand = book.candidates(lid, channel_count)
+        cand = feasible_channels(lid, book)
         if not cand:
-            _assign_stuck(lid, out, book, t, cg, m)
+            _assign_stuck(lid, book, cg, m)
             continue
         if genes[lid] in cand:
             c = int(genes[lid])
         else:
             per_channel = _channel_interference_all(lid, out, cg, m)
             c = min(cand, key=lambda ch: (per_channel[ch], ch))
-        out[lid] = c
-        book.add(lid, c)
+        book.set(lid, c)
     return out
 
 
@@ -316,7 +314,7 @@ def least_interfering_channel(l: int, a: ChannelAssignment, cg: ConflictGraph,
         If the radio constraint leaves no candidate, signalling the
         caller to reuse an endpoint's existing channel.
     """
-    cand = feasible_channels(l, a.genes, t, a.channel_count)
+    cand = feasible_channels(l, _RadioBook(t, a.genes, a.channel_count))
     if not cand:
         raise NoFeasibleChannel(
             f"link {l}: endpoint radio budgets leave no channel"
@@ -342,12 +340,12 @@ def mclr_assign(t: Topology, cg: ConflictGraph, rt: LinkRankTable,
     if channels < 1:
         raise InvalidConfig(f"channels must be >= 1, got {channels}")
     genes = np.full(t.link_count, UNASSIGNED, dtype=np.int64)
-    book = _RadioBook(t)
+    book = _RadioBook(t, genes, channels)
     for lid in rt.schedule:
         lid = int(lid)
-        cand = book.candidates(lid, channels)
+        cand = feasible_channels(lid, book)
         if not cand:
-            _assign_stuck(lid, genes, book, t, cg, m)
+            _assign_stuck(lid, book, cg, m)
             continue
         per_channel = _channel_interference_all(lid, genes, cg, m)
         zero = [c for c in cand if per_channel[c] == 0.0]
@@ -358,8 +356,7 @@ def mclr_assign(t: Topology, cg: ConflictGraph, rt: LinkRankTable,
             limit = float(cg.degrees[lid]) if theta is None else theta
             if per_channel[c] > limit and 0 in cand:
                 c = 0
-        genes[lid] = c
-        book.add(lid, c)
+        book.set(lid, c)
     return ChannelAssignment(genes, channels)
 
 
@@ -387,15 +384,16 @@ def save_assignment(a: ChannelAssignment, path: str | Path,
 def load_assignment(path: str | Path) -> tuple[ChannelAssignment, dict]:
     """Parse an assignment file into (assignment, metadata).
 
-    Metadata holds the ``algorithm`` and ``seed`` headers. Channels out
-    of range, duplicate or missing link ids, and malformed rows raise
-    ``ParseError`` naming the offending entry.
+    Metadata holds the ``algorithm`` header and, when the file has one,
+    the ``seed`` header. Channels out of range, duplicate or missing link
+    ids, and malformed rows raise ``ParseError`` naming the offending
+    entry.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read assignment file {path}: {exc}") from exc
-    meta: dict = {"algorithm": "unknown", "seed": 0}
+    meta: dict = {"algorithm": "unknown"}
     channels = None
     rows: dict[int, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -39,10 +39,10 @@ from .assignment import (
     _assign_stuck,
     feasible_channels,
     interference_matrix,
-    is_valid_assignment,
     mclr_assign,
     radio_constraint_binding,
     repair_radio_constraint,
+    within_budget,
 )
 from .config import GaConfig, RadioModel
 from .errors import InvalidAssignment, InvalidConfig
@@ -101,14 +101,13 @@ def _individual(genes: np.ndarray, channel_count: int, t: Topology,
 
 def _randomize_genes(genes: np.ndarray, targets: np.ndarray, t: Topology,
                      channel_count: int, rng: np.random.Generator) -> None:
-    """Re-draw the given genes uniformly from their feasible channels
-    under a binding radio budget, in ascending link-id order so draws
-    are reproducible."""
-    for lid in targets:
-        lid = int(lid)
-        cand = feasible_channels(lid, genes, t, channel_count)
-        if cand:  # otherwise keep the existing gene
-            genes[lid] = cand[rng.integers(len(cand))]
+    """Re-draw the given genes of a valid row uniformly from their
+    feasible channels under a binding radio budget, in ascending link-id
+    order so draws are reproducible."""
+    book = _RadioBook(t, genes, channel_count)
+    for lid in targets.tolist():
+        cand = feasible_channels(lid, book)
+        book.set(lid, cand[rng.integers(len(cand))])
 
 
 def init_population_semi_chaotic(primary: ChannelAssignment, t: Topology,
@@ -143,15 +142,13 @@ def init_population_random(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
     genes = np.full((cfg.population_size, t.link_count), UNASSIGNED,
                     dtype=np.int64)
     for row in genes:
-        book = _RadioBook(t)
+        book = _RadioBook(t, row, k)
         for lid in range(t.link_count):
-            cand = book.candidates(lid, k)
-            if not cand:
-                _assign_stuck(lid, row, book, t, cg, m)
-                continue
-            c = cand[rng.integers(len(cand))]
-            row[lid] = c
-            book.add(lid, c)
+            cand = feasible_channels(lid, book)
+            if cand:
+                book.set(lid, cand[rng.integers(len(cand))])
+            else:
+                _assign_stuck(lid, book, cg, m)
     return genes
 
 
@@ -178,8 +175,8 @@ def crossover(genes_a: np.ndarray, fairness_a: np.ndarray,
     children = np.where(fairness_a >= fairness_b, genes_a, genes_b)
     if radio_constraint_binding(t, channel_count):
         rows = children.reshape(-1, children.shape[-1])
-        for i, row in enumerate(rows):
-            rows[i] = repair_radio_constraint(row, t, cg, m, channel_count)
+        for i in np.flatnonzero(~within_budget(rows, t)):
+            rows[i] = repair_radio_constraint(rows[i], t, cg, m, channel_count)
     return children
 
 
@@ -204,11 +201,13 @@ def mutate(genes: np.ndarray, fairness: np.ndarray, cfg: GaConfig,
 
 def _check_population(genes: np.ndarray, t: Topology,
                       channel_count: int) -> None:
-    for i, row in enumerate(genes):
-        if not is_valid_assignment(ChannelAssignment(row, channel_count), t):
-            raise InvalidAssignment(
-                f"individual {i} violates the radio constraint (library bug)"
-            )
+    bad = ((genes < 0) | (genes >= channel_count)).any(axis=1)
+    bad |= ~within_budget(genes, t)
+    if bad.any():
+        raise InvalidAssignment(
+            f"individual {np.argmax(bad)} violates the radio constraint "
+            "(library bug)"
+        )
 
 
 def rank_table_for(t: Topology) -> LinkRankTable:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .assignment import (
     OverlapMatrix,
     load_assignment,
     overlap_for_config,
+    radio_constraint_binding,
+    within_budget,
 )
 from .config import GaConfig, RadioModel, ScenarioConfig
 from .errors import InconsistentInputs, InvalidConfig, SearchSpaceTooLarge
@@ -38,16 +41,6 @@ from .fitness import (
 from .ga import ALGORITHMS, GaResult, rank_table_for, run
 from .topology import ConflictGraph, Topology, build_conflict_graph, load_topology
 
-RESULTS_HEADER = [
-    "scenario", "seed", "algorithm", "links", "nc_raw", "nc_norm", "fni",
-    "mean_link_cap", "mean_link_intf", "mean_link_fair", "fairness_index",
-    "iterations", "wall_ms",
-]
-AGGREGATES_HEADER = [
-    "scenario", "algorithm", "replicates", "links", "nc_raw", "nc_norm",
-    "fni", "mean_link_cap", "mean_link_intf", "mean_link_fair",
-    "fairness_index", "iterations",
-]
 # aggregate column feeding each figure-style data file
 FIGURE_SERIES = {
     "fig05_network_capacity": "nc_norm",
@@ -81,24 +74,20 @@ class MetricsRecord:
     wall_ms: float
 
     def to_csv_row(self) -> list[str]:
-        return [
-            self.scenario, str(self.seed), self.algorithm, str(self.links),
-            repr(self.nc_raw), repr(self.nc_norm), repr(self.fni),
-            repr(self.mean_link_cap), repr(self.mean_link_intf),
-            repr(self.mean_link_fair), repr(self.fairness_index),
-            str(self.iterations), repr(self.wall_ms),
-        ]
+        return [str(getattr(self, name)) for name in RESULTS_HEADER]
 
     @classmethod
     def from_csv_row(cls, row: list[str]) -> "MetricsRecord":
-        return cls(
-            scenario=row[0], seed=int(row[1]), algorithm=row[2],
-            links=int(row[3]), nc_raw=float(row[4]), nc_norm=float(row[5]),
-            fni=float(row[6]), mean_link_cap=float(row[7]),
-            mean_link_intf=float(row[8]), mean_link_fair=float(row[9]),
-            fairness_index=float(row[10]), iterations=int(row[11]),
-            wall_ms=float(row[12]),
-        )
+        return cls(*(_FIELD_TYPES[name](value)
+                     for name, value in zip(RESULTS_HEADER, row)))
+
+
+_FIELD_TYPES = get_type_hints(MetricsRecord)
+RESULTS_HEADER = [f.name for f in fields(MetricsRecord)]
+# per-replicate metrics that aggregates.csv averages
+_AVERAGED = [name for name in RESULTS_HEADER
+             if name not in ("scenario", "seed", "algorithm", "wall_ms")]
+AGGREGATES_HEADER = ["scenario", "algorithm", "replicates", *_AVERAGED]
 
 
 def build_record(scenario: str, seed: int, algorithm: str, t: Topology,
@@ -194,20 +183,11 @@ def aggregate_records(records: list[MetricsRecord]) -> list[dict]:
     rows = []
     for scenario, algorithm in order:
         grp = groups[(scenario, algorithm)]
-        rows.append({
-            "scenario": scenario,
-            "algorithm": algorithm,
-            "replicates": len(grp),
-            "links": float(np.mean([r.links for r in grp])),
-            "nc_raw": float(np.mean([r.nc_raw for r in grp])),
-            "nc_norm": float(np.mean([r.nc_norm for r in grp])),
-            "fni": float(np.mean([r.fni for r in grp])),
-            "mean_link_cap": float(np.mean([r.mean_link_cap for r in grp])),
-            "mean_link_intf": float(np.mean([r.mean_link_intf for r in grp])),
-            "mean_link_fair": float(np.mean([r.mean_link_fair for r in grp])),
-            "fairness_index": float(np.mean([r.fairness_index for r in grp])),
-            "iterations": float(np.mean([r.iterations for r in grp])),
-        })
+        row = {"scenario": scenario, "algorithm": algorithm,
+               "replicates": len(grp)}
+        for name in _AVERAGED:
+            row[name] = float(np.mean([getattr(r, name) for r in grp]))
+        rows.append(row)
     return rows
 
 
@@ -216,13 +196,7 @@ def write_aggregates_csv(rows: list[dict], path: str | Path) -> None:
         w = csv.writer(fh)
         w.writerow(AGGREGATES_HEADER)
         for row in rows:
-            w.writerow([
-                row["scenario"], row["algorithm"], row["replicates"],
-                repr(row["links"]), repr(row["nc_raw"]), repr(row["nc_norm"]),
-                repr(row["fni"]), repr(row["mean_link_cap"]),
-                repr(row["mean_link_intf"]), repr(row["mean_link_fair"]),
-                repr(row["fairness_index"]), repr(row["iterations"]),
-            ])
+            w.writerow([str(row[name]) for name in AGGREGATES_HEADER])
 
 
 def write_figure_data(rows: list[dict], out_dir: str | Path) -> list[Path]:
@@ -269,9 +243,15 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
     ga.validate()
     for s in scenarios:
         s.validate()
+    if not isinstance(algorithms, (list, tuple)) or not algorithms:
+        raise InvalidConfig(
+            f"algorithms must be a non-empty list, got {algorithms!r}"
+        )
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise InvalidConfig(f"unknown algorithm {algorithm!r}")
+    if len(set(algorithms)) != len(algorithms):
+        raise InvalidConfig(f"algorithms repeat a name: {algorithms!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -377,12 +357,7 @@ def brute_force_optimum(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
             f"{channels}^{L} = {total} assignments exceeds the "
             f"{SEARCH_GUARD} guard"
         )
-    # nodes that could possibly exceed their budget
-    constrained = [
-        (v, int(t.radios[v]), np.array(t.incident_links[v]))
-        for v in range(t.node_count)
-        if len(t.incident_links[v]) > t.radios[v] and channels > t.radios[v]
-    ]
+    binding = radio_constraint_binding(t, channels)
     weights = channels ** np.arange(L - 1, -1, -1, dtype=np.int64)
     best_fitness = -np.inf
     best_genes = None
@@ -390,14 +365,10 @@ def brute_force_optimum(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         genes = (idx[:, None] // weights[None, :]) % channels
-        ok = np.ones(len(idx), dtype=bool)
-        for _, radios, incident in constrained:
-            sub = np.sort(genes[:, incident], axis=1)
-            distinct = 1 + np.count_nonzero(np.diff(sub, axis=1), axis=1)
-            ok &= distinct <= radios
-        if not ok.any():
-            continue
-        genes = genes[ok]
+        if binding:
+            genes = genes[within_budget(genes, t)]
+            if not len(genes):
+                continue
         feasible_total += len(genes)
         interference, _, _, fairness = _batch_link_fairness(genes, t, cg, m, rm)
         if fitness_kind == "fairness":
@@ -484,33 +455,6 @@ def paper_scale_scenarios(master_seed: int = 0,
         out.append(ScenarioConfig(
             name=name,
             node_count=nodes,
-            topologies_per_scenario=replicates,
-            master_seed=master_seed,
-        ))
-    return out
-
-
-def desk_scale_scenarios(count: int = 20, node_lo: int = 30, node_hi: int = 80,
-                         master_seed: int = 7,
-                         replicates: int = 1) -> list[ScenarioConfig]:
-    """Desk-scale comparison scenarios with sparser conflict geometry.
-
-    Node counts step across [node_lo, node_hi]; the area grows with the
-    node count so the conflict graph stays moderately sparse (the regime
-    where assignment quality separates the algorithms), and the
-    interference distance sits just above the communication range.
-    """
-    out = []
-    for i in range(count):
-        nodes = node_lo + round(i * (node_hi - node_lo) / max(count - 1, 1))
-        side = float(round(np.sqrt(nodes / 50.0) * 1450.0))
-        out.append(ScenarioConfig(
-            name=f"desk{i:02d}_n{nodes}",
-            node_count=nodes,
-            area_w=side,
-            area_h=side,
-            comm_range=252.0,
-            interference_distance=300.0,
             topologies_per_scenario=replicates,
             master_seed=master_seed,
         ))

@@ -72,6 +72,18 @@ class Topology:
             self.adjacency[l.b].append((l.a, l.id))
             self.incident_links[l.a].append(l.id)
             self.incident_links[l.b].append(l.id)
+        # nodes with more incident links than radios, the only ones whose
+        # radio budget can bind; row i of crowded_links holds the links of
+        # crowded[i], padded by repeating its first link
+        crowded = [v for v, inc in enumerate(self.incident_links)
+                   if len(inc) > self.radios[v]]
+        width = max((len(self.incident_links[v]) for v in crowded), default=1)
+        self.crowded = np.array(crowded, dtype=np.int64)
+        self.crowded_links = np.array(
+            [inc + inc[:1] * (width - len(inc))
+             for inc in (self.incident_links[v] for v in crowded)],
+            dtype=np.int64,
+        ).reshape(len(crowded), width)
 
     @property
     def node_count(self) -> int:

@@ -10,9 +10,13 @@ from meshca import (
     ConflictGraph,
     InvalidAssignment,
     InvalidConfig,
+    Link,
     NoFeasibleChannel,
+    Node,
     OverlapMatrix,
     ParseError,
+    ScenarioConfig,
+    Topology,
     build_conflict_graph,
     feasible_channels,
     is_valid_assignment,
@@ -25,7 +29,14 @@ from meshca import (
     save_assignment,
     score_nodes,
 )
-from meshca.assignment import interference_matrix, repair_radio_constraint
+from meshca.assignment import (
+    UNASSIGNED,
+    _RadioBook,
+    channels_in_use,
+    interference_matrix,
+    radio_constraint_binding,
+    repair_radio_constraint,
+)
 from conftest import line_topology, make_topology
 
 
@@ -330,9 +341,9 @@ class TestRadioConstraintHelpers:
 
     def test_feasible_channels_includes_own(self):
         t = line_topology(n=4, radios=1)
-        genes = np.array([0, 0, 1])
-        assert feasible_channels(1, genes, t, 3) == [0]
-        assert feasible_channels(2, genes, t, 3) == [0, 1]
+        book = _RadioBook(t, np.array([0, 0, 1]), 3)
+        assert feasible_channels(1, book) == [0]
+        assert feasible_channels(2, book) == [0, 1]
 
     def test_repair_produces_valid_assignment(self):
         t = clique_topology(6, radios=2, channels=5)
@@ -352,6 +363,104 @@ class TestRadioConstraintHelpers:
         assert np.array_equal(
             repair_radio_constraint(genes, t, cg, m, 3), genes
         )
+
+
+def reference_radio_violations(genes, t):
+    """The set-based check that ``channels_in_use`` replaced."""
+    out = []
+    for v in range(t.node_count):
+        channels = {int(genes[l]) for l in t.incident_links[v]
+                    if genes[l] >= 0}
+        if len(channels) > t.radios[v]:
+            out.append((v, len(channels)))
+    return out
+
+
+def reference_feasible_channels(lid, genes, t, channel_count):
+    """The set-rebuilding candidate rule that the radio book replaced."""
+    allowed = None
+    for v in (t.link_a[lid], t.link_b[lid]):
+        used = {int(genes[l]) for l in t.incident_links[v]
+                if l != lid and genes[l] >= 0}
+        if len(used) >= t.radios[v]:
+            allowed = used if allowed is None else allowed & used
+    if allowed is None:
+        return list(range(channel_count))
+    own = int(genes[lid])
+    if own >= 0:
+        allowed = allowed | {own}
+    return sorted(c for c in allowed if 0 <= c < channel_count)
+
+
+@st.composite
+def budget_cases(draw):
+    """A small topology with 1-3 radios per node, 1-6 channels and a
+    (P, L) batch of genes in [-1, K): valid, over budget, partial."""
+    n = draw(st.integers(2, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    link_pairs = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                               max_size=len(pairs), unique=True))
+    radios = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    k = draw(st.integers(1, 6))
+    nodes = [Node(i, 40.0 * i, 0.0, radios[i], i == 0) for i in range(n)]
+    links = [Link(j, a, b, 40.0 * (b - a), 1.0)
+             for j, (a, b) in enumerate(link_pairs)]
+    t = Topology(nodes, links,
+                 ScenarioConfig(name="budget", node_count=n, channels=k), 0)
+    rows = draw(st.lists(st.lists(st.integers(UNASSIGNED, k - 1),
+                                  min_size=len(links), max_size=len(links)),
+                         min_size=1, max_size=4))
+    return t, k, np.array(rows, dtype=np.int64)
+
+
+class TestRadioBudgetProperties:
+    @given(budget_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_based_references(self, case):
+        t, k, genes = case
+        cg = build_conflict_graph(t)
+        m = OverlapMatrix.orthogonal(k)
+        counts = channels_in_use(genes, t)
+        assert counts.shape == (len(genes), len(t.crowded))
+        for row, row_counts in zip(genes, counts):
+            assert np.array_equal(channels_in_use(row, t), row_counts)
+            for v, c in zip(t.crowded, row_counts):
+                assert c == len({g for g in row[t.incident_links[v]] if g >= 0})
+            a = ChannelAssignment(row, k)
+            assert radio_violations(a, t) == reference_radio_violations(row, t)
+            valid = repair_radio_constraint(np.maximum(row, 0), t, cg, m, k)
+            assert is_valid_assignment(ChannelAssignment(valid, k), t)
+            for r in (row, valid):
+                book = _RadioBook(t, r.copy(), k)
+                for lid in range(t.link_count):
+                    assert (feasible_channels(lid, book)
+                            == reference_feasible_channels(lid, r, t, k))
+
+    @given(budget_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_non_binding_budget_allows_every_channel(self, case):
+        t, k, genes = case
+        if radio_constraint_binding(t, k):
+            return
+        cg = build_conflict_graph(t)
+        m = OverlapMatrix.orthogonal(k)
+        for row in genes:
+            book = _RadioBook(t, row, k)
+            for lid in range(t.link_count):
+                assert feasible_channels(lid, book) == list(range(k))
+            assert repair_radio_constraint(row, t, cg, m, k) is row
+
+    def test_binding_needs_a_node_with_more_links_than_radios(self):
+        # every node of a 3-link path has at most 2 links
+        t = line_topology(n=4, radios=2)
+        assert t.crowded.tolist() == []
+        assert not radio_constraint_binding(t, 6)
+        # the hub of a 3-link star has 3 links for 2 radios
+        star = make_topology([(0, 0), (100, 0), (0, 100), (-100, 0)],
+                             link_pairs=[(0, 1), (0, 2), (0, 3)], radios=2)
+        assert star.crowded.tolist() == [0]
+        assert not radio_constraint_binding(star, 2)
+        assert radio_constraint_binding(star, 3)
 
 
 class TestAssignmentFile:

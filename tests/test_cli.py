@@ -101,6 +101,21 @@ class TestAssignEvalOracle:
                                     "max_iterations": 3}))
         return path
 
+    def test_eval_without_seed_header_reports_topology_seed(self, tmp_path,
+                                                            capsys):
+        assert main(["gen", "--seed", "3", "--out", str(tmp_path)]) == 0
+        [path] = tmp_path.glob("topology-*-seed3.json")
+        t = load_topology(path)
+        assignment = tmp_path / "assignment.csv"
+        assignment.write_text(
+            f"# channels: {t.params.channels}\nlink_id,channel\n"
+            + "".join(f"{lid},0\n" for lid in range(t.link_count)))
+        capsys.readouterr()
+        assert main(["eval", "--topology", str(path),
+                     "--assignment", str(assignment)]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[1:3] == ["3", "unknown"]
+
     def test_eval_missing_file_exits_3(self, tmp_path, topology_path):
         assert main(["eval", "--topology", str(topology_path),
                      "--assignment", str(tmp_path / "none.csv")]) == 3
@@ -217,12 +232,16 @@ class TestInputErrors:
         {"algorithms": ["mclr"]},
         {"scenarios": [{"node_count": 8, "bogus": 1}]},
         {"scenarios": [{"node_count": 8}], "ga": {"stall_window": 2.5}},
-    ], ids=["no_scenarios", "unknown_scenario_key", "wrong_ga_type"])
+        {"scenarios": [{"node_count": 8}], "algorithms": 5},
+        {"scenarios": [{"node_count": 8}], "algorithms": ["mclr", "mclr"]},
+    ], ids=["no_scenarios", "unknown_scenario_key", "wrong_ga_type",
+            "algorithms_not_a_list", "algorithms_repeated"])
     def test_bad_sweep_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(doc))
         assert self._exit_code(["sweep", "--config", str(cfg), "--out",
                                 str(tmp_path)], capsys) == 2
+        assert not (tmp_path / "results.csv").exists()
 
     def test_unknown_key_module_invocation_has_no_traceback(self, tmp_path):
         cfg = tmp_path / "scenario.json"

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -312,6 +313,20 @@ class TestEntryPointsAgree:
 
 
 class TestMetricsRecordCsv:
+    def test_aggregates_csv_is_pinned(self, tmp_path):
+        # SHA-256 prefix of aggregates.csv as written before the CSV
+        # columns were derived from the MetricsRecord fields
+        scenarios = [
+            tiny_scenario("orth", replicates=2, master_seed=0),
+            ScenarioConfig(name="bind", node_count=8, area_w=500.0,
+                           area_h=500.0, topologies_per_scenario=2,
+                           master_seed=1, channels=6, radios=2),
+        ]
+        run_sweep(scenarios, ["mclr", "ia_ga", "fa_scga"], tmp_path,
+                  ga=GaConfig(population_size=6, max_iterations=3))
+        text = (tmp_path / "aggregates.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest()[:16] == "56b67a1cbedfcfc0"
+
     def test_row_round_trip_is_exact(self):
         rec = MetricsRecord(
             scenario="s", seed=1234567890123, algorithm="fa_scga", links=17,
