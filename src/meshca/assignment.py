@@ -17,12 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InvalidAssignment,
-    InvalidConfig,
-    NoFeasibleChannel,
-    ParseError,
-)
+from .errors import InvalidAssignment, InvalidConfig, ParseError
 from .topology import ConflictGraph, Topology
 from .ranking import LinkRankTable
 
@@ -123,16 +118,10 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
     return out[0] if genes.ndim == 1 else out
 
 
-def link_interference_index(l: int, a: ChannelAssignment, cg: ConflictGraph,
-                            m: OverlapMatrix) -> float:
-    """Interference index of link ``l``: the sum of overlap ratios with
-    its assigned conflict neighbors (unassigned neighbors contribute 0)."""
-    return float(_channel_interference_all(l, a.genes, cg, m)[a.genes[l]])
-
-
 def _channel_interference_all(l: int, genes: np.ndarray, cg: ConflictGraph,
                               m: OverlapMatrix) -> np.ndarray:
-    """Interference index of link ``l`` for every candidate channel."""
+    """Interference index of link ``l`` for every candidate channel,
+    against its assigned conflict neighbors (unassigned ones add 0)."""
     nbr_genes = genes[cg.neighbors[l]]
     nbr_genes = nbr_genes[nbr_genes >= 0]
     if not len(nbr_genes):
@@ -165,24 +154,6 @@ def within_budget(genes: np.ndarray, t: Topology) -> np.ndarray:
     """Whether an (L,) row, or each row of a (P, L) batch, keeps every
     node within its radio budget."""
     return (channels_in_use(genes, t) <= t.radios[t.crowded]).all(axis=-1)
-
-
-def radio_violations(a: ChannelAssignment, t: Topology) -> list[tuple[int, int]]:
-    """Nodes whose incident links use more distinct channels than they
-    have radios, as (node_id, distinct_channel_count) pairs."""
-    counts = channels_in_use(a.genes, t)
-    over = counts > t.radios[t.crowded]
-    return [(int(v), int(c)) for v, c in zip(t.crowded[over], counts[over])]
-
-
-def is_valid_assignment(a: ChannelAssignment, t: Topology) -> bool:
-    """Gene bounds plus the radio constraint."""
-    g = a.genes
-    if len(g) != t.link_count:
-        return False
-    if g.min(initial=0) < 0 or g.max(initial=0) >= a.channel_count:
-        return False
-    return not radio_violations(a, t)
 
 
 class _RadioBook:
@@ -302,40 +273,17 @@ def repair_radio_constraint(genes: np.ndarray, t: Topology, cg: ConflictGraph,
 # greedy assignment
 
 
-def least_interfering_channel(l: int, a: ChannelAssignment, cg: ConflictGraph,
-                              m: OverlapMatrix, t: Topology) -> int:
-    """Channel minimizing link ``l``'s interference index against its
-    assigned conflict neighbors, restricted to channels the radio budgets
-    at both endpoints allow. Ties break toward the lower channel index.
-
-    Raises
-    ------
-    NoFeasibleChannel
-        If the radio constraint leaves no candidate, signalling the
-        caller to reuse an endpoint's existing channel.
-    """
-    cand = feasible_channels(l, _RadioBook(t, a.genes, a.channel_count))
-    if not cand:
-        raise NoFeasibleChannel(
-            f"link {l}: endpoint radio budgets leave no channel"
-        )
-    per_channel = _channel_interference_all(l, a.genes, cg, m)
-    return min(cand, key=lambda ch: (per_channel[ch], ch))
-
-
 def mclr_assign(t: Topology, cg: ConflictGraph, rt: LinkRankTable,
-                m: OverlapMatrix, channels: int,
-                theta: float | None = None) -> ChannelAssignment:
+                m: OverlapMatrix, channels: int) -> ChannelAssignment:
     """Greedy rank-ordered channel assignment (the primary chromosome).
 
     Links are visited in descending rank order. Each link takes the
     lowest-index channel that is non-overlapping with every assigned
     conflict neighbor when one is feasible; otherwise it takes the
     least-interfering feasible channel, falling back to the common
-    channel 0 when even that exceeds the acceptance threshold ``theta``.
-    The default threshold is each link's conflict degree, the
-    interference it would suffer in a single-channel network, so the
-    fallback never makes a link worse than the common channel would.
+    channel 0 when even that interferes more than the link's conflict
+    degree, the interference it would suffer in a single-channel network;
+    so the fallback never makes a link worse than the common channel would.
     """
     if channels < 1:
         raise InvalidConfig(f"channels must be >= 1, got {channels}")
@@ -353,8 +301,7 @@ def mclr_assign(t: Topology, cg: ConflictGraph, rt: LinkRankTable,
             c = zero[0]
         else:
             c = min(cand, key=lambda ch: (per_channel[ch], ch))
-            limit = float(cg.degrees[lid]) if theta is None else theta
-            if per_channel[c] > limit and 0 in cand:
+            if per_channel[c] > cg.degrees[lid] and 0 in cand:
                 c = 0
         book.set(lid, c)
     return ChannelAssignment(genes, channels)

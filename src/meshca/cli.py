@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .assignment import overlap_for_config, save_assignment
+from .assignment import save_assignment
 from .config import GaConfig, ScenarioConfig
 from .errors import (
     InconsistentInputs,
@@ -26,23 +26,18 @@ from .errors import (
     ParseError,
     SearchSpaceTooLarge,
 )
-from .ga import ALGORITHMS, rank_table_for, run
+from .ga import ALGORITHMS
 from .harness import (
     RESULTS_HEADER,
     brute_force_optimum,
-    build_record,
     evaluate_file,
     paper_scale_scenarios,
+    problem_for,
+    run_row,
     run_sweep,
     write_history_csv,
 )
-from .fitness import network_metrics
-from .topology import (
-    build_conflict_graph,
-    generate_topology,
-    load_topology,
-    save_topology,
-)
+from .topology import generate_topology, load_topology, save_topology
 
 
 def _load_json(path: str) -> dict:
@@ -64,8 +59,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _dump_ranks(t, path: Path) -> None:
-    table = rank_table_for(t)
+def _dump_ranks(problem, path: Path) -> None:
+    t, table = problem.t, problem.rank_table
     position = {int(lid): i for i, lid in enumerate(table.schedule)}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -90,31 +85,27 @@ def _cmd_gen(args) -> int:
     save_topology(t, path)
     print(f"wrote {path} ({t.node_count} nodes, {t.link_count} links)")
     if args.dump_ranks:
-        _dump_ranks(t, out / f"ranks-{config.name}-seed{seed}.csv")
+        _dump_ranks(problem_for(t),
+                    out / f"ranks-{config.name}-seed{seed}.csv")
     return 0
 
 
 def _cmd_assign(args) -> int:
     t = load_topology(args.topology)
     seed = args.seed if args.seed is not None else t.seed
-    cg = build_conflict_graph(t)
-    m = overlap_for_config(t.params)
     ga = GaConfig.from_dict(_load_json(args.ga)) if args.ga else GaConfig()
-    result = run(args.algo, t, cg, m, t.params.radio_model, ga, seed=seed)
+    problem = problem_for(t)
+    record, result = run_row(problem, args.algo, ga, seed)
     out = _out_dir(args)
     stem = f"{args.algo}-seed{seed}"
     assignment_path = out / f"assignment-{stem}.csv"
     save_assignment(result.best.assignment, assignment_path,
                     algorithm=args.algo, seed=seed)
     write_history_csv(result, out / f"history-{stem}.csv")
-    metrics = network_metrics(result.best.assignment, t, cg, m)
-    record = build_record(t.params.name, seed, args.algo, t,
-                          result.best.report, metrics, result.iterations,
-                          wall_ms=0.0)
     print(f"wrote {assignment_path}")
     _print_record(record)
     if args.dump_ranks:
-        _dump_ranks(t, out / f"ranks-{stem}.csv")
+        _dump_ranks(problem, out / f"ranks-{stem}.csv")
     return 0
 
 
@@ -166,9 +157,8 @@ def _cmd_oracle(args) -> int:
     if args.channels is not None:
         cfg = replace(cfg, channels=args.channels)
         cfg.validate()
-    cg = build_conflict_graph(t)
-    m = overlap_for_config(cfg)
-    result = brute_force_optimum(t, cg, m, cfg.radio_model, cfg.channels,
+    p = problem_for(t, cfg)
+    result = brute_force_optimum(t, p.cg, p.m, p.rm, p.channels,
                                  fitness_kind=args.fitness)
     print(f"optimum {args.fitness} fitness: {result.fitness!r} "
           f"({result.feasible}/{result.candidates} feasible candidates)")
@@ -182,47 +172,55 @@ def _cmd_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed override (defaults to the config/file seed)")
-    common.add_argument("--config", default=None, help="JSON config path")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--dump-ranks", action="store_true",
-                        help="also write the link-rank table CSV")
-
     parser = argparse.ArgumentParser(
         prog="meshca",
         description="channel assignment experiments for wireless mesh networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a topology file")
-    p.set_defaults(func=_cmd_gen)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", default=None, help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("assign", parents=[common],
-                       help="run one algorithm on one topology")
+    dump_ranks = dict(action="store_true",
+                      help="also write the link-rank table CSV")
+
+    p = command("gen", _cmd_gen, "generate a topology file")
+    p.add_argument("--config", default=None, help="ScenarioConfig JSON path")
+    p.add_argument("--seed", type=int, default=None,
+                   help="topology seed (default: the config's master_seed)")
+    p.add_argument("--dump-ranks", **dump_ranks)
+
+    p = command("assign", _cmd_assign, "run one algorithm on one topology")
     p.add_argument("--algo", choices=ALGORITHMS, default="fa_scga")
     p.add_argument("--topology", required=True)
     p.add_argument("--ga", default=None, help="GaConfig JSON path")
-    p.set_defaults(func=_cmd_assign)
+    p.add_argument("--seed", type=int, default=None,
+                   help="row seed (default: the topology file's seed); the "
+                        "GA runs with seed + 1, so a topology regenerated "
+                        "with a sweep row's seed reproduces that row")
+    p.add_argument("--dump-ranks", **dump_ranks)
 
-    p = sub.add_parser("sweep", parents=[common], help="run the experiment grid")
+    p = command("sweep", _cmd_sweep, "run the experiment grid")
+    p.add_argument("--config", default=None,
+                   help="sweep JSON path: scenarios, algorithms, ga")
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed of every scenario (default: each "
+                        "scenario's own)")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate a topology/assignment file pair")
+    p = command("eval", _cmd_eval, "evaluate a topology/assignment file pair")
     p.add_argument("--topology", required=True)
     p.add_argument("--assignment", required=True)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="exhaustive optimum on a small topology")
+    p = command("oracle", _cmd_oracle,
+                "exhaustive optimum on a small topology")
     p.add_argument("--topology", required=True)
     p.add_argument("--channels", type=int, default=None)
     p.add_argument("--fitness", choices=("fairness", "interference"),
                    default="fairness")
-    p.set_defaults(func=_cmd_oracle)
     return parser
 
 

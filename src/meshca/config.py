@@ -13,8 +13,6 @@ from typing import Any
 
 from .errors import InvalidConfig
 
-FITNESS_KINDS = ("fairness", "interference")
-INIT_KINDS = ("semi_chaotic", "random")
 OVERLAP_KINDS = ("orthogonal", "graded")
 
 
@@ -167,6 +165,8 @@ class GaConfig:
     and an early stop after 20 generations without improvement or once
     the best fairness index reaches ``target_fairness``. A gene counts as
     strong when its link fairness is at least ``strong_gene_threshold``.
+    The algorithm name, not this record, selects the initialization and
+    the fitness (see :mod:`meshca.ga`).
     """
 
     population_size: int = 40
@@ -175,8 +175,6 @@ class GaConfig:
     target_fairness: float = 0.99
     stall_window: int = 20
     strong_gene_threshold: float = 1.0
-    fitness_kind: str = "fairness"
-    init_kind: str = "semi_chaotic"
     validate_every_generation: bool = False
 
     def validate(self) -> None:
@@ -203,10 +201,6 @@ class GaConfig:
                 f"strong_gene_threshold must be in [0, 1], got "
                 f"{self.strong_gene_threshold}"
             )
-        if self.fitness_kind not in FITNESS_KINDS:
-            raise InvalidConfig(f"unknown fitness_kind {self.fitness_kind!r}")
-        if self.init_kind not in INIT_KINDS:
-            raise InvalidConfig(f"unknown init_kind {self.init_kind!r}")
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

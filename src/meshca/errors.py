@@ -17,10 +17,6 @@ class NoGateway(MeshcaError):
     """The topology has an empty gateway set."""
 
 
-class NoFeasibleChannel(MeshcaError):
-    """The radio constraint leaves no candidate channel for a link."""
-
-
 class InvalidRequiredRate(MeshcaError):
     """A link's required data rate is zero or negative."""
 

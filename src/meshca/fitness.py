@@ -8,7 +8,9 @@ fraction of the required rate clamped to 1. The fitness of the whole
 chromosome is Jain's index over the link fairness values, which is 1
 exactly when every link is equally (un)satisfied. Every step also takes
 a (P, L) batch of chromosomes, scored row by row with the same result
-as one chromosome at a time.
+as one chromosome at a time. :func:`evaluate` reports one chromosome:
+those per-link values, the fairness index, and the capacity and
+residual-conflict metrics, all from one interference pass.
 
 The ``(1 + interference)`` factor keeps the SNR finite for
 interference-free links while preserving monotonicity: doubling the
@@ -21,24 +23,31 @@ budget; all four parameters live in :class:`~meshca.config.RadioModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assignment import ChannelAssignment, OverlapMatrix, interference_matrix
+from .assignment import OverlapMatrix, interference_matrix
 from .config import RadioModel
-from .errors import AllZeroValues, InvalidRequiredRate
-from .topology import ConflictGraph, Link, Topology
+from .errors import AllZeroValues
+from .topology import ConflictGraph, Topology
 
-__all__ = [
-    "FitnessReport", "NetworkMetrics", "link_snr", "actual_link_rate",
-    "link_fairness", "jain_index", "fairness_fitness", "network_metrics",
-    "RadioModel",
-]
+if TYPE_CHECKING:
+    from .ga import Problem
 
 
 @dataclass
 class FitnessReport:
-    """Per-link quantities and the aggregate fairness of one chromosome."""
+    """Every reported quantity of one chromosome.
+
+    Per link: the interference index, SNR, achieved rate, clamped
+    fairness and ``link_capacity`` = ``1 / (1 + interference)``. For the
+    network: Jain's index over the link fairness, the total interference
+    (for the interference-minimizing variants), ``nc_raw`` (the capacity
+    sum), ``nc_norm`` (that sum over the link count) and ``fni``, the
+    fraction of conflict-graph edges whose two links still overlap (the
+    residual-conflict ratio relative to a single-channel network).
+    """
 
     interference: np.ndarray
     snr: np.ndarray
@@ -46,18 +55,6 @@ class FitnessReport:
     link_fairness: np.ndarray
     fairness_index: float
     total_interference: float
-
-
-@dataclass
-class NetworkMetrics:
-    """Capacity and residual-conflict metrics of one chromosome.
-
-    ``link_capacity`` is ``1 / (1 + interference)`` per link, ``nc_raw``
-    its sum, ``nc_norm`` the sum divided by the link count, and ``fni``
-    the fraction of conflict-graph edges whose two links still overlap
-    (the residual-conflict ratio relative to a single-channel network).
-    """
-
     link_capacity: np.ndarray
     nc_raw: float
     nc_norm: float
@@ -65,35 +62,18 @@ class NetworkMetrics:
 
 
 def _snr_values(lengths, interference, rm: RadioModel):
+    """Link SNRs: strictly decreasing in the interference index and
+    non-increasing in length, with lengths clamped below at
+    ``rm.min_distance``."""
     lengths = np.maximum(np.asarray(lengths, dtype=float), rm.min_distance)
     denom = 10.0 * rm.path_loss_exp * (1.0 + np.asarray(interference, dtype=float))
     return rm.tss / (denom * np.log10(lengths))
-
-
-def link_snr(l: Link, interference_index: float, rm: RadioModel) -> float:
-    """SNR of a link under the given interference index.
-
-    Strictly decreasing in the interference index and non-increasing in
-    link length; lengths are clamped below at ``rm.min_distance``.
-    """
-    return float(_snr_values(l.length, interference_index, rm))
 
 
 def actual_link_rate(snr, rm: RadioModel):
     """Shannon rate ``bandwidth * log2(1 + SNR)``; accepts scalars or
     arrays."""
     return rm.bandwidth * np.log2(1.0 + np.asarray(snr, dtype=float))
-
-
-def link_fairness(actual: float, required: float) -> float:
-    """Achieved fraction of the required rate, clamped to [0, 1].
-
-    Overshooting the requirement counts as exact satisfaction so that a
-    generously served link cannot register as inequality.
-    """
-    if required <= 0:
-        raise InvalidRequiredRate(f"required rate must be positive, got {required}")
-    return min(1.0, float(actual) / float(required))
 
 
 def jain_index(values):
@@ -135,18 +115,30 @@ def _batch_link_fairness(genes: np.ndarray, t: Topology, cg: ConflictGraph,
     return interference, snr, rate, fairness
 
 
-def fairness_fitness(a: ChannelAssignment, t: Topology, cg: ConflictGraph,
-                     m: OverlapMatrix, rm: RadioModel) -> FitnessReport:
-    """Evaluate one chromosome end to end.
+def evaluate(problem: Problem, genes: np.ndarray) -> FitnessReport:
+    """Evaluate one (L,) chromosome end to end, computing its
+    interference indices once.
 
-    Computes every link's interference index, SNR, achieved rate, and
-    clamped fairness, then aggregates the fairness values with Jain's
-    index. ``total_interference`` is kept alongside for the
-    interference-minimizing fitness variant.
+    Link fairness is the achieved fraction of the required rate, clamped
+    to 1 so a generously served link cannot register as inequality.
+    Network capacity equals the link count exactly when no link sees
+    interference. The FNI is 0 for a proper coloring of the conflict
+    graph and 1 when every conflict edge still overlaps (e.g. a
+    single-channel network); an empty conflict graph reports 0.
     """
+    genes = np.asarray(genes)
+    cg = problem.cg
     interference, snr, rate, fairness = _batch_link_fairness(
-        a.genes, t, cg, m, rm
+        genes, problem.t, cg, problem.m, problem.rm
     )
+    capacity = 1.0 / (1.0 + interference)
+    nc_raw = float(capacity.sum())
+    if cg.edge_count:
+        ea, eb = cg.edges[:, 0], cg.edges[:, 1]
+        conflicted = problem.m.ratio[genes[ea], genes[eb]] > 0.0
+        fni = float(np.count_nonzero(conflicted) / cg.edge_count)
+    else:
+        fni = 0.0
     return FitnessReport(
         interference=interference,
         snr=snr,
@@ -154,31 +146,8 @@ def fairness_fitness(a: ChannelAssignment, t: Topology, cg: ConflictGraph,
         link_fairness=fairness,
         fairness_index=jain_index(fairness),
         total_interference=float(interference.sum()),
-    )
-
-
-def network_metrics(a: ChannelAssignment, t: Topology, cg: ConflictGraph,
-                    m: OverlapMatrix) -> NetworkMetrics:
-    """Capacity and residual-conflict metrics for one chromosome.
-
-    Network capacity sums per-link ``1 / (1 + interference)``; it equals
-    the link count exactly when no link sees interference. The FNI is 0
-    for a proper coloring of the conflict graph and 1 when every
-    conflict edge still overlaps (e.g. a single-channel network); an
-    empty conflict graph reports 0.
-    """
-    interference = interference_matrix(a.genes, cg, m)
-    capacity = 1.0 / (1.0 + interference)
-    nc_raw = float(capacity.sum())
-    if cg.edge_count:
-        ea, eb = cg.edges[:, 0], cg.edges[:, 1]
-        conflicted = m.ratio[a.genes[ea], a.genes[eb]] > 0.0
-        fni = float(np.count_nonzero(conflicted) / cg.edge_count)
-    else:
-        fni = 0.0
-    return NetworkMetrics(
         link_capacity=capacity,
         nc_raw=nc_raw,
-        nc_norm=nc_raw / t.link_count if t.link_count else 0.0,
+        nc_norm=nc_raw / len(genes) if len(genes) else 0.0,
         fni=fni,
     )

@@ -13,7 +13,10 @@ and (P,) fitness, evaluated a generation at a time; the operators take
 and return such arrays. Only the final best individual becomes an
 :class:`Individual` with a full :class:`~meshca.fitness.FitnessReport`.
 
-Four algorithm variants share the loop:
+Every entry point runs on one :class:`Problem` per topology, which
+builds the link-rank table and the greedy primary chromosome once, on
+first use, for every algorithm that needs them. Four algorithm variants
+share the loop; the name is the only selector:
 
 ``fa_scga``
     semi-chaotic init, fairness fitness (maximize Jain's index)
@@ -27,7 +30,8 @@ Four algorithm variants share the loop:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,11 +50,40 @@ from .assignment import (
 )
 from .config import GaConfig, RadioModel
 from .errors import InvalidAssignment, InvalidConfig
-from .fitness import FitnessReport, _batch_link_fairness, fairness_fitness, jain_index
+from .fitness import FitnessReport, _batch_link_fairness, evaluate, jain_index
 from .ranking import LinkRankTable, rank_links, score_nodes
 from .topology import ConflictGraph, Topology
 
 ALGORITHMS = ("mclr", "ia_ga", "scga", "fa_scga")
+# per GA variant: (semi-chaotic init from the primary chromosome,
+# fairness fitness); otherwise random init, interference fitness
+_GA_KINDS = {"ia_ga": (False, False), "scga": (True, False),
+             "fa_scga": (True, True)}
+
+
+@dataclass(eq=False)
+class Problem:
+    """One topology's channel-assignment instance: its conflict graph,
+    channel overlap and radio model, plus the link-rank table and the
+    MCLR primary chromosome, each built once on first use."""
+
+    t: Topology
+    cg: ConflictGraph
+    m: OverlapMatrix
+    rm: RadioModel
+
+    @property
+    def channels(self) -> int:
+        return self.m.channel_count
+
+    @cached_property
+    def rank_table(self) -> LinkRankTable:
+        return rank_links(self.t, score_nodes(self.t))
+
+    @cached_property
+    def primary(self) -> ChannelAssignment:
+        return mclr_assign(self.t, self.cg, self.rank_table, self.m,
+                           self.channels)
 
 
 @dataclass
@@ -78,24 +111,22 @@ class GaResult:
     stop_reason: str
 
 
-def _evaluate_batch(genes: np.ndarray, t: Topology, cg: ConflictGraph,
-                    m: OverlapMatrix, rm: RadioModel,
-                    fitness_kind: str) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate_batch(genes: np.ndarray, problem: Problem,
+                    fairness_fitness: bool) -> tuple[np.ndarray, np.ndarray]:
     """Link fairness (P, L) and fitness (P,) of a (P, L) gene array: each
     row's Jain index, or minus its total interference."""
-    interference, _, _, fairness = _batch_link_fairness(genes, t, cg, m, rm)
-    if fitness_kind == "fairness":
+    interference, _, _, fairness = _batch_link_fairness(
+        genes, problem.t, problem.cg, problem.m, problem.rm)
+    if fairness_fitness:
         return fairness, jain_index(fairness)
     return fairness, -interference.sum(axis=1)
 
 
-def _individual(genes: np.ndarray, channel_count: int, t: Topology,
-                cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
-                fitness_kind: str) -> Individual:
-    a = ChannelAssignment(genes.copy(), channel_count)
-    report = fairness_fitness(a, t, cg, m, rm)
-    return Individual(a, report, report.fairness_index
-                      if fitness_kind == "fairness"
+def _individual(genes: np.ndarray, problem: Problem,
+                fairness_fitness: bool) -> Individual:
+    report = evaluate(problem, genes)
+    return Individual(ChannelAssignment(genes.copy(), problem.channels),
+                      report, report.fairness_index if fairness_fitness
                       else -report.total_interference)
 
 
@@ -136,7 +167,7 @@ def init_population_random(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
     channels the radio budgets allow."""
     cfg.validate()
     rng = np.random.default_rng(seed)
-    k = int(t.params.channels)
+    k = m.channel_count
     if not radio_constraint_binding(t, k):
         return rng.integers(k, size=(cfg.population_size, t.link_count))
     genes = np.full((cfg.population_size, t.link_count), UNASSIGNED,
@@ -210,38 +241,29 @@ def _check_population(genes: np.ndarray, t: Topology,
         )
 
 
-def rank_table_for(t: Topology) -> LinkRankTable:
-    """The topology's link-rank table; build it once per topology and
-    pass it to :func:`run` for every algorithm."""
-    return rank_links(t, score_nodes(t))
-
-
-def run_ga(t: Topology, cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
-           cfg: GaConfig, seed: int,
-           primary: ChannelAssignment | None = None,
-           rank_table: LinkRankTable | None = None) -> GaResult:
-    """Run the configured genetic loop and return the best individual,
-    per-generation statistics, and the executed iteration count.
+def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
+           seed: int) -> GaResult:
+    """Run the genetic loop of a GA variant (``ia_ga``, ``scga`` or
+    ``fa_scga``) and return the best individual, per-generation
+    statistics, and the executed iteration count.
 
     A pure function of its inputs and the seed: repeat calls are
     bit-identical. With ``cfg.validate_every_generation``, a generation
     that breaks a radio budget raises :class:`InvalidAssignment`.
     """
+    if algorithm not in _GA_KINDS:
+        raise InvalidConfig(f"{algorithm!r} is not a GA variant")
+    semi_chaotic, fair = _GA_KINDS[algorithm]
     cfg.validate()
-    ss = np.random.SeedSequence(seed)
-    init_ss, loop_ss = ss.spawn(2)
-    k = int(t.params.channels)
-    if cfg.init_kind == "semi_chaotic":
-        if primary is None:
-            if rank_table is None:
-                rank_table = rank_table_for(t)
-            primary = mclr_assign(t, cg, rank_table, m, k)
-        k = primary.channel_count
-        genes = init_population_semi_chaotic(primary, t, cg, m, cfg, init_ss)
+    t, cg, m, k = problem.t, problem.cg, problem.m, problem.channels
+    init_ss, loop_ss = np.random.SeedSequence(seed).spawn(2)
+    if semi_chaotic:
+        genes = init_population_semi_chaotic(problem.primary, t, cg, m, cfg,
+                                             init_ss)
     else:
         genes = init_population_random(t, cg, m, cfg, init_ss)
     rng = np.random.default_rng(loop_ss)
-    fairness, fitness = _evaluate_batch(genes, t, cg, m, rm, cfg.fitness_kind)
+    fairness, fitness = _evaluate_batch(genes, problem, fair)
     best_genes, best_fitness = None, -np.inf
     history = []
     iterations = last_improvement = 0
@@ -255,10 +277,10 @@ def run_ga(t: Topology, cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
         history.append(GenerationStats(iterations, float(best_fitness),
                                        float(fitness.mean()),
                                        float(fitness.std())))
-        if cfg.fitness_kind == "fairness" and best_fitness >= cfg.target_fairness:
+        if fair and best_fitness >= cfg.target_fairness:
             stop_reason = "target"
             break
-        if cfg.fitness_kind == "interference" and best_fitness >= 0.0:
+        if not fair and best_fitness >= 0.0:
             stop_reason = "optimum"
             break
         if iterations - last_improvement >= cfg.stall_window:
@@ -274,71 +296,47 @@ def run_ga(t: Topology, cg: ConflictGraph, m: OverlapMatrix, rm: RadioModel,
         b = parents[rng.integers(len(parents), size=n)]
         children = crossover(genes[a], fairness[a], genes[b], fairness[b],
                              t, cg, m, k)
-        child_fairness, _ = _evaluate_batch(children, t, cg, m, rm,
-                                            cfg.fitness_kind)
+        child_fairness, _ = _evaluate_batch(children, problem, fair)
         mutation_seeds = rng.integers(np.iinfo(np.int64).max, size=n)
         # child 0 is replaced by the elite, so it is not mutated
         children[1:] = mutate(children[1:], child_fairness[1:], cfg, t, k,
                               mutation_seeds[1:])
         children[0] = best_genes  # elitism
         genes = children
-        fairness, fitness = _evaluate_batch(genes, t, cg, m, rm,
-                                            cfg.fitness_kind)
+        fairness, fitness = _evaluate_batch(genes, problem, fair)
         iterations += 1
     return GaResult(
-        algorithm=f"{cfg.init_kind}+{cfg.fitness_kind}",
-        seed=int(seed) if np.isscalar(seed) else -1,
-        best=_individual(best_genes, k, t, cg, m, rm, cfg.fitness_kind),
+        algorithm=algorithm,
+        seed=seed,
+        best=_individual(best_genes, problem, fair),
         history=history,
         iterations=iterations,
         stop_reason=stop_reason,
     )
 
 
-def run(algorithm: str, t: Topology, cg: ConflictGraph, m: OverlapMatrix,
-        rm: RadioModel, cfg: GaConfig | None = None, seed: int = 0,
-        theta: float | None = None,
-        rank_table: LinkRankTable | None = None) -> GaResult:
-    """Run one of the named algorithm variants.
+def run(algorithm: str, problem: Problem, cfg: GaConfig | None = None,
+        seed: int = 0) -> GaResult:
+    """Run one of the named algorithm variants on ``problem``.
 
-    ``mclr`` evaluates the greedy heuristic with no search (iterations
-    0); the GA variants override the config's init and fitness kinds as
-    described in the module docstring. ``rank_table`` defaults to
-    :func:`rank_table_for` of ``t``, built only for the variants that
-    use it (all but ``ia_ga``).
+    ``mclr`` evaluates the problem's primary chromosome with no search
+    (iterations 0, fairness fitness); the GA variants run
+    :func:`run_ga` as described in the module docstring.
     """
-    cfg = cfg or GaConfig()
     if algorithm not in ALGORITHMS:
         raise InvalidConfig(
             f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}"
         )
-    if rank_table is None and algorithm != "ia_ga":
-        rank_table = rank_table_for(t)
-    if algorithm == "mclr":
-        primary = mclr_assign(t, cg, rank_table, m, int(t.params.channels),
-                              theta=theta)
-        best = _individual(primary.genes, primary.channel_count, t, cg, m,
-                           rm, cfg.fitness_kind)
-        return GaResult(
-            algorithm="mclr",
-            seed=seed,
-            best=best,
-            history=[GenerationStats(0, best.fitness, best.fitness, 0.0)],
-            iterations=0,
-            stop_reason="heuristic",
-        )
-    kinds = {
-        "fa_scga": ("semi_chaotic", "fairness"),
-        "scga": ("semi_chaotic", "interference"),
-        "ia_ga": ("random", "interference"),
-    }[algorithm]
-    cfg = replace(cfg, init_kind=kinds[0], fitness_kind=kinds[1])
-    primary = None
-    if cfg.init_kind == "semi_chaotic":
-        primary = mclr_assign(t, cg, rank_table, m, int(t.params.channels),
-                              theta=theta)
-    result = run_ga(t, cg, m, rm, cfg, seed, primary=primary,
-                    rank_table=rank_table)
-    result.algorithm = algorithm
-    result.seed = seed
-    return result
+    cfg = cfg or GaConfig()
+    cfg.validate()  # for mclr too, as run_sweep does for every algorithm
+    if algorithm != "mclr":
+        return run_ga(algorithm, problem, cfg, seed)
+    best = _individual(problem.primary.genes, problem, True)
+    return GaResult(
+        algorithm="mclr",
+        seed=seed,
+        best=best,
+        history=[GenerationStats(0, best.fitness, best.fitness, 0.0)],
+        iterations=0,
+        stop_reason="heuristic",
+    )

@@ -2,11 +2,13 @@
 oracle, metric CSV emission, and evaluation of externally supplied
 assignment files.
 
-Every sweep row is reproducible on its own: the ``seed`` column is the
-integer that regenerates the row's topology, and the GA for that row is
-seeded with ``seed + 1``. Replicates may run in a process pool; rows are
-written in deterministic (scenario, seed, algorithm) order regardless of
-completion order.
+Every entry point scores a topology through one :class:`~meshca.ga.Problem`
+built by :func:`problem_for`, and every results row comes from
+:func:`run_row`. A sweep row is reproducible on its own: the ``seed``
+column is the integer that regenerates the row's topology, and the GA
+for that row is seeded with ``seed + GA_SEED_OFFSET``. Replicates may run
+in a process pool; rows are written in deterministic (scenario, seed,
+algorithm) order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -30,15 +32,8 @@ from .assignment import (
 )
 from .config import GaConfig, RadioModel, ScenarioConfig
 from .errors import InconsistentInputs, InvalidConfig, SearchSpaceTooLarge
-from .fitness import (
-    FitnessReport,
-    NetworkMetrics,
-    _batch_link_fairness,
-    fairness_fitness,
-    jain_index,
-    network_metrics,
-)
-from .ga import ALGORITHMS, GaResult, rank_table_for, run
+from .fitness import FitnessReport, _batch_link_fairness, evaluate, jain_index
+from .ga import ALGORITHMS, GaResult, Problem, run
 from .topology import ConflictGraph, Topology, build_conflict_graph, load_topology
 
 # aggregate column feeding each figure-style data file
@@ -90,24 +85,47 @@ _AVERAGED = [name for name in RESULTS_HEADER
 AGGREGATES_HEADER = ["scenario", "algorithm", "replicates", *_AVERAGED]
 
 
-def build_record(scenario: str, seed: int, algorithm: str, t: Topology,
-                 report: FitnessReport, metrics: NetworkMetrics,
-                 iterations: int, wall_ms: float) -> MetricsRecord:
+def build_record(scenario: str, seed: int, algorithm: str,
+                 report: FitnessReport, iterations: int,
+                 wall_ms: float) -> MetricsRecord:
     return MetricsRecord(
         scenario=scenario,
         seed=seed,
         algorithm=algorithm,
-        links=t.link_count,
-        nc_raw=metrics.nc_raw,
-        nc_norm=metrics.nc_norm,
-        fni=metrics.fni,
-        mean_link_cap=float(metrics.link_capacity.mean()),
+        links=len(report.interference),
+        nc_raw=report.nc_raw,
+        nc_norm=report.nc_norm,
+        fni=report.fni,
+        mean_link_cap=float(report.link_capacity.mean()),
         mean_link_intf=float(report.interference.mean()),
         mean_link_fair=float(report.link_fairness.mean()),
         fairness_index=report.fairness_index,
         iterations=iterations,
         wall_ms=wall_ms,
     )
+
+
+def problem_for(t: Topology, config: ScenarioConfig | None = None) -> Problem:
+    """The assignment problem on ``t``: its conflict graph, with the
+    overlap, channel count and radio model of ``config`` (default: the
+    topology's own scenario)."""
+    config = config or t.params
+    return Problem(t, build_conflict_graph(t), overlap_for_config(config),
+                   config.radio_model)
+
+
+def run_row(problem: Problem, algorithm: str, ga: GaConfig,
+            seed: int) -> tuple[MetricsRecord, GaResult]:
+    """Run one algorithm for the results row of ``seed``, the row seed
+    that regenerates ``problem``'s topology; the GA runs with
+    ``seed + GA_SEED_OFFSET``. ``wall_ms`` covers the algorithm, plus the
+    problem's rank table and primary chromosome when it builds them."""
+    start = time.perf_counter()
+    result = run(algorithm, problem, ga, seed + GA_SEED_OFFSET)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    record = build_record(problem.t.params.name, seed, algorithm,
+                          result.best.report, result.iterations, wall_ms)
+    return record, result
 
 
 def replicate_seed(master_seed: int, scenario_index: int,
@@ -121,43 +139,16 @@ def replicate_seed(master_seed: int, scenario_index: int,
 
 def run_replicate(config: ScenarioConfig, seed: int, algorithms: list[str],
                   ga: GaConfig) -> list[tuple[MetricsRecord, GaResult]]:
-    """Generate one topology and run each algorithm on it.
-
-    The conflict graph, overlap matrix and link-rank table are built once
-    and shared by every algorithm, so each record's ``wall_ms`` covers
-    the algorithm alone.
-    """
+    """Generate one topology and run each algorithm on its one problem."""
     from .topology import generate_topology
 
-    t = generate_topology(config, seed)
-    cg = build_conflict_graph(t)
-    m = overlap_for_config(config)
-    rank_table = rank_table_for(t)
-    out = []
-    for algorithm in algorithms:
-        start = time.perf_counter()
-        result = run(algorithm, t, cg, m, config.radio_model, ga,
-                     seed=seed + GA_SEED_OFFSET, rank_table=rank_table)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        metrics = network_metrics(result.best.assignment, t, cg, m)
-        record = build_record(config.name, seed, algorithm, t,
-                              result.best.report, metrics,
-                              result.iterations, wall_ms)
-        out.append((record, result))
-    return out
+    problem = problem_for(generate_topology(config, seed))
+    return [run_row(problem, algorithm, ga, seed) for algorithm in algorithms]
 
 
 def _sweep_job(args) -> list[MetricsRecord]:
     config, seed, algorithms, ga = args
     return [rec for rec, _ in run_replicate(config, seed, algorithms, ga)]
-
-
-def write_results_csv(records: list[MetricsRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RESULTS_HEADER)
-        for rec in records:
-            w.writerow(rec.to_csv_row())
 
 
 def read_results_csv(path: str | Path) -> list[MetricsRecord]:
@@ -398,8 +389,8 @@ def evaluate_file(topology_path: str | Path,
     """Recompute all metrics for an externally supplied assignment.
 
     The assignment must cover exactly the topology's link ids with the
-    topology's channel count. Channels overlap as the topology's scenario
-    says (:func:`overlap_for_config`), as in :func:`run_replicate`.
+    topology's channel count. It is scored on the topology's
+    :func:`problem_for`, as in :func:`run_replicate`.
 
     Raises
     ------
@@ -421,13 +412,10 @@ def evaluate_file(topology_path: str | Path,
             f"{t.params.channels}"
         )
     start = time.perf_counter()
-    cg = build_conflict_graph(t)
-    m = overlap_for_config(t.params)
-    report = fairness_fitness(a, t, cg, m, t.params.radio_model)
-    metrics = network_metrics(a, t, cg, m)
+    report = evaluate(problem_for(t), a.genes)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return build_record(t.params.name, int(meta.get("seed", t.seed)),
-                        meta.get("algorithm", "unknown"), t, report, metrics,
+                        meta.get("algorithm", "unknown"), report,
                         iterations=0, wall_ms=wall_ms)
 
 

@@ -149,17 +149,6 @@ def _pairwise_link_distances(positions: np.ndarray, link_a: np.ndarray,
     return d
 
 
-def min_link_distance(a: Link, b: Link, t: Topology) -> float:
-    """Shortest Euclidean distance between any endpoint of ``a`` and any
-    endpoint of ``b``."""
-    p = t.positions
-    return min(
-        float(np.linalg.norm(p[i] - p[j]))
-        for i in (a.a, a.b)
-        for j in (b.a, b.b)
-    )
-
-
 def build_conflict_graph(t: Topology) -> ConflictGraph:
     """Conflict edges join distinct links whose minimum endpoint distance
     is strictly below the interference distance.

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from meshca import (
-    Link,
-    Node,
-    ScenarioConfig,
-    Topology,
-    build_conflict_graph,
-)
+from meshca.assignment import OverlapMatrix
+from meshca.config import RadioModel, ScenarioConfig
+from meshca.ga import Problem
+from meshca.topology import Link, Node, Topology, build_conflict_graph
 
 
 def make_topology(positions, link_pairs=None, radios=3, gateways=(0,),
@@ -65,9 +62,37 @@ def line_topology(n=4, spacing=100.0, **kwargs):
     return make_topology(positions, link_pairs=pairs, **kwargs)
 
 
+def make_problem(t, m=None, rm=None):
+    """``t``'s problem, by default with orthogonal channels and the
+    default radio model."""
+    m = m or OverlapMatrix.orthogonal(t.params.channels)
+    return Problem(t, build_conflict_graph(t), m, rm or RadioModel())
+
+
+def reference_radio_violations(genes, t):
+    """Nodes whose assigned incident links use more distinct channels
+    than the node has radios, as (node, channel count) pairs; a
+    set-based check independent of the library's budget code."""
+    out = []
+    for v in range(t.node_count):
+        channels = {int(genes[l]) for l in t.incident_links[v]
+                    if genes[l] >= 0}
+        if len(channels) > t.radios[v]:
+            out.append((v, len(channels)))
+    return out
+
+
+def assert_valid(genes, t, channel_count):
+    """One gene per link, each in range, and every radio budget kept."""
+    genes = np.asarray(genes)
+    assert genes.shape == (t.link_count,)
+    assert ((genes >= 0) & (genes < channel_count)).all()
+    assert reference_radio_violations(genes, t) == []
+
+
 @pytest.fixture
 def small_random_topology():
-    from meshca import generate_topology
+    from meshca.topology import generate_topology
 
     cfg = ScenarioConfig(name="small", node_count=12)
     return generate_topology(cfg, seed=5)

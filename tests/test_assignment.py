@@ -5,39 +5,37 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshca import (
-    ChannelAssignment,
-    ConflictGraph,
-    InvalidAssignment,
-    InvalidConfig,
-    Link,
-    NoFeasibleChannel,
-    Node,
-    OverlapMatrix,
-    ParseError,
-    ScenarioConfig,
-    Topology,
-    build_conflict_graph,
-    feasible_channels,
-    is_valid_assignment,
-    least_interfering_channel,
-    link_interference_index,
-    load_assignment,
-    mclr_assign,
-    radio_violations,
-    rank_links,
-    save_assignment,
-    score_nodes,
-)
+from meshca import InvalidAssignment, InvalidConfig, ParseError, ScenarioConfig
 from meshca.assignment import (
     UNASSIGNED,
+    ChannelAssignment,
+    OverlapMatrix,
     _RadioBook,
+    _channel_interference_all,
     channels_in_use,
+    feasible_channels,
     interference_matrix,
+    load_assignment,
+    mclr_assign,
     radio_constraint_binding,
     repair_radio_constraint,
+    save_assignment,
+    within_budget,
 )
-from conftest import line_topology, make_topology
+from meshca.ranking import rank_links, score_nodes
+from meshca.topology import (
+    ConflictGraph,
+    Link,
+    Node,
+    Topology,
+    build_conflict_graph,
+)
+from conftest import (
+    assert_valid,
+    line_topology,
+    make_topology,
+    reference_radio_violations,
+)
 
 
 def clique_topology(n_links=4, **kwargs):
@@ -74,29 +72,28 @@ class TestLinkInterferenceIndex:
         t = make_topology([(0, 0), (100, 0), (0, 600), (100, 600)],
                           link_pairs=[(0, 1), (2, 3)], interference=514.0)
         cg = build_conflict_graph(t)
-        a = ChannelAssignment(np.array([0, 0]), 3)
-        assert link_interference_index(0, a, cg, OverlapMatrix.orthogonal(3)) == 0.0
+        got = interference_matrix(np.array([0, 0]), cg, OverlapMatrix.orthogonal(3))
+        assert got[0] == 0.0
 
     def test_three_same_channel_neighbors(self):
         t = clique_topology(4)
         cg = build_conflict_graph(t)
         assert len(cg.neighbors[0]) == 3
-        a = ChannelAssignment(np.zeros(4, dtype=int), 3)
-        assert link_interference_index(0, a, cg, OverlapMatrix.orthogonal(3)) == 3.0
+        got = interference_matrix(np.zeros(4, dtype=int), cg,
+                                  OverlapMatrix.orthogonal(3))
+        assert got[0] == 3.0
 
     def test_graded_matrix_matches_term_by_term_sum(self):
         t = clique_topology(5)
         cg = build_conflict_graph(t)
         m = OverlapMatrix.graded(6)
         genes = np.array([0, 2, 5, 1, 4])
-        a = ChannelAssignment(genes, 6)
+        got = interference_matrix(genes, cg, m)
         for lid in range(5):
             expected = sum(
                 m.ratio[genes[lid], genes[n]] for n in cg.neighbors[lid]
             )
-            assert link_interference_index(lid, a, cg, m) == pytest.approx(
-                expected, rel=1e-12
-            )
+            assert got[lid] == pytest.approx(expected, rel=1e-12)
 
     def test_binary_matrix_counts_same_channel_neighbors(self):
         t = clique_topology(6)
@@ -104,14 +101,12 @@ class TestLinkInterferenceIndex:
         rng = np.random.default_rng(0)
         for _ in range(20):
             genes = rng.integers(3, size=6)
-            a = ChannelAssignment(genes, 3)
+            got = interference_matrix(genes, cg, OverlapMatrix.orthogonal(3))
             for lid in range(6):
                 same = sum(
                     1 for n in cg.neighbors[lid] if genes[n] == genes[lid]
                 )
-                assert link_interference_index(
-                    lid, a, cg, OverlapMatrix.orthogonal(3)
-                ) == float(same)
+                assert got[lid] == float(same)
 
 
 def reference_interference(genes, cg, m):
@@ -184,19 +179,31 @@ class TestInterferenceKernel:
 
 
 class TestLeastInterferingChannel:
+    """The candidate rule of MCLR and repair: the feasible channels of a
+    link and its interference on every channel against the assigned
+    conflict neighbours, least first, ties to the lower channel."""
+
+    @staticmethod
+    def least_interfering(lid, genes, cg, m, t):
+        cand = feasible_channels(lid, _RadioBook(t, genes, m.channel_count))
+        per_channel = _channel_interference_all(lid, genes, cg, m)
+        return min(cand, key=lambda ch: (per_channel[ch], ch))
+
     def test_no_assigned_neighbors_gives_channel_zero(self):
         t = clique_topology(3)
         cg = build_conflict_graph(t)
-        a = ChannelAssignment(np.full(3, -1), 3)
+        genes = np.full(3, -1)
         m = OverlapMatrix.orthogonal(3)
-        assert least_interfering_channel(0, a, cg, m, t) == 0
+        assert _channel_interference_all(0, genes, cg, m).tolist() == [0.0] * 3
+        assert self.least_interfering(0, genes, cg, m, t) == 0
 
     def test_picks_the_free_channel(self):
         t = clique_topology(3)
         cg = build_conflict_graph(t)
-        a = ChannelAssignment(np.array([0, -1, 1]), 3)
+        genes = np.array([0, -1, 1])
         m = OverlapMatrix.orthogonal(3)
-        assert least_interfering_channel(1, a, cg, m, t) == 2
+        assert _channel_interference_all(1, genes, cg, m).tolist() == [1, 1, 0]
+        assert self.least_interfering(1, genes, cg, m, t) == 2
 
     def test_matches_exhaustive_per_channel_evaluation(self):
         t = clique_topology(6)
@@ -206,35 +213,34 @@ class TestLeastInterferingChannel:
         for _ in range(25):
             genes = rng.integers(-1, 3, size=6)
             lid = int(rng.integers(6))
-            a = ChannelAssignment(genes, 3)
-            got = least_interfering_channel(lid, a, cg, m, t)
+            got = _channel_interference_all(lid, genes, cg, m)
             scores = []
             for c in range(3):
                 trial = sum(
                     m.ratio[c, genes[n]]
                     for n in cg.neighbors[lid] if genes[n] >= 0
                 )
+                assert got[c] == pytest.approx(trial, rel=1e-12, abs=0)
                 scores.append((trial, c))
-            assert got == min(scores)[1]
+            assert self.least_interfering(lid, genes, cg, m, t) == min(scores)[1]
 
     def test_radio_budget_restricts_candidates(self):
         # node 1 has one radio already busy on channel 2
         t = line_topology(n=3, radios=1)
         cg = build_conflict_graph(t)
-        a = ChannelAssignment(np.array([2, -1]), 3)
+        genes = np.array([2, -1])
         m = OverlapMatrix.orthogonal(3)
         # link 1 shares node 1 with link 0, so it must reuse channel 2
-        assert least_interfering_channel(1, a, cg, m, t) == 2
+        assert feasible_channels(1, _RadioBook(t, genes, 3)) == [2]
+        assert self.least_interfering(1, genes, cg, m, t) == 2
 
     def test_no_feasible_channel_raises(self):
         # middle link of a 3-link path with 1 radio per node and the two
-        # outer links pinned to different channels
+        # outer links pinned to different channels: no candidate is left,
+        # which is the case MCLR and repair hand to the stuck-link merge
         t = line_topology(n=4, radios=1)
-        cg = build_conflict_graph(t)
-        a = ChannelAssignment(np.array([0, -1, 1]), 3)
-        m = OverlapMatrix.orthogonal(3)
-        with pytest.raises(NoFeasibleChannel):
-            least_interfering_channel(1, a, cg, m, t)
+        genes = np.array([0, -1, 1])
+        assert feasible_channels(1, _RadioBook(t, genes, 3)) == []
 
 
 class TestMclrAssign:
@@ -250,7 +256,7 @@ class TestMclrAssign:
         m = OverlapMatrix.orthogonal(2)
         a = mclr_assign(t, cg, self._table(t), m, 2)
         assert a.genes.tolist() == [0, 1, 0]
-        assert link_interference_index(1, a, cg, m) == 0.0
+        assert interference_matrix(a.genes, cg, m)[1] == 0.0
         # exhaustive check: no assignment of 2 channels does better in
         # total interference
         def total(genes):
@@ -265,8 +271,7 @@ class TestMclrAssign:
         cg = build_conflict_graph(t)
         m = OverlapMatrix.orthogonal(5)
         a = mclr_assign(t, cg, self._table(t), m, 5)
-        for lid in range(4):
-            assert link_interference_index(lid, a, cg, m) == 0.0
+        assert (interference_matrix(a.genes, cg, m) == 0.0).all()
 
     def test_single_link_gets_channel_zero(self):
         t = make_topology([(0, 0), (100, 0)], link_pairs=[(0, 1)])
@@ -280,15 +285,14 @@ class TestMclrAssign:
         cg = build_conflict_graph(t)
         a = mclr_assign(t, cg, self._table(t),
                         OverlapMatrix.orthogonal(6), 6)
-        assert is_valid_assignment(a, t)
+        assert_valid(a.genes, t, 6)
 
     def test_never_worse_than_common_channel(self, small_random_topology):
         t = small_random_topology
         cg = build_conflict_graph(t)
         m = OverlapMatrix.orthogonal(t.params.channels)
         a = mclr_assign(t, cg, self._table(t), m, t.params.channels)
-        for lid in range(t.link_count):
-            assert link_interference_index(lid, a, cg, m) <= cg.degrees[lid]
+        assert (interference_matrix(a.genes, cg, m) <= cg.degrees).all()
 
     def test_relabeling_invariance(self):
         # reversing link ids while keeping the same rank order reproduces
@@ -329,15 +333,17 @@ class TestMclrAssign:
         cg = build_conflict_graph(t)
         a = mclr_assign(t, cg, self._table(t),
                         OverlapMatrix.orthogonal(4), 4)
-        assert is_valid_assignment(a, t)
+        assert_valid(a.genes, t, 4)
 
 
 class TestRadioConstraintHelpers:
     def test_violations_detected(self):
         t = line_topology(n=4, radios=1)
-        a = ChannelAssignment(np.array([0, 1, 2]), 3)
-        bad = radio_violations(a, t)
-        assert (1, 2) in bad and (2, 2) in bad
+        genes = np.array([0, 1, 2])
+        assert t.crowded.tolist() == [1, 2]
+        assert channels_in_use(genes, t).tolist() == [2, 2]
+        assert not within_budget(genes, t)
+        assert within_budget(np.array([0, 0, 0]), t)
 
     def test_feasible_channels_includes_own(self):
         t = line_topology(n=4, radios=1)
@@ -353,7 +359,7 @@ class TestRadioConstraintHelpers:
         for _ in range(50):
             genes = rng.integers(5, size=6)
             repaired = repair_radio_constraint(genes, t, cg, m, 5)
-            assert is_valid_assignment(ChannelAssignment(repaired, 5), t)
+            assert_valid(repaired, t, 5)
 
     def test_repair_keeps_feasible_genes(self):
         t = clique_topology(4, radios=3, channels=3)
@@ -363,17 +369,6 @@ class TestRadioConstraintHelpers:
         assert np.array_equal(
             repair_radio_constraint(genes, t, cg, m, 3), genes
         )
-
-
-def reference_radio_violations(genes, t):
-    """The set-based check that ``channels_in_use`` replaced."""
-    out = []
-    for v in range(t.node_count):
-        channels = {int(genes[l]) for l in t.incident_links[v]
-                    if genes[l] >= 0}
-        if len(channels) > t.radios[v]:
-            out.append((v, len(channels)))
-    return out
 
 
 def reference_feasible_channels(lid, genes, t, channel_count):
@@ -426,10 +421,12 @@ class TestRadioBudgetProperties:
             assert np.array_equal(channels_in_use(row, t), row_counts)
             for v, c in zip(t.crowded, row_counts):
                 assert c == len({g for g in row[t.incident_links[v]] if g >= 0})
-            a = ChannelAssignment(row, k)
-            assert radio_violations(a, t) == reference_radio_violations(row, t)
+            over = [(int(v), int(c)) for v, c in zip(t.crowded, row_counts)
+                    if c > t.radios[v]]
+            assert over == reference_radio_violations(row, t)
+            assert within_budget(row, t) == (not over)
             valid = repair_radio_constraint(np.maximum(row, 0), t, cg, m, k)
-            assert is_valid_assignment(ChannelAssignment(valid, k), t)
+            assert_valid(valid, t, k)
             for r in (row, valid):
                 book = _RadioBook(t, r.copy(), k)
                 for lid in range(t.link_count):

@@ -1,0 +1,32 @@
+"""The benchmark's per-layer tracer patches library functions by name
+(``perfbench/tracing.py``). A renamed or moved call site would make its
+layer read 0 in a trace; here it fails instead."""
+
+from pathlib import Path
+
+import meshca.harness
+from meshca import ALGORITHMS, GaConfig, ScenarioConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_hook_fires_once_per_layer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    scenarios = [ScenarioConfig(name=f"hooks{i}", node_count=10, area_w=500.0,
+                                area_h=500.0, topologies_per_scenario=1,
+                                master_seed=i)
+                 for i in range(2)]
+    tracer = Tracer()
+    with tracer.installed():
+        meshca.harness.run_sweep(scenarios, list(ALGORITHMS), tmp_path,
+                                 ga=GaConfig(max_iterations=2))
+    metrics = {name: value for name, (value, _) in tracer.metrics().items()}
+    topologies = tracer.counts["topologies"]
+    assert topologies == 2
+    assert tracer.calls["assignment.mclr"] == topologies
+    assert metrics["ranking.score_nodes_calls_per_topology"] == 1
+    assert metrics["topology.conflict_edges"] > 0
+    for algorithm in ALGORITHMS:
+        assert metrics[f"ga.run_ms.{algorithm}"] > 0

@@ -5,14 +5,11 @@ import warnings
 
 import pytest
 
-from meshca import (
-    OverlapMatrix,
-    RadioModel,
-    ScenarioConfig,
-    brute_force_optimum,
-    build_conflict_graph,
-    load_topology,
-)
+from meshca import ScenarioConfig
+from meshca.assignment import OverlapMatrix
+from meshca.config import RadioModel
+from meshca.harness import brute_force_optimum
+from meshca.topology import build_conflict_graph, load_topology
 from meshca.cli import main
 from test_topology import isolate_node_zero
 
@@ -220,13 +217,24 @@ class TestInputErrors:
     @pytest.mark.parametrize("doc", [
         {"population_size": "6"},
         {"population_size": 6, "elitism": True},
-    ], ids=["wrong_type", "unknown_key"])
+        {"fitness_kind": "interference"},
+        {"init_kind": "random"},
+    ], ids=["wrong_type", "unknown_key", "fitness_kind", "init_kind"])
     def test_bad_ga_config_exits_2(self, tmp_path, topology_path, capsys, doc):
         ga = tmp_path / "ga.json"
         ga.write_text(json.dumps(doc))
         assert self._exit_code(["assign", "--topology", str(topology_path),
                                 "--ga", str(ga), "--out", str(tmp_path)],
                                capsys) == 2
+
+    @pytest.mark.parametrize("algo", ["mclr", "fa_scga"])
+    def test_invalid_ga_config_exits_2_for_every_algorithm(
+            self, tmp_path, topology_path, capsys, algo):
+        ga = tmp_path / "ga.json"
+        ga.write_text(json.dumps({"population_size": 1}))
+        assert self._exit_code(["assign", "--algo", algo, "--topology",
+                                str(topology_path), "--ga", str(ga),
+                                "--out", str(tmp_path)], capsys) == 2
 
     @pytest.mark.parametrize("doc", [
         {"algorithms": ["mclr"]},
@@ -273,6 +281,47 @@ class TestSweepCommand:
         assert code == 0
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 rows
+
+
+class TestSeedContract:
+    def test_assign_and_eval_reproduce_the_sweep_rows(self, tmp_path, capsys):
+        scenario = ScenarioConfig(name="contract", node_count=27,
+                                  topologies_per_scenario=1).to_dict()
+        ga = {"population_size": 10, "max_iterations": 15}
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"scenarios": [scenario], "ga": ga}))
+        assert main(["sweep", "--config", str(sweep),
+                     "--out", str(tmp_path / "sweep")]) == 0
+        header, *rows = [
+            line.split(",") for line in
+            (tmp_path / "sweep" / "results.csv").read_text().splitlines()]
+        assert [row[2] for row in rows] == ["mclr", "ia_ga", "scga", "fa_scga"]
+
+        # regenerate the topology from the row seed and save it
+        seed = rows[0][1]
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(scenario))
+        assert main(["gen", "--config", str(config), "--seed", seed,
+                     "--out", str(tmp_path)]) == 0
+        topology = tmp_path / f"topology-contract-seed{seed}.json"
+        ga_path = tmp_path / "ga.json"
+        ga_path.write_text(json.dumps(ga))
+        for row in rows:
+            algorithm = row[2]
+            capsys.readouterr()
+            assert main(["assign", "--algo", algorithm, "--topology",
+                         str(topology), "--ga", str(ga_path),
+                         "--out", str(tmp_path)]) == 0
+            printed = capsys.readouterr().out.splitlines()[-1].split(",")
+            assert header[-1] == "wall_ms"
+            assert printed[:-1] == row[:-1]
+            assert main(["eval", "--topology", str(topology), "--assignment",
+                         str(tmp_path / f"assignment-{algorithm}-seed{seed}.csv")
+                         ]) == 0
+            evaluated = capsys.readouterr().out.splitlines()[-1].split(",")
+            for name in ("fairness_index", "fni", "nc_raw"):
+                column = header.index(name)
+                assert evaluated[column] == row[column]
 
 
 class TestSubprocessEntry:

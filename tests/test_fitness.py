@@ -4,52 +4,47 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshca import (
-    AllZeroValues,
-    ChannelAssignment,
-    InvalidRequiredRate,
-    Link,
-    OverlapMatrix,
-    RadioModel,
-    actual_link_rate,
-    build_conflict_graph,
-    fairness_fitness,
-    jain_index,
-    link_fairness,
-    link_snr,
-    network_metrics,
-)
-from conftest import make_topology
+from meshca import AllZeroValues, InvalidRequiredRate
+from meshca.assignment import ChannelAssignment, OverlapMatrix
+from meshca.config import RadioModel
+from meshca.fitness import _snr_values, actual_link_rate, evaluate, jain_index
+from meshca.ga import Problem
+from meshca.topology import build_conflict_graph, load_topology, save_topology
+from conftest import line_topology, make_problem, make_topology
 
 
-def _link(length, required=1.0):
-    return Link(id=0, a=0, b=1, length=length, required_rate=required)
+def link_snr(length, interference, rm):
+    """The SNR of one link, through the kernel that scores every link."""
+    return float(_snr_values(length, interference, rm))
 
 
 class TestLinkSnr:
     def test_hand_evaluated_value(self):
         rm = RadioModel(tss=20, path_loss_exp=2, bandwidth=20, min_distance=10)
-        assert link_snr(_link(100.0), 0.0, rm) == pytest.approx(0.5, abs=0)
+        assert link_snr(100.0, 0.0, rm) == pytest.approx(0.5, abs=0)
+        # the same value comes out of a whole-chromosome evaluation
+        problem = make_problem(line_topology(n=2), rm=rm)
+        assert evaluate(problem, np.array([0])).snr[0] == link_snr(100.0, 0.0, rm)
 
     def test_interference_halves_snr(self):
         rm = RadioModel()
-        base = link_snr(_link(150.0), 0.0, rm)
-        assert link_snr(_link(150.0), 1.0, rm) == pytest.approx(base / 2)
-        assert link_snr(_link(150.0), 3.0, rm) == pytest.approx(base / 4)
+        base = link_snr(150.0, 0.0, rm)
+        assert link_snr(150.0, 1.0, rm) == pytest.approx(base / 2)
+        assert link_snr(150.0, 3.0, rm) == pytest.approx(base / 4)
 
     def test_strictly_decreasing_in_interference(self):
         rm = RadioModel()
-        values = [link_snr(_link(80.0), i, rm) for i in np.linspace(0, 40, 30)]
+        values = [link_snr(80.0, i, rm) for i in np.linspace(0, 40, 30)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_non_increasing_in_length(self):
         rm = RadioModel()
-        values = [link_snr(_link(d), 0.5, rm) for d in np.linspace(2, 900, 40)]
+        values = [link_snr(d, 0.5, rm) for d in np.linspace(2, 900, 40)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_short_lengths_clamped(self):
         rm = RadioModel(min_distance=10)
-        assert link_snr(_link(10.0), 0.0, rm) == link_snr(_link(5.0), 0.0, rm)
+        assert link_snr(10.0, 0.0, rm) == link_snr(5.0, 0.0, rm)
 
 
 class TestActualLinkRate:
@@ -68,18 +63,40 @@ class TestActualLinkRate:
 
 
 class TestLinkFairness:
+    """Link fairness is the achieved fraction of the required rate,
+    clamped to 1; checked on a single interference-free link whose
+    required rate is set against its achieved rate."""
+
+    @staticmethod
+    def single_link_report(required):
+        t = line_topology(n=2, required=required)
+        return evaluate(make_problem(t), np.array([0]))
+
+    def rate(self):
+        return self.single_link_report(1.0).actual_rate[0]
+
     def test_exact_satisfaction(self):
-        assert link_fairness(5.0, 5.0) == 1.0
+        rate = self.rate()
+        assert self.single_link_report(rate).link_fairness[0] == 1.0
 
     def test_zero_rate(self):
-        assert link_fairness(0.0, 5.0) == 0.0
+        # the rate model never gives exactly zero: a rate negligible
+        # against the requirement gives a fairness of almost zero
+        rate = self.rate()
+        report = self.single_link_report(rate * 1e12)
+        assert report.link_fairness[0] == rate / (rate * 1e12)
+        assert 0.0 < report.link_fairness[0] < 1e-11
 
     def test_overshoot_clamped(self):
-        assert link_fairness(10.0, 5.0) == 1.0
+        rate = self.rate()
+        assert self.single_link_report(rate / 2).link_fairness[0] == 1.0
+        assert self.single_link_report(rate * 2).link_fairness[0] == 0.5
 
-    def test_invalid_required_rate(self):
+    def test_invalid_required_rate(self, tmp_path):
+        path = tmp_path / "t.json"
+        save_topology(line_topology(n=2, required=0.0), path)
         with pytest.raises(InvalidRequiredRate):
-            link_fairness(1.0, 0.0)
+            load_topology(path)
 
 
 class TestJainIndex:
@@ -149,7 +166,7 @@ class TestFairnessFitness:
 
     def test_zero_interference_generous_rates_give_one(self):
         t, cg, m, a = self._setup([0, 1, 0, 1], required=0.001)
-        report = fairness_fitness(a, t, cg, m, RadioModel())
+        report = evaluate(Problem(t, cg, m, RadioModel()), a.genes)
         if report.total_interference == 0.0:
             assert report.fairness_index == 1.0
         assert np.all(report.link_fairness == 1.0)
@@ -160,8 +177,7 @@ class TestFairnessFitness:
                           required=1e9)
         cg = build_conflict_graph(t)
         a = ChannelAssignment(np.array([0]), 3)
-        report = fairness_fitness(a, t, cg, OverlapMatrix.orthogonal(3),
-                                  RadioModel())
+        report = evaluate(make_problem(t), a.genes)
         assert report.link_fairness[0] < 1.0
         assert report.fairness_index == 1.0
 
@@ -171,7 +187,7 @@ class TestFairnessFitness:
         rm = RadioModel(tss=20, path_loss_exp=2, bandwidth=20, min_distance=10)
         required = [4.0, 6.0, 8.0, 10.0]
         t, cg, m, a = self._setup([0, 1, 1, 0], required=required)
-        report = fairness_fitness(a, t, cg, m, rm)
+        report = evaluate(Problem(t, cg, m, rm), a.genes)
 
         genes = a.genes.tolist()
         conflict_pairs = {tuple(e) for e in cg.edges}
@@ -202,9 +218,9 @@ class TestFairnessFitness:
         rm = RadioModel()
         required = [5.0, 5.0, 5.0, 5.0]
         t, cg, m, a = self._setup([0, 1, 0, 1], required=required)
-        base = fairness_fitness(a, t, cg, m, rm)
+        base = evaluate(Problem(t, cg, m, rm), a.genes)
         worse = ChannelAssignment(np.array([0, 1, 1, 1]), 2)
-        bumped = fairness_fitness(worse, t, cg, m, rm)
+        bumped = evaluate(Problem(t, cg, m, rm), worse.genes)
         assert bumped.fairness_index <= base.fairness_index
 
 
@@ -216,7 +232,7 @@ class TestNetworkMetrics:
         )
         cg = build_conflict_graph(t)
         a = ChannelAssignment(np.array([0, 0]), 3)
-        met = network_metrics(a, t, cg, OverlapMatrix.orthogonal(3))
+        met = evaluate(make_problem(t), a.genes)
         assert met.nc_raw == 2.0
         assert met.nc_norm == 1.0
         assert met.fni == 0.0
@@ -225,7 +241,7 @@ class TestNetworkMetrics:
         t = small_random_topology
         cg = build_conflict_graph(t)
         a = ChannelAssignment(np.zeros(t.link_count, dtype=int), 3)
-        met = network_metrics(a, t, cg, OverlapMatrix.orthogonal(3))
+        met = evaluate(make_problem(t), a.genes)
         assert met.fni == 1.0
 
     def test_matches_edge_by_edge_oracle(self):
@@ -239,7 +255,7 @@ class TestNetworkMetrics:
         for _ in range(20):
             genes = rng.integers(3, size=6)
             a = ChannelAssignment(genes, 3)
-            met = network_metrics(a, t, cg, m)
+            met = evaluate(Problem(t, cg, m, RadioModel()), a.genes)
             interference = np.zeros(6)
             conflicted = 0
             for x, y in cg.edges:
@@ -256,7 +272,7 @@ class TestNetworkMetrics:
         t = make_topology([(0, 0), (100, 0)], link_pairs=[(0, 1)])
         cg = build_conflict_graph(t)
         a = ChannelAssignment(np.array([0]), 3)
-        met = network_metrics(a, t, cg, OverlapMatrix.orthogonal(3))
+        met = evaluate(make_problem(t), a.genes)
         assert met.fni == 0.0
         assert met.nc_raw == 1.0
 
@@ -267,5 +283,5 @@ class TestNetworkMetrics:
         rng = np.random.default_rng(2)
         for _ in range(10):
             a = ChannelAssignment(rng.integers(3, size=t.link_count), 3)
-            met = network_metrics(a, t, cg, m)
+            met = evaluate(Problem(t, cg, m, RadioModel()), a.genes)
             assert met.nc_raw <= t.link_count

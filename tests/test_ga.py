@@ -6,31 +6,35 @@ import pytest
 
 from meshca import (
     ALGORITHMS,
-    ChannelAssignment,
     GaConfig,
     InvalidAssignment,
     InvalidConfig,
-    OverlapMatrix,
-    RadioModel,
     ScenarioConfig,
-    build_conflict_graph,
+)
+from meshca.assignment import (
+    ChannelAssignment,
+    OverlapMatrix,
+    interference_matrix,
+    mclr_assign,
+    overlap_for_config,
+)
+from meshca.config import RadioModel
+from meshca.fitness import evaluate
+from meshca.ga import (
+    Problem,
+    _check_population,
+    _evaluate_batch,
     crossover,
-    fairness_fitness,
-    generate_topology,
     init_population_random,
     init_population_semi_chaotic,
-    is_valid_assignment,
-    mclr_assign,
     mutate,
-    rank_links,
     run,
     run_ga,
-    score_nodes,
     select_parents,
 )
-from meshca.assignment import interference_matrix, overlap_for_config
-from meshca.ga import _check_population, _evaluate_batch
-from conftest import make_topology
+from meshca.ranking import rank_links, score_nodes
+from meshca.topology import build_conflict_graph, generate_topology
+from conftest import assert_valid, make_topology, reference_radio_violations
 
 
 RM = RadioModel()
@@ -50,8 +54,8 @@ def setup_instance(n_links=4, channels=3, **kwargs):
 
 
 def link_fairness_of(genes, channels, t, cg, m):
-    a = ChannelAssignment(np.asarray(genes), channels)
-    return fairness_fitness(a, t, cg, m, RM).link_fairness
+    assert m.channel_count == channels
+    return evaluate(Problem(t, cg, m, RM), np.asarray(genes)).link_fairness
 
 
 class TestConfigValidation:
@@ -63,8 +67,8 @@ class TestConfigValidation:
         dict(mutation_prob=1.5),
         dict(target_fairness=-0.1),
         dict(stall_window=0),
-        dict(fitness_kind="nope"),
-        dict(init_kind="nope"),
+        dict(max_iterations=-1),
+        dict(strong_gene_threshold=1.5),
     ])
     def test_bad_fields_rejected(self, bad):
         with pytest.raises(InvalidConfig):
@@ -161,7 +165,7 @@ class TestRandomInit:
         pop = init_population_random(t, cg, m, GaConfig(population_size=40),
                                      seed=8)
         for row in pop:
-            assert is_valid_assignment(ChannelAssignment(row, 6), t)
+            assert_valid(row, t, 6)
 
 
 class TestSelectParents:
@@ -222,8 +226,9 @@ class TestCrossover:
         rng = np.random.default_rng(12)
         ga = rng.integers(3, size=(30, 6))
         gb = rng.integers(3, size=(30, 6))
-        fa, _ = _evaluate_batch(ga, t, cg, m, RM, "fairness")
-        fb, _ = _evaluate_batch(gb, t, cg, m, RM, "fairness")
+        problem = Problem(t, cg, m, RM)
+        fa, _ = _evaluate_batch(ga, problem, True)
+        fb, _ = _evaluate_batch(gb, problem, True)
         children = crossover(ga, fa, gb, fb, t, cg, m, 3)
         for i in range(30):
             child = crossover(ga[i], fa[i], gb[i], fb[i], t, cg, m, 3)
@@ -247,7 +252,7 @@ class TestCrossover:
             child = crossover(ga, link_fairness_of(ga, 6, t, cg, m),
                               gb, link_fairness_of(gb, 6, t, cg, m),
                               t, cg, m, 6)
-            assert is_valid_assignment(ChannelAssignment(child, 6), t)
+            assert_valid(child, t, 6)
 
 
 def mutate_one(genes, fairness, cfg, t, channels, seed):
@@ -299,7 +304,7 @@ class TestMutate:
         out = mutate(np.tile(primary.genes, (50, 1)), np.tile(fair, (50, 1)),
                      cfg, t, 6, range(50))
         for row in out:
-            assert is_valid_assignment(ChannelAssignment(row, 6), t)
+            assert_valid(row, t, 6)
 
     def test_vector_draw_matches_scalar_draws(self):
         # the unconstrained redraw takes all hit genes in one call; the
@@ -330,7 +335,7 @@ class TestRun:
             for g in product(range(3), repeat=3)
         )
         cfg = GaConfig(population_size=20, max_iterations=100)
-        result = run("fa_scga", t, cg, m, RM, cfg, seed=3)
+        result = run("fa_scga", Problem(t, cg, m, RM), cfg, seed=3)
         assert result.best.fitness == 1.0
         assert result.iterations < cfg.max_iterations
         assert result.stop_reason == "target"
@@ -338,8 +343,8 @@ class TestRun:
     def test_identical_seed_identical_outcome(self):
         t, cg, m = setup_instance(5, channels=3)
         cfg = GaConfig(population_size=10, max_iterations=30)
-        r1 = run("fa_scga", t, cg, m, RM, cfg, seed=17)
-        r2 = run("fa_scga", t, cg, m, RM, cfg, seed=17)
+        r1 = run("fa_scga", Problem(t, cg, m, RM), cfg, seed=17)
+        r2 = run("fa_scga", Problem(t, cg, m, RM), cfg, seed=17)
         assert np.array_equal(r1.best.assignment.genes,
                               r2.best.assignment.genes)
         assert r1.best.fitness == r2.best.fitness
@@ -351,7 +356,7 @@ class TestRun:
 
     def test_mclr_equals_direct_heuristic(self):
         t, cg, m = setup_instance(5, channels=3)
-        result = run("mclr", t, cg, m, RM, seed=1)
+        result = run("mclr", Problem(t, cg, m, RM), seed=1)
         direct = mclr_assign(t, cg, rank_links(t, score_nodes(t)), m, 3)
         assert np.array_equal(result.best.assignment.genes, direct.genes)
         assert result.iterations == 0
@@ -360,7 +365,7 @@ class TestRun:
         t, cg, m = setup_instance(6, channels=2)
         cfg = GaConfig(population_size=12, max_iterations=40)
         for algorithm in ("fa_scga", "scga", "ia_ga"):
-            result = run(algorithm, t, cg, m, RM, cfg, seed=5)
+            result = run(algorithm, Problem(t, cg, m, RM), cfg, seed=5)
             best = [h.best for h in result.history]
             assert all(a <= b for a, b in zip(best, best[1:]))
 
@@ -369,34 +374,29 @@ class TestRun:
         cfg = GaConfig(population_size=10, max_iterations=15,
                        validate_every_generation=True)
         for algorithm in ("fa_scga", "ia_ga"):
-            result = run(algorithm, t, cg, m, RM, cfg, seed=2)
-            assert is_valid_assignment(result.best.assignment, t)
+            result = run(algorithm, Problem(t, cg, m, RM), cfg, seed=2)
+            assert_valid(result.best.assignment.genes, t, 6)
 
     def test_unknown_algorithm_rejected(self):
         t, cg, m = setup_instance(3)
         with pytest.raises(InvalidConfig):
-            run("gradient_descent", t, cg, m, RM)
+            run("gradient_descent", Problem(t, cg, m, RM))
+        with pytest.raises(InvalidConfig):
+            run_ga("mclr", Problem(t, cg, m, RM), GaConfig(), 0)
 
     def test_interference_variant_stops_at_optimum(self):
         t, cg, m = setup_instance(2, channels=3)
         cfg = GaConfig(population_size=8, max_iterations=50)
-        result = run("scga", t, cg, m, RM, cfg, seed=4)
+        result = run("scga", Problem(t, cg, m, RM), cfg, seed=4)
         assert result.best.report.total_interference == 0.0
         assert result.stop_reason == "optimum"
-
-    def test_run_ga_honors_config_kinds(self):
-        t, cg, m = setup_instance(4, channels=2)
-        cfg = GaConfig(population_size=8, max_iterations=10,
-                       init_kind="random", fitness_kind="fairness")
-        result = run_ga(t, cg, m, RM, cfg, seed=6)
-        assert 0.0 < result.best.fitness <= 1.0
 
     def test_best_individual_matches_history(self):
         cfg = PINNED_INSTANCES["graded"]
         t = generate_topology(cfg, 3)
         cg, m = build_conflict_graph(t), overlap_for_config(cfg)
         for algorithm in ALGORITHMS:
-            result = run(algorithm, t, cg, m, cfg.radio_model,
+            result = run(algorithm, Problem(t, cg, m, cfg.radio_model),
                          GaConfig(max_iterations=5), seed=4)
             assert result.best.fitness == result.history[-1].best
 
@@ -414,7 +414,7 @@ class TestCheckPopulation:
         t, cg, m = star_instance()
         valid, broken = np.array([0, 1, 1]), np.array([0, 1, 2])
         _check_population(np.stack([valid, valid]), t, 6)
-        assert not is_valid_assignment(ChannelAssignment(broken, 6), t)
+        assert reference_radio_violations(broken, t) == [(0, 3)]
         with pytest.raises(InvalidAssignment, match="individual 1"):
             _check_population(np.stack([valid, broken]), t, 6)
 
@@ -432,7 +432,7 @@ class TestCheckPopulation:
         # two radios for three mutually conflicting links: interference
         # stays above zero, so the loop runs past generation 0
         with pytest.raises(InvalidAssignment):
-            run("scga", t, cg, m, RM, cfg, seed=1)
+            run("scga", Problem(t, cg, m, RM), cfg, seed=1)
 
 
 PINNED_INSTANCES = {
@@ -482,6 +482,6 @@ def test_pinned_outcomes(instance, algorithm):
     t = generate_topology(cfg, 3)
     assert t.link_count == 25
     cg, m = build_conflict_graph(t), overlap_for_config(cfg)
-    result = run(algorithm, t, cg, m, cfg.radio_model,
+    result = run(algorithm, Problem(t, cg, m, cfg.radio_model),
                  GaConfig(max_iterations=15), seed=4)
     assert outcome_digest(result) == PINNED_DIGESTS[instance, algorithm]

@@ -1,38 +1,44 @@
 import hashlib
+import math
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshca import (
-    ChannelAssignment,
+    ALGORITHMS,
     GaConfig,
     InconsistentInputs,
-    OverlapMatrix,
     ParseError,
-    RadioModel,
     ScenarioConfig,
     SearchSpaceTooLarge,
-    brute_force_optimum,
-    build_conflict_graph,
-    evaluate_file,
-    fairness_fitness,
-    generate_topology,
-    run,
-    run_sweep,
-    save_assignment,
-    save_topology,
 )
 import meshca.ga
+from meshca.assignment import (
+    ChannelAssignment,
+    OverlapMatrix,
+    save_assignment,
+    within_budget,
+)
 from meshca.cli import main
+from meshca.config import RadioModel
+from meshca.fitness import evaluate
+from meshca.ga import Problem, run
 from meshca.harness import (
     MetricsRecord,
     aggregate_records,
+    brute_force_optimum,
+    evaluate_file,
     read_results_csv,
     replicate_seed,
     run_replicate,
+    run_sweep,
 )
-from conftest import make_topology
+from meshca.topology import build_conflict_graph, generate_topology, save_topology
+from conftest import assert_valid, make_topology
 
 
 def tiny_scenario(name="tiny", replicates=1, master_seed=0, nodes=8):
@@ -89,19 +95,15 @@ class TestBruteForce:
         rm = RadioModel()
         result = brute_force_optimum(t, cg, m, rm, 3)
 
-        from meshca import fairness_fitness
-
+        problem = Problem(t, cg, m, rm)
         best = -1.0
         for genes in sorted(product(range(3), repeat=5), reverse=True):
-            a = ChannelAssignment(np.array(genes), 3)
-            value = fairness_fitness(a, t, cg, m, rm).fairness_index
+            value = evaluate(problem, np.array(genes)).fairness_index
             if value > best:
                 best = value
         assert result.fitness == pytest.approx(best, abs=1e-12)
 
     def test_respects_radio_constraint(self):
-        from meshca import is_valid_assignment
-
         t = make_topology(
             [(i * 55.0, 0.0) for i in range(6)],
             link_pairs=[(i, i + 1) for i in range(5)],
@@ -110,7 +112,7 @@ class TestBruteForce:
         cg = build_conflict_graph(t)
         m = OverlapMatrix.orthogonal(3)
         result = brute_force_optimum(t, cg, m, RadioModel(), 3)
-        assert is_valid_assignment(result.assignment, t)
+        assert_valid(result.assignment.genes, t, 3)
         # with one radio per node a connected chain must share one channel
         assert len(set(result.assignment.genes.tolist())) == 1
         assert result.feasible == 3
@@ -224,7 +226,7 @@ class TestEvaluateFile:
         topo_path = tmp_path / "t.json"
         save_topology(t, topo_path)
         if genes is None:
-            result = run(algorithm, t, cg, m, cfg.radio_model,
+            result = run(algorithm, Problem(t, cg, m, cfg.radio_model),
                          GaConfig(population_size=6, max_iterations=3),
                          seed=1)
             a = result.best.assignment
@@ -235,15 +237,12 @@ class TestEvaluateFile:
         return t, cg, m, a, topo_path, assign_path
 
     def test_round_trip_metrics_match(self, tmp_path):
-        from meshca import fairness_fitness, network_metrics
-
         t, cg, m, a, topo_path, assign_path = self._write_pair(tmp_path)
         record = evaluate_file(topo_path, assign_path)
-        report = fairness_fitness(a, t, cg, m, t.params.radio_model)
-        metrics = network_metrics(a, t, cg, m)
+        report = evaluate(Problem(t, cg, m, t.params.radio_model), a.genes)
         assert record.fairness_index == report.fairness_index
-        assert record.nc_raw == metrics.nc_raw
-        assert record.fni == metrics.fni
+        assert record.nc_raw == report.nc_raw
+        assert record.fni == report.fni
         assert record.algorithm == "fa_scga"
 
     def test_all_common_channel_file_has_fni_one(self, tmp_path):
@@ -305,11 +304,52 @@ class TestEntryPointsAgree:
             assert other.fni == record.fni
             assert other.nc_raw == record.nc_raw
         # the case is sensitive: orthogonal scoring disagrees here
-        orthogonal = fairness_fitness(result.best.assignment, t,
-                                      build_conflict_graph(t),
+        orthogonal = evaluate(Problem(t, build_conflict_graph(t),
                                       OverlapMatrix.orthogonal(11),
-                                      cfg.radio_model)
+                                      cfg.radio_model),
+                              result.best.assignment.genes)
         assert orthogonal.fairness_index != record.fairness_index
+
+
+@st.composite
+def small_scenarios(draw):
+    """8-20 nodes at the paper's density (94 per km^2), 2-6 channels,
+    1-3 radios, orthogonal or graded overlap."""
+    n = draw(st.integers(8, 20))
+    side = round(1000.0 * math.sqrt(n / 94.0), 1)
+    graded = draw(st.booleans())
+    return ScenarioConfig(
+        name="prop", node_count=n, area_w=side, area_h=side,
+        channels=draw(st.integers(2, 6)), radios=draw(st.integers(1, 3)),
+        overlap_kind="graded" if graded else "orthogonal",
+        overlap_span=draw(st.integers(1, 5)), topologies_per_scenario=1)
+
+
+class TestEntryPointProperties:
+    @given(small_scenarios(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_sweep_rows_agree_with_eval_and_keep_invariants(self, cfg, seed):
+        ga = GaConfig(population_size=8, max_iterations=5)
+        pairs = run_replicate(cfg, seed, list(ALGORITHMS), ga)
+        t = generate_topology(cfg, seed)
+        fi = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            topo_path = Path(tmp) / "t.json"
+            save_topology(t, topo_path)
+            for record, result in pairs:
+                genes = result.best.assignment.genes
+                assert within_budget(genes, t)
+                assert 0.0 < record.fairness_index <= 1.0
+                path = Path(tmp) / f"{record.algorithm}.csv"
+                save_assignment(result.best.assignment, path,
+                                algorithm=record.algorithm, seed=seed)
+                evaluated = evaluate_file(topo_path, path)
+                for name in ("fairness_index", "fni", "nc_raw",
+                             "mean_link_intf"):
+                    assert getattr(evaluated, name) == pytest.approx(
+                        getattr(record, name), rel=0, abs=1e-12)
+                fi[record.algorithm] = record.fairness_index
+        assert fi["fa_scga"] >= fi["mclr"]
 
 
 class TestMetricsRecordCsv:

@@ -3,7 +3,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from meshca import NoGateway, rank_links, score_nodes
+from meshca import NoGateway
+from meshca.ranking import rank_links, score_nodes
 from conftest import line_topology, make_topology
 
 

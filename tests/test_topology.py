@@ -12,13 +12,16 @@ from meshca import (
     InvalidRequiredRate,
     ParseError,
     ScenarioConfig,
+)
+from meshca.topology import (
+    _adjacency,
+    _pairwise_link_distances,
+    _prune_to_degree_cap,
     build_conflict_graph,
     generate_topology,
     load_topology,
-    min_link_distance,
     save_topology,
 )
-from meshca.topology import _adjacency, _prune_to_degree_cap
 from conftest import make_topology
 
 
@@ -193,16 +196,29 @@ class TestDegreeCapPrune:
         assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
 
 
+def min_link_distance(a, b, t):
+    """Shortest distance between an endpoint of link ``a`` and one of
+    link ``b``, by enumerating the four endpoint pairs."""
+    p = t.positions
+    return min(math.dist(p[i], p[j]) for i in (a.a, a.b) for j in (b.a, b.b))
+
+
+def link_distance(t, i, j):
+    """The minimum endpoint distance of links ``i`` and ``j`` as the
+    conflict graph computes it."""
+    return _pairwise_link_distances(t.positions, t.link_a, t.link_b)[i, j]
+
+
 class TestMinLinkDistance:
     def test_shared_endpoint_gives_zero(self):
         t = make_topology([(0, 0), (100, 0), (200, 0)],
                           link_pairs=[(0, 1), (1, 2)])
-        assert min_link_distance(t.links[0], t.links[1], t) == 0.0
+        assert link_distance(t, 0, 1) == 0.0
 
     def test_axis_aligned_parallel_links(self):
         t = make_topology([(0, 0), (100, 0), (0, 300), (100, 300)],
                           link_pairs=[(0, 1), (2, 3)])
-        assert min_link_distance(t.links[0], t.links[1], t) == 300.0
+        assert link_distance(t, 0, 1) == 300.0
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -217,8 +233,9 @@ class TestMinLinkDistance:
             for i in (a.a, a.b)
             for j in (b.a, b.b)
         )
+        assert link_distance(t, 0, 1) == pytest.approx(expected, rel=1e-12)
+        assert link_distance(t, 0, 1) == link_distance(t, 1, 0)
         assert min_link_distance(a, b, t) == pytest.approx(expected, rel=1e-12)
-        assert min_link_distance(a, b, t) == min_link_distance(b, a, t)
 
 
 class TestConflictGraph:
