@@ -318,29 +318,97 @@ _CHUNK = 1 << 15
 
 @dataclass
 class OracleResult:
+    """The exact optimum of one oracle search.
+
+    ``candidates`` counts the assignments scored and ``feasible`` those
+    within every radio budget. Under orthogonal overlap both count one
+    assignment per channel relabelling (its restricted-growth
+    representative); under any other overlap they count all
+    ``channels ** link_count`` assignments.
+    """
+
     assignment: ChannelAssignment
     fitness: float
     candidates: int
     feasible: int
 
 
+def _all_assignments(links: int, channels: int):
+    """Every assignment of ``channels`` channels to ``links`` links, in
+    lexicographic order, as (<= _CHUNK, links) chunks."""
+    total = channels ** links
+    weights = channels ** np.arange(links - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        yield (idx[:, None] // weights[None, :]) % channels
+
+
+def _rgs_tails(length: int, channels: int, top: int) -> np.ndarray:
+    """Every way, in lexicographic order, to extend a restricted-growth
+    string whose largest channel is ``top`` (-1 for the empty string) by
+    ``length`` genes, each at most one above the largest before it."""
+    rows = np.concatenate(list(_all_assignments(length, channels)))
+    before = np.column_stack((np.full(len(rows), top), rows[:, :-1]))
+    return rows[(rows <= np.maximum.accumulate(before, axis=1) + 1).all(axis=1)]
+
+
+def _relabelling_representatives(links: int, channels: int):
+    """Every restricted-growth string of ``links`` genes over ``channels``
+    channels (``g[0] = 0``, ``g[i] <= 1 + max(g[:i])``), in lexicographic
+    order, as (<= _CHUNK, links) chunks. Each is the lexicographically
+    smallest assignment of its channel-relabelling orbit.
+
+    Each chunk is one head row followed by every tail for the head's
+    largest channel. The tails are as long as a table of at most
+    ``_CHUNK`` rows allows, so the heads are few."""
+    tail_len = 0
+    while tail_len < links and channels ** (tail_len + 1) <= _CHUNK:
+        tail_len += 1
+    head_len = links - tail_len
+    tails: dict[int, np.ndarray] = {}
+    for head in _rgs_tails(head_len, channels, -1):
+        top = int(head.max(initial=-1))
+        if top not in tails:
+            tails[top] = _rgs_tails(tail_len, channels, top)
+        rows = tails[top]
+        yield np.column_stack((np.broadcast_to(head, (len(rows), head_len)),
+                               rows))
+
+
 def brute_force_optimum(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
                         rm: RadioModel, channels: int,
                         fitness_kind: str = "fairness") -> OracleResult:
-    """Enumerate every radio-feasible assignment and return the exact
-    optimum (first in lexicographic gene order on ties).
+    """Enumerate the radio-feasible assignments and return the exact
+    optimum: the first in lexicographic gene order on ties.
 
     Fitness is the fairness index, or minus the total interference for
     ``fitness_kind="interference"``, matching the GA's maximization
     interface.
 
+    Under orthogonal overlap (an identity overlap matrix), relabelling
+    the channels changes neither the fitness nor the radio budgets, and
+    the interference counts are exact integers, so ties are exact. Only
+    each relabelling orbit's lexicographically smallest member, a
+    restricted-growth string, is scored then: about ``channels **
+    link_count / channels!`` assignments. The first optimum over all
+    assignments is such a member, so the result is the same as the full
+    enumeration's. Any other overlap enumerates every assignment.
+
     Raises
     ------
+    InconsistentInputs
+        If ``channels`` is not the overlap matrix's channel count.
     SearchSpaceTooLarge
-        If ``channels ** link_count`` exceeds the 10^7 guard.
+        If ``channels ** link_count`` exceeds the 10^7 guard, whatever
+        the overlap, or no assignment keeps every radio budget.
     """
     if fitness_kind not in ("fairness", "interference"):
         raise InvalidConfig(f"unknown fitness_kind {fitness_kind!r}")
+    if channels != m.channel_count:
+        raise InconsistentInputs(
+            f"{channels} channels requested, overlap matrix has "
+            f"{m.channel_count}"
+        )
     L = t.link_count
     total = channels ** L
     if total > SEARCH_GUARD:
@@ -348,14 +416,16 @@ def brute_force_optimum(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
             f"{channels}^{L} = {total} assignments exceeds the "
             f"{SEARCH_GUARD} guard"
         )
+    if np.array_equal(m.ratio, np.eye(channels)):
+        chunks = _relabelling_representatives(L, channels)
+    else:
+        chunks = _all_assignments(L, channels)
     binding = radio_constraint_binding(t, channels)
-    weights = channels ** np.arange(L - 1, -1, -1, dtype=np.int64)
     best_fitness = -np.inf
     best_genes = None
-    feasible_total = 0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        genes = (idx[:, None] // weights[None, :]) % channels
+    candidates = feasible_total = 0
+    for genes in chunks:
+        candidates += len(genes)
         if binding:
             genes = genes[within_budget(genes, t)]
             if not len(genes):
@@ -375,7 +445,7 @@ def brute_force_optimum(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
     return OracleResult(
         assignment=ChannelAssignment(best_genes, channels),
         fitness=best_fitness,
-        candidates=total,
+        candidates=candidates,
         feasible=feasible_total,
     )
 

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from meshca.assignment import OverlapMatrix
+from meshca.assignment import (
+    ChannelAssignment,
+    OverlapMatrix,
+    radio_constraint_binding,
+    within_budget,
+)
 from meshca.config import RadioModel, ScenarioConfig
+from meshca.fitness import _batch_link_fairness, jain_index
 from meshca.ga import Problem
+from meshca.harness import OracleResult
 from meshca.topology import Link, Node, Topology, build_conflict_graph
 
 
@@ -88,6 +95,38 @@ def assert_valid(genes, t, channel_count):
     assert genes.shape == (t.link_count,)
     assert ((genes >= 0) & (genes < channel_count)).all()
     assert reference_radio_violations(genes, t) == []
+
+
+def reference_brute_force(t, cg, m, rm, channels, fitness_kind="fairness"):
+    """The oracle by full enumeration: every one of the ``channels **
+    link_count`` assignments in lexicographic order, in chunks, keeping
+    the first optimum. Counts cover every assignment."""
+    L = t.link_count
+    total = channels ** L
+    binding = radio_constraint_binding(t, channels)
+    weights = channels ** np.arange(L - 1, -1, -1, dtype=np.int64)
+    best_fitness = -np.inf
+    best_genes = None
+    feasible_total = 0
+    for start in range(0, total, 1 << 15):
+        idx = np.arange(start, min(start + (1 << 15), total), dtype=np.int64)
+        genes = (idx[:, None] // weights[None, :]) % channels
+        if binding:
+            genes = genes[within_budget(genes, t)]
+            if not len(genes):
+                continue
+        feasible_total += len(genes)
+        interference, _, _, fairness = _batch_link_fairness(genes, t, cg, m, rm)
+        if fitness_kind == "fairness":
+            values = jain_index(fairness)
+        else:
+            values = -interference.sum(axis=1)
+        i = int(np.argmax(values))
+        if values[i] > best_fitness:
+            best_fitness = float(values[i])
+            best_genes = genes[i].copy()
+    return OracleResult(ChannelAssignment(best_genes, channels), best_fitness,
+                        total, feasible_total)
 
 
 @pytest.fixture

@@ -5,7 +5,11 @@ layer read 0 in a trace; here it fails instead."""
 from pathlib import Path
 
 import meshca.harness
+import meshca.topology
 from meshca import ALGORITHMS, GaConfig, ScenarioConfig
+from meshca.assignment import OverlapMatrix
+from meshca.config import RadioModel
+from conftest import make_topology
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,3 +34,21 @@ def test_every_hook_fires_once_per_layer(tmp_path, monkeypatch):
     assert metrics["topology.conflict_edges"] > 0
     for algorithm in ALGORITHMS:
         assert metrics[f"ga.run_ms.{algorithm}"] > 0
+
+
+def test_oracle_hooks_fire(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    t = make_topology([(i * 55.0, 0.0) for i in range(6)],
+                      link_pairs=[(i, i + 1) for i in range(5)], radios=1)
+    tracer = Tracer()
+    with tracer.installed():
+        cg = meshca.topology.build_conflict_graph(t)
+        before = tracer.calls["fitness.interference"]
+        meshca.harness.brute_force_optimum(
+            t, cg, OverlapMatrix.orthogonal(3), RadioModel(), 3)
+    metrics = {name: value for name, (value, _) in tracer.metrics().items()}
+    assert metrics["harness.oracle_ms"] > 0
+    assert tracer.calls["fitness.interference"] > before
+    assert 0 < metrics["harness.oracle_feasible_share"] <= 1

@@ -3,10 +3,11 @@ import math
 import tempfile
 from itertools import product
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from meshca import (
     ALGORITHMS,
@@ -17,6 +18,7 @@ from meshca import (
     SearchSpaceTooLarge,
 )
 import meshca.ga
+import meshca.harness
 from meshca.assignment import (
     ChannelAssignment,
     OverlapMatrix,
@@ -32,13 +34,14 @@ from meshca.harness import (
     aggregate_records,
     brute_force_optimum,
     evaluate_file,
+    problem_for,
     read_results_csv,
     replicate_seed,
     run_replicate,
     run_sweep,
 )
 from meshca.topology import build_conflict_graph, generate_topology, save_topology
-from conftest import assert_valid, make_topology
+from conftest import assert_valid, make_topology, reference_brute_force
 
 
 def tiny_scenario(name="tiny", replicates=1, master_seed=0, nodes=8):
@@ -52,12 +55,29 @@ def tiny_scenario(name="tiny", replicates=1, master_seed=0, nodes=8):
     )
 
 
+def rows_but_wall_ms(path):
+    """The lines of ``path/results.csv`` with the last column, ``wall_ms``,
+    dropped."""
+    lines = (path / "results.csv").read_text().splitlines()
+    return [",".join(line.split(",")[:-1]) for line in lines]
+
+
 class TestBruteForce:
     def test_single_link_three_channels(self):
         t = make_topology([(0, 0), (100, 0)], link_pairs=[(0, 1)],
                           required=0.01)
         cg = build_conflict_graph(t)
         m = OverlapMatrix.orthogonal(3)
+        result = brute_force_optimum(t, cg, m, RadioModel(), 3)
+        # the three single-link assignments are one channel relabelling
+        assert result.candidates == 1
+        assert result.fitness == 1.0
+
+    def test_single_link_three_graded_channels(self):
+        t = make_topology([(0, 0), (100, 0)], link_pairs=[(0, 1)],
+                          required=0.01)
+        cg = build_conflict_graph(t)
+        m = OverlapMatrix.graded(3)
         result = brute_force_optimum(t, cg, m, RadioModel(), 3)
         assert result.candidates == 3
         assert result.fitness == 1.0
@@ -113,9 +133,117 @@ class TestBruteForce:
         m = OverlapMatrix.orthogonal(3)
         result = brute_force_optimum(t, cg, m, RadioModel(), 3)
         assert_valid(result.assignment.genes, t, 3)
-        # with one radio per node a connected chain must share one channel
+        # with one radio per node a connected chain must share one channel;
+        # the three such assignments are one channel relabelling
+        assert len(set(result.assignment.genes.tolist())) == 1
+        assert result.feasible == 1
+
+    def test_respects_radio_constraint_graded(self):
+        t = make_topology(
+            [(i * 55.0, 0.0) for i in range(6)],
+            link_pairs=[(i, i + 1) for i in range(5)],
+            radios=1,
+        )
+        cg = build_conflict_graph(t)
+        result = brute_force_optimum(t, cg, OverlapMatrix.graded(3),
+                                     RadioModel(), 3)
+        assert_valid(result.assignment.genes, t, 3)
         assert len(set(result.assignment.genes.tolist())) == 1
         assert result.feasible == 3
+
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_channel_count_must_match_overlap(self, channels):
+        t = make_topology([(0, 0), (100, 0)], link_pairs=[(0, 1)])
+        with pytest.raises(InconsistentInputs):
+            brute_force_optimum(t, build_conflict_graph(t),
+                                OverlapMatrix.orthogonal(3), RadioModel(),
+                                channels)
+
+
+def stirling2(n, k):
+    """Partitions of n labelled items into k non-empty blocks."""
+    return sum((-1) ** (k - j) * math.comb(k, j) * j ** n
+               for j in range(k + 1)) // math.factorial(k)
+
+
+@st.composite
+def oracle_instances(draw):
+    """A random tree of 1-9 links in a 700 m square (so some link pairs
+    do not conflict), 1-5 channels with at most 3^9 assignments, 1-3
+    radios (so budgets bind), random required rates, orthogonal or
+    graded overlap."""
+    channels = draw(st.integers(1, 5))
+    links = 1
+    while links < 9 and channels ** (links + 1) <= 3 ** 9:
+        links += 1  # keeps the reference enumeration small
+    n = 1 + draw(st.integers(1, links))
+    positions = draw(st.lists(
+        st.tuples(st.floats(0.0, 700.0), st.floats(0.0, 700.0)),
+        min_size=n, max_size=n))
+    pairs = [(draw(st.integers(0, b - 1)), b) for b in range(1, n)]
+    t = make_topology(
+        positions, link_pairs=pairs, radios=draw(st.integers(1, 3)),
+        channels=channels, area=800.0,
+        required=draw(st.lists(st.sampled_from([0.5, 2.0, 4.0, 8.0]),
+                               min_size=n - 1, max_size=n - 1)))
+    if draw(st.booleans()):
+        m = OverlapMatrix.graded(channels, span=draw(st.integers(2, 5)))
+    else:
+        m = OverlapMatrix.orthogonal(channels)
+    return t, m
+
+
+class TestOracleEquivalence:
+    @given(oracle_instances(), st.sampled_from(["fairness", "interference"]),
+           st.sampled_from([7, meshca.harness._CHUNK]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_enumeration(self, instance, fitness_kind, chunk):
+        # a 7-row chunk puts ties and tail tables across chunk boundaries
+        t, m = instance
+        channels = m.channel_count
+        cg = build_conflict_graph(t)
+        with patch.object(meshca.harness, "_CHUNK", chunk):
+            got = brute_force_optimum(t, cg, m, RadioModel(), channels,
+                                      fitness_kind=fitness_kind)
+        want = reference_brute_force(t, cg, m, RadioModel(), channels,
+                                     fitness_kind=fitness_kind)
+        assert got.assignment.genes.tolist() == want.assignment.genes.tolist()
+        assert got.fitness == want.fitness
+        if np.array_equal(m.ratio, np.eye(channels)):
+            L = t.link_count
+            assert got.candidates == sum(stirling2(L, j)
+                                         for j in range(1, channels + 1))
+            assert got.feasible <= want.feasible
+        else:
+            assert (got.candidates, got.feasible) == (want.candidates,
+                                                      want.feasible)
+
+
+@st.composite
+def oracle_scenarios(draw):
+    """4-7 nodes at the paper's density (at most 10 links), 2-4 channels,
+    1-3 radios, orthogonal or graded overlap."""
+    n = draw(st.integers(4, 7))
+    side = round(1000.0 * math.sqrt(n / 94.0), 1)
+    return ScenarioConfig(
+        name="oracle", node_count=n, area_w=side, area_h=side,
+        channels=draw(st.integers(2, 4)), radios=draw(st.integers(1, 3)),
+        overlap_kind=draw(st.sampled_from(["orthogonal", "graded"])),
+        topologies_per_scenario=1)
+
+
+class TestOracleBeatsEveryAlgorithm:
+    @given(oracle_scenarios(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_oracle_fitness_bounds_every_row(self, cfg, seed):
+        t = generate_topology(cfg, seed)
+        assume(t.link_count <= 10)
+        p = problem_for(t)
+        oracle = brute_force_optimum(t, p.cg, p.m, p.rm, p.channels)
+        assert within_budget(oracle.assignment.genes, t)
+        ga = GaConfig(population_size=8, max_iterations=5)
+        for record, _ in run_replicate(cfg, seed, list(ALGORITHMS), ga):
+            assert oracle.fitness >= record.fairness_index - 1e-12
 
 
 class TestSweep:
@@ -140,11 +268,8 @@ class TestSweep:
         run_sweep(scenarios, ["mclr", "fa_scga"], tmp_path / "a", ga=ga)
         run_sweep(scenarios, ["mclr", "fa_scga"], tmp_path / "b", ga=ga)
 
-        def stripped(path):
-            lines = (path / "results.csv").read_text().splitlines()
-            return [",".join(line.split(",")[:-1]) for line in lines]
-
-        assert stripped(tmp_path / "a") == stripped(tmp_path / "b")
+        assert (rows_but_wall_ms(tmp_path / "a")
+                == rows_but_wall_ms(tmp_path / "b"))
         assert ((tmp_path / "a" / "aggregates.csv").read_text()
                 == (tmp_path / "b" / "aggregates.csv").read_text())
 
@@ -157,11 +282,29 @@ class TestSweep:
         run_sweep(scenarios, ["mclr", "ia_ga"], tmp_path / "par", ga=ga,
                   workers=3)
 
-        def stripped(path):
-            lines = (path / "results.csv").read_text().splitlines()
-            return [",".join(line.split(",")[:-1]) for line in lines]
+        assert (rows_but_wall_ms(tmp_path / "serial")
+                == rows_but_wall_ms(tmp_path / "par"))
 
-        assert stripped(tmp_path / "serial") == stripped(tmp_path / "par")
+    def test_parallel_matches_serial_under_graded_overlap(self, tmp_path):
+        # the radio budget binds on both topologies of "bound"
+        scenarios = [
+            ScenarioConfig(name="graded", node_count=10, area_w=500.0,
+                           area_h=500.0, channels=11, overlap_kind="graded",
+                           topologies_per_scenario=2, master_seed=4),
+            ScenarioConfig(name="bound", node_count=10, area_w=500.0,
+                           area_h=500.0, channels=6, radios=2,
+                           overlap_kind="graded", topologies_per_scenario=2,
+                           master_seed=5),
+        ]
+        ga = GaConfig(population_size=6, max_iterations=3)
+        run_sweep(scenarios, list(ALGORITHMS), tmp_path / "serial", ga=ga,
+                  workers=1)
+        run_sweep(scenarios, list(ALGORITHMS), tmp_path / "par", ga=ga,
+                  workers=3)
+
+        serial = rows_but_wall_ms(tmp_path / "serial")
+        assert len(serial) == 1 + 2 * 2 * len(ALGORITHMS)
+        assert serial == rows_but_wall_ms(tmp_path / "par")
 
     def test_rows_reparse_to_equal_records(self, tmp_path):
         records = run_sweep([tiny_scenario(replicates=2)], ["mclr"], tmp_path)
