@@ -13,6 +13,11 @@ and (P,) fitness, evaluated a generation at a time; the operators take
 and return such arrays. Only the final best individual becomes an
 :class:`Individual` with a full :class:`~meshca.fitness.FitnessReport`.
 
+Each initialisation draws one (P, L) uniform array, and each generation
+one (n, L) array for the mutation mask and one for the new channels.
+:func:`_redraw` maps them to feasible channels: free links' genes in one
+step, and only bound links' genes through the radio book.
+
 Every entry point runs on one :class:`Problem` per topology, which
 builds the link-rank table and the greedy primary chromosome once, on
 first use, for every algorithm that needs them. Four algorithm variants
@@ -85,6 +90,14 @@ class Problem:
         return mclr_assign(self.t, self.cg, self.rank_table, self.m,
                            self.channels)
 
+    @cached_property
+    def bound_links(self) -> np.ndarray:
+        """(L,) mask of the links with a binding endpoint (a crowded node
+        with fewer radios than channels); other links are free."""
+        t = self.t
+        binding = t.crowded[t.radios[t.crowded] < self.channels]
+        return np.isin(t.link_a, binding) | np.isin(t.link_b, binding)
+
 
 @dataclass
 class Individual:
@@ -130,57 +143,53 @@ def _individual(genes: np.ndarray, problem: Problem,
                       else -report.total_interference)
 
 
-def _randomize_genes(genes: np.ndarray, targets: np.ndarray, t: Topology,
-                     channel_count: int, rng: np.random.Generator) -> None:
-    """Re-draw the given genes of a valid row uniformly from their
-    feasible channels under a binding radio budget, in ascending link-id
-    order so draws are reproducible."""
-    book = _RadioBook(t, genes, channel_count)
-    for lid in targets.tolist():
-        cand = feasible_channels(lid, book)
-        book.set(lid, cand[rng.integers(len(cand))])
-
-
-def init_population_semi_chaotic(primary: ChannelAssignment, t: Topology,
-                                 cg: ConflictGraph, m: OverlapMatrix,
-                                 cfg: GaConfig, seed) -> np.ndarray:
-    """(P, L) genes around the primary chromosome: row 0 is the primary
-    itself; the others keep its zero-interference (strong) genes and
-    randomize the rest."""
-    cfg.validate()
-    rng = np.random.default_rng(seed)
-    k = primary.channel_count
-    weak = np.flatnonzero(interference_matrix(primary.genes, cg, m) > 0.0)
-    genes = np.tile(primary.genes, (cfg.population_size, 1))
-    if not radio_constraint_binding(t, k):
-        genes[1:, weak] = rng.integers(k, size=(cfg.population_size - 1,
-                                                len(weak)))
-        return genes
-    for row in genes[1:]:
-        _randomize_genes(row, weak, t, k, rng)
-    return genes
-
-
-def init_population_random(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
-                           cfg: GaConfig, seed) -> np.ndarray:
-    """(P, L) uniformly random genes, drawn link by link from the
-    channels the radio budgets allow."""
-    cfg.validate()
-    rng = np.random.default_rng(seed)
-    k = m.channel_count
-    if not radio_constraint_binding(t, k):
-        return rng.integers(k, size=(cfg.population_size, t.link_count))
-    genes = np.full((cfg.population_size, t.link_count), UNASSIGNED,
-                    dtype=np.int64)
-    for row in genes:
-        book = _RadioBook(t, row, k)
-        for lid in range(t.link_count):
+def _redraw(genes: np.ndarray, hit: np.ndarray, u: np.ndarray,
+            problem: Problem) -> np.ndarray:
+    """Give each hit gene of the (n, L) rows ``genes``, in place, the
+    channel ``cand[int(u * len(cand))]`` of its feasible channels
+    ``cand``, or a stuck merge if there are none. A free link's ``cand``
+    is ``range(k)``, so free hits are drawn first, in one step; then
+    each row's bound hits walk its :class:`_RadioBook` in link order.
+    Free genes never change a binding node's counts, so on a valid row
+    this equals walking every hit gene through the book in link order."""
+    k, bound = problem.channels, problem.bound_links
+    free = hit & ~bound
+    genes[free] = (u[free] * k).astype(np.int64)
+    hit = hit & bound
+    for i in np.flatnonzero(hit.any(axis=1)):
+        book = _RadioBook(problem.t, genes[i], k)
+        for lid in np.flatnonzero(hit[i]).tolist():
             cand = feasible_channels(lid, book)
             if cand:
-                book.set(lid, cand[rng.integers(len(cand))])
+                book.set(lid, cand[int(u[i, lid] * len(cand))])
             else:
-                _assign_stuck(lid, book, cg, m)
+                _assign_stuck(lid, book, problem.cg, problem.m)
     return genes
+
+
+def init_population_semi_chaotic(problem: Problem, cfg: GaConfig,
+                                 seed) -> np.ndarray:
+    """(P, L) genes around ``problem.primary``: row 0 is the primary
+    itself; the others keep its zero-interference (strong) genes and
+    re-draw the rest from one (P, L) uniform array seeded by ``seed``."""
+    cfg.validate()
+    primary = problem.primary.genes
+    genes = np.tile(primary, (cfg.population_size, 1))
+    hit = np.zeros(genes.shape, dtype=bool)
+    hit[1:] = interference_matrix(primary, problem.cg, problem.m) > 0.0
+    u = np.random.default_rng(seed).random(genes.shape)
+    return _redraw(genes, hit, u, problem)
+
+
+def init_population_random(problem: Problem, cfg: GaConfig,
+                           seed) -> np.ndarray:
+    """(P, L) random genes, each drawn from the channels the radio
+    budgets allow, from one (P, L) uniform array seeded by ``seed``."""
+    cfg.validate()
+    shape = (cfg.population_size, problem.t.link_count)
+    genes = np.full(shape, UNASSIGNED, dtype=np.int64)
+    u = np.random.default_rng(seed).random(shape)
+    return _redraw(genes, np.ones(shape, dtype=bool), u, problem)
 
 
 def select_parents(fitness: np.ndarray) -> np.ndarray:
@@ -212,22 +221,15 @@ def crossover(genes_a: np.ndarray, fairness_a: np.ndarray,
 
 
 def mutate(genes: np.ndarray, fairness: np.ndarray, cfg: GaConfig,
-           t: Topology, channel_count: int, seeds) -> np.ndarray:
-    """Mutated copies of (n, L) genes: in row i, drawing from a generator
-    seeded with ``seeds[i]``, each weak gene (link fairness below the
-    strong-gene threshold) is re-drawn with probability
-    ``mutation_prob``; strong genes are never touched."""
+           problem: Problem, rng: np.random.Generator) -> np.ndarray:
+    """Mutated copies of (n, L) genes: a weak gene (link fairness below
+    the strong-gene threshold) is hit where one (n, L) uniform draw from
+    ``rng`` is below ``mutation_prob``, and a second such draw gives its
+    new channel (:func:`_redraw`). Strong genes are never touched."""
     out = np.array(genes, dtype=np.int64)
-    binding = radio_constraint_binding(t, channel_count)
-    for row, fair, seed in zip(out, fairness, seeds):
-        rng = np.random.default_rng(int(seed))
-        weak = np.flatnonzero(fair < cfg.strong_gene_threshold)
-        hit = weak[rng.random(len(weak)) < cfg.mutation_prob]
-        if binding:
-            _randomize_genes(row, hit, t, channel_count, rng)
-        else:
-            row[hit] = rng.integers(channel_count, size=len(hit))
-    return out
+    hit = ((fairness < cfg.strong_gene_threshold)
+           & (rng.random(out.shape) < cfg.mutation_prob))
+    return _redraw(out, hit, rng.random(out.shape), problem)
 
 
 def _check_population(genes: np.ndarray, t: Topology,
@@ -258,10 +260,9 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
     t, cg, m, k = problem.t, problem.cg, problem.m, problem.channels
     init_ss, loop_ss = np.random.SeedSequence(seed).spawn(2)
     if semi_chaotic:
-        genes = init_population_semi_chaotic(problem.primary, t, cg, m, cfg,
-                                             init_ss)
+        genes = init_population_semi_chaotic(problem, cfg, init_ss)
     else:
-        genes = init_population_random(t, cg, m, cfg, init_ss)
+        genes = init_population_random(problem, cfg, init_ss)
     rng = np.random.default_rng(loop_ss)
     fairness, fitness = _evaluate_batch(genes, problem, fair)
     best_genes, best_fitness = None, -np.inf
@@ -297,10 +298,9 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
         children = crossover(genes[a], fairness[a], genes[b], fairness[b],
                              t, cg, m, k)
         child_fairness, _ = _evaluate_batch(children, problem, fair)
-        mutation_seeds = rng.integers(np.iinfo(np.int64).max, size=n)
         # child 0 is replaced by the elite, so it is not mutated
-        children[1:] = mutate(children[1:], child_fairness[1:], cfg, t, k,
-                              mutation_seeds[1:])
+        children[1:] = mutate(children[1:], child_fairness[1:], cfg, problem,
+                              rng)
         children[0] = best_genes  # elitism
         genes = children
         fairness, fitness = _evaluate_batch(genes, problem, fair)

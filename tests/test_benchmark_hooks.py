@@ -52,3 +52,23 @@ def test_oracle_hooks_fire(monkeypatch):
     assert metrics["harness.oracle_ms"] > 0
     assert tracer.calls["fitness.interference"] > before
     assert 0 < metrics["harness.oracle_feasible_share"] <= 1
+
+
+def test_ga_operator_hooks_fire_under_a_binding_budget(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    # 2 radios for 6 channels on 10 nodes: several nodes have 3+ links,
+    # so mutation and initialisation walk the radio book
+    scenario = ScenarioConfig(name="hooks_binding", node_count=10,
+                              area_w=500.0, area_h=500.0, radios=2,
+                              channels=6, topologies_per_scenario=1,
+                              master_seed=0)
+    tracer = Tracer()
+    with tracer.installed():
+        meshca.harness.run_sweep([scenario], list(ALGORITHMS), tmp_path,
+                                 ga=GaConfig(max_iterations=2))
+    metrics = {name: value for name, (value, _) in tracer.metrics().items()}
+    for name in ("ga.init_ms", "ga.mutate_ms", "ga.crossover_ms",
+                 "assignment.feasible_channels_calls"):
+        assert metrics[name] > 0, name
