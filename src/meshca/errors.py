@@ -14,7 +14,8 @@ class ConnectivityUnreachable(MeshcaError):
 
 
 class NoGateway(MeshcaError):
-    """The topology has an empty gateway set."""
+    """The topology has an empty gateway set, or a node with no path to
+    any gateway."""
 
 
 class InvalidRequiredRate(MeshcaError):

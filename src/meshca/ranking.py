@@ -7,11 +7,13 @@ and radio capacity. Each criterion is min-max normalized, inverted where
 smaller is better, and averaged. A link's rank is the sum of its
 endpoint scores; the schedule orders links by descending rank and drives
 the greedy channel assignment.
+
+Hop levels come from one breadth-first search from the gateways, and
+usage from one sweep back over that search order (see ``score_nodes``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,6 @@ from .errors import NoGateway
 from .topology import Topology
 
 CRITERIA = ("hops", "proximity", "usage", "capacity")
-DEFAULT_WEIGHTS = {c: 1.0 for c in CRITERIA}
 
 
 @dataclass(frozen=True)
@@ -46,21 +47,6 @@ class LinkRankTable:
     schedule: np.ndarray
 
 
-def _bfs_hops(t: Topology, sources: list[int]) -> np.ndarray:
-    hops = np.full(t.node_count, -1, dtype=np.int64)
-    q = deque()
-    for s in sources:
-        hops[s] = 0
-        q.append(s)
-    while q:
-        v = q.popleft()
-        for w, _ in t.adjacency[v]:
-            if hops[w] < 0:
-                hops[w] = hops[v] + 1
-                q.append(w)
-    return hops
-
-
 def _minmax(values: np.ndarray, invert: bool) -> np.ndarray:
     """Min-max scale to [0, 1]; all-equal inputs map to 1.0 for every
     node (avoids 0/0 and keeps equal nodes equally ranked)."""
@@ -72,58 +58,68 @@ def _minmax(values: np.ndarray, invert: bool) -> np.ndarray:
     return 1.0 - scaled if invert else scaled
 
 
-def score_nodes(t: Topology,
-                weights: dict[str, float] | None = None) -> list[NodeScore]:
-    """Score every node on the four ranking criteria.
+def score_nodes(t: Topology) -> list[NodeScore]:
+    """Score every node on the four ranking criteria, equally weighted.
 
     Hops and proximity are computed against the nearest gateway; usage
     frequency counts, for each node v, how many nodes u have v on at
     least one shortest path from u to u's nearest gateway (endpoints
     included). Smaller hops/proximity and larger usage/capacity all map
-    to higher normalized values. ``weights`` reweights the criteria
-    (default equal).
+    to higher normalized values.
+
+    Those u are exactly the nodes that reach v in the gateway-BFS DAG,
+    whose edges run from hop level h to h - 1 (a shortest u-v path of
+    length hops(u) - hops(v) drops one level per step). So each node
+    keeps a Python-int bitset, starting at ``1 << v``; the nodes are
+    visited in descending hop order and each ORs its bitset into its
+    neighbours one level down. The counts are exact integers.
 
     Raises
     ------
     NoGateway
-        If the topology has no gateway node.
+        If the topology has no gateway node, or a node has no path to
+        any gateway.
     """
     if not t.gateways:
         raise NoGateway("topology has no gateway node")
-    w = dict(DEFAULT_WEIGHTS)
-    if weights:
-        w.update(weights)
-
-    gw = list(t.gateways)
-    hops = _bfs_hops(t, gw)
-    gw_pos = t.positions[gw]
+    n = t.node_count
+    level = [-1] * n
+    order = list(t.gateways)  # breadth-first, so levels never decrease
+    for g in order:
+        level[g] = 0
+    for v in order:
+        for w, _ in t.adjacency[v]:
+            if level[w] < 0:
+                level[w] = level[v] + 1
+                order.append(w)
+    if len(order) < n:
+        raise NoGateway(f"node {level.index(-1)} has no path to a gateway")
+    upstream = [1 << v for v in range(n)]
+    for v in reversed(order):
+        for w, _ in t.adjacency[v]:
+            if level[w] == level[v] - 1:
+                upstream[w] |= upstream[v]
+    usage = [u.bit_count() for u in upstream]
+    gw_pos = t.positions[list(t.gateways)]
     proximity = np.min(
         np.linalg.norm(t.positions[:, None, :] - gw_pos[None, :, :], axis=-1),
         axis=1,
     )
-    # v lies on a shortest path from u toward the gateway set iff
-    # d(u, v) + hops(v) == hops(u)
-    n = t.node_count
-    usage = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        d_u = _bfs_hops(t, [u])
-        usage += (d_u + hops == hops[u]).astype(np.int64)
 
     capacity = t.radios
     norm = {
-        "hops": _minmax(hops, invert=True),
+        "hops": _minmax(level, invert=True),
         "proximity": _minmax(proximity, invert=True),
         "usage": _minmax(usage, invert=False),
         "capacity": _minmax(capacity, invert=False),
     }
-    total_w = sum(w[c] for c in CRITERIA)
-    scores = sum(w[c] * norm[c] for c in CRITERIA) / total_w
+    scores = sum(norm[c] for c in CRITERIA) / len(CRITERIA)
     return [
         NodeScore(
             node_id=i,
-            hops=int(hops[i]),
+            hops=level[i],
             proximity=float(proximity[i]),
-            usage=int(usage[i]),
+            usage=usage[i],
             capacity=int(capacity[i]),
             normalized={c: float(norm[c][i]) for c in CRITERIA},
             score=float(scores[i]),

@@ -198,7 +198,9 @@ def _prune_to_degree_cap(adj: list[set[int]],
 
     ``adj`` must be connected on entry, as placement guarantees. Removing
     ``(a, b)`` then keeps it connected iff ``b`` is still reachable from
-    ``a``, and each accepted removal keeps that precondition.
+    ``a``, and each accepted removal keeps that precondition. A common
+    neighbour of ``a`` and ``b`` settles that at once; only otherwise
+    does a search run.
     """
     for v, nbrs in enumerate(adj):
         if len(nbrs) <= cap:
@@ -210,7 +212,7 @@ def _prune_to_degree_cap(adj: list[set[int]],
                 break
             adj[a].discard(b)
             adj[b].discard(a)
-            if b not in _search(adj, a, b):
+            if adj[a].isdisjoint(adj[b]) and b not in _search(adj, a, b):
                 adj[a].add(b)
                 adj[b].add(a)
     return [(a, b) for a, nbrs in enumerate(adj) for b in sorted(nbrs) if a < b]

@@ -1,10 +1,14 @@
-from itertools import permutations
+import hashlib
+import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from meshca import NoGateway
+from meshca import NoGateway, ScenarioConfig
 from meshca.ranking import rank_links, score_nodes
+from meshca.topology import generate_topology
 from conftest import line_topology, make_topology
 
 
@@ -44,6 +48,53 @@ def enumerate_shortest_path_nodes(t):
         for v in on_some_path:
             usage[v] += 1
     return usage
+
+
+def bfs_usage(t):
+    """Usage by one breadth-first search per node: v counts u iff
+    d(u, v) + hops(v) == hops(u), hops being the distance to the nearest
+    gateway."""
+    adj = [[w for w, _ in t.adjacency[v]] for v in range(t.node_count)]
+
+    def bfs(sources):
+        dist = np.full(t.node_count, -1, dtype=np.int64)
+        dist[sources] = 0
+        queue = deque(sources)
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
+
+    hops = bfs(list(t.gateways))
+    usage = np.zeros(t.node_count, dtype=np.int64)
+    for u in range(t.node_count):
+        usage += bfs([u]) + hops == hops[u]
+    return usage
+
+
+@st.composite
+def connected_topologies(draw):
+    """Connected topologies with 1 to 3 gateways: a random spanning tree
+    plus random extra links (so hop levels tie and same-level links
+    occur), with node labels permuted and links in random order."""
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        a, b = rng.choice(n, size=2, replace=False).tolist()
+        if (b, a) not in pairs:
+            pairs.add((a, b))
+    label = rng.permutation(n).tolist()
+    pairs = [(label[a], label[b]) for a, b in sorted(pairs)]
+    order = rng.permutation(len(pairs)).tolist()
+    gateways = rng.choice(n, size=draw(st.integers(1, min(3, n))),
+                          replace=False).tolist()
+    return make_topology(rng.integers(0, 1000, size=(n, 2)),
+                         link_pairs=[pairs[i] for i in order],
+                         gateways=gateways)
 
 
 class TestScoreNodes:
@@ -117,14 +168,19 @@ class TestScoreNodes:
         with pytest.raises(NoGateway):
             score_nodes(t)
 
-    def test_weights_shift_scores(self):
-        t = line_topology(n=5, gateways=(0,))
-        default = score_nodes(t)
-        hops_only = score_nodes(t, weights={"proximity": 0.0, "usage": 0.0,
-                                            "capacity": 0.0})
-        assert [s.score for s in hops_only] == [
-            s.normalized["hops"] for s in default
-        ]
+    def test_unreachable_node_raises(self):
+        t = make_topology([(0, 0), (100, 0), (0, 500), (100, 500)],
+                          link_pairs=[(0, 1), (2, 3)], gateways=(0,))
+        with pytest.raises(NoGateway, match="no path"):
+            score_nodes(t)
+
+    @given(connected_topologies())
+    @settings(max_examples=150, deadline=None)
+    def test_usage_matches_per_node_bfs(self, t):
+        usage = [s.usage for s in score_nodes(t)]
+        assert usage == bfs_usage(t).tolist()
+        if t.node_count <= 12:
+            assert usage == enumerate_shortest_path_nodes(t).tolist()
 
 
 class TestRankLinks:
@@ -179,3 +235,18 @@ class TestRankLinks:
         pos = list(table.schedule).index(0)
         pos2 = list(table2.schedule).index(0)
         assert pos2 <= pos
+
+    # SHA-256 prefixes of the ranks and schedule bytes on the topologies
+    # pinned in test_topology.py, from the per-node-BFS usage
+    @pytest.mark.parametrize("n, seed, digest", [
+        (94, 1, "9cd07cacc67480da"),
+        (200, 1, "46e689456a2a676f"),
+        (300, 7, "19caed4e76394e6f"),
+    ])
+    def test_generated_rank_tables_are_pinned(self, n, seed, digest):
+        side = round(1000 * math.sqrt(n / 94), 1)
+        t = generate_topology(ScenarioConfig(node_count=n, area_w=side,
+                                             area_h=side), seed)
+        table = rank_links(t, score_nodes(t))
+        data = table.ranks.tobytes() + table.schedule.tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest

@@ -188,6 +188,7 @@ class TestDegreeCapPrune:
         (94, 1, "4323cee9e6647af1"),
         (200, 1, "cac20e6944bde507"),
         (300, 7, "f299eb5be4f62f3e"),
+        (800, 1, "12e6a6327bb5a02b"),
     ])
     def test_generated_topology_bytes_are_pinned(self, n, seed, digest):
         side = round(1000 * math.sqrt(n / 94), 1)
