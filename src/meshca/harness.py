@@ -243,6 +243,8 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
             raise InvalidConfig(f"unknown algorithm {algorithm!r}")
     if len(set(algorithms)) != len(algorithms):
         raise InvalidConfig(f"algorithms repeat a name: {algorithms!r}")
+    if type(workers) is not int or workers < 1:
+        raise InvalidConfig(f"workers must be an int >= 1, got {workers!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -281,7 +283,7 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
                 fh.flush()
                 flushed_jobs = span[-1] + 1
 
-        if workers <= 1:
+        if workers == 1:
             for j, job in enumerate(jobs):
                 results[j] = _sweep_job(job)
                 flush_ready()
@@ -416,7 +418,7 @@ def brute_force_optimum(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
             f"{channels}^{L} = {total} assignments exceeds the "
             f"{SEARCH_GUARD} guard"
         )
-    if np.array_equal(m.ratio, np.eye(channels)):
+    if m.identity:
         chunks = _relabelling_representatives(L, channels)
     else:
         chunks = _all_assignments(L, channels)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,9 +117,9 @@ class ConflictGraph:
     def __init__(self, link_count: int, edges: np.ndarray):
         self.link_count = link_count
         self.edges = edges  # (E, 2) with edges[:, 0] < edges[:, 1]
-        # dense 0/1 adjacency: one matrix product counts every link's
-        # neighbours per channel for a whole population
-        self.adjacency = np.zeros((link_count, link_count))
+        # dense 0/1 adjacency: one float32 matrix product counts every
+        # link's neighbours per channel for a population, exact below 2**24
+        self.adjacency = np.zeros((link_count, link_count), dtype=np.float32)
         self.adjacency[edges[:, 0], edges[:, 1]] = 1.0
         self.adjacency[edges[:, 1], edges[:, 0]] = 1.0
         self.neighbors = [np.flatnonzero(row) for row in self.adjacency]
@@ -176,15 +177,16 @@ def _adjacency(n: int, pairs: list[tuple[int, int]]) -> list[set[int]]:
 
 
 def _search(adj: list[set[int]], src: int, dst: int = -1) -> set[int]:
-    """Nodes reached by a depth-first search from ``src``; the search
-    stops early once it reaches ``dst``."""
+    """Nodes reached by a breadth-first search from ``src``; the search
+    stops early once it reaches ``dst``, so a ``dst`` a few hops away
+    costs only the nodes within those hops."""
     seen = {src}
-    stack = [src]
-    while stack and dst not in seen:
-        for w in adj[stack.pop()]:
+    queue = deque([src])
+    while queue and dst not in seen:
+        for w in adj[queue.popleft()]:
             if w not in seen:
                 seen.add(w)
-                stack.append(w)
+                queue.append(w)
     return seen
 
 

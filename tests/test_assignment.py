@@ -50,6 +50,13 @@ class TestOverlapMatrix:
         m = OverlapMatrix.orthogonal(4)
         assert np.array_equal(m.ratio, np.eye(4))
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_identity_flag(self, k):
+        assert OverlapMatrix.orthogonal(k).identity
+        assert OverlapMatrix.graded(k, span=1).identity
+        for span in range(2, 7):
+            assert OverlapMatrix.graded(k, span).identity == (k == 1)
+
     def test_graded_preset(self):
         m = OverlapMatrix.graded(12)
         assert m.ratio[0, 0] == 1.0
@@ -126,17 +133,38 @@ def reference_interference(genes, cg, m):
     return out[0] if np.ndim(genes) == 1 else out
 
 
+def reference_count_kernel(genes, cg, m):
+    """The neighbour-count kernel before its float32 rewrite: a float64
+    one-hot by broadcast compare, a float64 adjacency, weighting by
+    ``ratio[g.T]`` and a sum over channels. The rewrite must match it bit
+    for bit under every overlap."""
+    g = np.atleast_2d(genes)
+    p, n_links = g.shape
+    k = m.channel_count
+    onehot = (g.T[:, :, None] == np.arange(k)).astype(float)  # (L, P, K)
+    counts = (cg.adjacency.astype(float) @ onehot.reshape(n_links, p * k)
+              ).reshape(n_links, p, k)
+    out = np.ascontiguousarray((counts * m.ratio[g.T]).sum(axis=2).T)
+    return out[0] if np.ndim(genes) == 1 else out
+
+
 @st.composite
 def kernel_cases(draw):
     """A random conflict graph (possibly empty), channel count 1..12 and
-    genes of shape (L,), (1, L) or (P, L)."""
+    genes of shape (L,), (1, L), (P, L) with P in 2..6, or (P, L) with P
+    near 300, the shape of an oracle chunk; the near-300-row batches take
+    their genes from a seeded generator."""
     n_links = draw(st.integers(0, 16))
     pairs = [(a, b) for a in range(n_links) for b in range(a + 1, n_links)]
     edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
     cg = ConflictGraph(n_links, np.array(edges, dtype=np.int64).reshape(-1, 2))
     k = draw(st.integers(1, 12))
-    shape = draw(st.sampled_from([(n_links,), (1, n_links),
-                                  (draw(st.integers(2, 6)), n_links)]))
+    rows = draw(st.sampled_from([None, 1, draw(st.integers(2, 6)),
+                                 draw(st.integers(280, 320))]))
+    shape = (n_links,) if rows is None else (rows, n_links)
+    if rows is not None and rows >= 280:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return cg, k, rng.integers(0, k, shape)
     flat = draw(st.lists(st.integers(0, k - 1), min_size=math.prod(shape),
                          max_size=math.prod(shape)))
     return cg, k, np.array(flat, dtype=np.int64).reshape(shape)
@@ -158,6 +186,18 @@ class TestInterferenceKernel:
         # a row's indices do not depend on the rest of the batch
         for row, want in zip(np.atleast_2d(genes), np.atleast_2d(got)):
             assert np.array_equal(interference_matrix(row, cg, graded), want)
+
+    @given(kernel_cases(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_float64_kernel(self, case, span, seed):
+        cg, k, genes = case
+        upper = np.triu(np.random.default_rng(seed).uniform(size=(k, k)), 1)
+        for m in (OverlapMatrix.orthogonal(k), OverlapMatrix.graded(k, span),
+                  OverlapMatrix(upper + upper.T + np.eye(k))):
+            got = interference_matrix(genes, cg, m)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == genes.shape
+            assert np.array_equal(got, reference_count_kernel(genes, cg, m))
 
     def test_empty_conflict_graph_is_interference_free(self):
         cg = ConflictGraph(5, np.empty((0, 2), dtype=np.int64))

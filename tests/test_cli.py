@@ -251,6 +251,15 @@ class TestInputErrors:
                                 str(tmp_path)], capsys) == 2
         assert not (tmp_path / "results.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"scenarios": [{"node_count": 8}],
+                                   "algorithms": ["mclr"]}))
+        assert self._exit_code(["sweep", "--config", str(cfg), "--workers",
+                                workers, "--out", str(tmp_path)], capsys) == 2
+        assert not (tmp_path / "results.csv").exists()
+
     def test_unknown_key_module_invocation_has_no_traceback(self, tmp_path):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({"node_count": 20, "bogus": 1}))

@@ -13,6 +13,7 @@ from meshca import (
     ALGORITHMS,
     GaConfig,
     InconsistentInputs,
+    InvalidConfig,
     ParseError,
     ScenarioConfig,
     SearchSpaceTooLarge,
@@ -305,6 +306,12 @@ class TestSweep:
         serial = rows_but_wall_ms(tmp_path / "serial")
         assert len(serial) == 1 + 2 * 2 * len(ALGORITHMS)
         assert serial == rows_but_wall_ms(tmp_path / "par")
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
+    def test_bad_worker_count_rejected(self, tmp_path, workers):
+        with pytest.raises(InvalidConfig, match="workers"):
+            run_sweep([tiny_scenario()], ["mclr"], tmp_path, workers=workers)
+        assert not (tmp_path / "results.csv").exists()
 
     def test_rows_reparse_to_equal_records(self, tmp_path):
         records = run_sweep([tiny_scenario(replicates=2)], ["mclr"], tmp_path)
