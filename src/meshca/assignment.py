@@ -192,8 +192,7 @@ class _RadioBook:
         """Give ``lid`` the channel, in the row and in the counts."""
         old = int(self.genes[lid])
         self.genes[lid] = channel
-        link = self.t.links[lid]
-        for v in (link.a, link.b):
+        for v in (int(self.t.link_a[lid]), int(self.t.link_b[lid])):
             held = self.counts.get(v)
             if held is None:
                 continue
@@ -211,9 +210,8 @@ def feasible_channels(lid: int, book: _RadioBook) -> list[int]:
     never empty for an assigned link."""
     t = book.t
     own = int(book.genes[lid])
-    link = t.links[lid]
     allowed = None
-    for v in (link.a, link.b):
+    for v in (int(t.link_a[lid]), int(t.link_b[lid])):
         held = book.counts.get(v, {})
         used = {c for c, n in held.items() if n > (c == own)}
         if len(used) >= t.radios[v]:

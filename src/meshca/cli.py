@@ -65,9 +65,8 @@ def _dump_ranks(problem, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["link_id", "node_a", "node_b", "rank", "schedule_position"])
-        for link in t.links:
-            w.writerow([link.id, link.a, link.b, repr(float(table.ranks[link.id])),
-                        position[link.id]])
+        for lid, (a, b) in enumerate(zip(t.link_a.tolist(), t.link_b.tolist())):
+            w.writerow([lid, a, b, repr(float(table.ranks[lid])), position[lid]])
     print(f"wrote {path}")
 
 

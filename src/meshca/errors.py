@@ -19,7 +19,7 @@ class NoGateway(MeshcaError):
 
 
 class InvalidRequiredRate(MeshcaError):
-    """A link's required data rate is zero or negative."""
+    """A link's required data rate is zero, negative or not finite."""
 
 
 class AllZeroValues(MeshcaError):

@@ -205,18 +205,19 @@ def select_parents(fitness: np.ndarray) -> np.ndarray:
 
 
 def crossover(genes_a: np.ndarray, fairness_a: np.ndarray,
-              genes_b: np.ndarray, fairness_b: np.ndarray, t: Topology,
-              cg: ConflictGraph, m: OverlapMatrix,
-              channel_count: int) -> np.ndarray:
+              genes_b: np.ndarray, fairness_b: np.ndarray,
+              problem: Problem) -> np.ndarray:
     """Children taking each gene from the parent whose link fairness is
     higher there (ties toward parent ``a``), each repaired if the mix
     broke a radio budget. Parents are (L,) rows or (n, L) batches, and
     the children have the same shape."""
+    t, k = problem.t, problem.channels
     children = np.where(fairness_a >= fairness_b, genes_a, genes_b)
-    if radio_constraint_binding(t, channel_count):
+    if radio_constraint_binding(t, k):
         rows = children.reshape(-1, children.shape[-1])
         for i in np.flatnonzero(~within_budget(rows, t)):
-            rows[i] = repair_radio_constraint(rows[i], t, cg, m, channel_count)
+            rows[i] = repair_radio_constraint(rows[i], t, problem.cg,
+                                              problem.m, k)
     return children
 
 
@@ -257,7 +258,6 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
         raise InvalidConfig(f"{algorithm!r} is not a GA variant")
     semi_chaotic, fair = _GA_KINDS[algorithm]
     cfg.validate()
-    t, cg, m, k = problem.t, problem.cg, problem.m, problem.channels
     init_ss, loop_ss = np.random.SeedSequence(seed).spawn(2)
     if semi_chaotic:
         genes = init_population_semi_chaotic(problem, cfg, init_ss)
@@ -270,7 +270,7 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
     iterations = last_improvement = 0
     while True:
         if cfg.validate_every_generation:
-            _check_population(genes, t, k)
+            _check_population(genes, problem.t, problem.channels)
         i = int(np.argmax(fitness))  # first of the best
         if fitness[i] > best_fitness:
             best_genes, best_fitness = genes[i].copy(), fitness[i]
@@ -296,7 +296,7 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
         a = parents[rng.integers(len(parents), size=n)]
         b = parents[rng.integers(len(parents), size=n)]
         children = crossover(genes[a], fairness[a], genes[b], fairness[b],
-                             t, cg, m, k)
+                             problem)
         child_fairness, _ = _evaluate_batch(children, problem, fair)
         # child 0 is replaced by the elite, so it is not mutated
         children[1:] = mutate(children[1:], child_fairness[1:], cfg, problem,

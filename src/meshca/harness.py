@@ -36,16 +36,6 @@ from .fitness import FitnessReport, _batch_link_fairness, evaluate, jain_index
 from .ga import ALGORITHMS, GaResult, Problem, run
 from .topology import ConflictGraph, Topology, build_conflict_graph, load_topology
 
-# aggregate column feeding each figure-style data file
-FIGURE_SERIES = {
-    "fig05_network_capacity": "nc_norm",
-    "fig06_link_capacity": "mean_link_cap",
-    "fig07_link_interference": "mean_link_intf",
-    "fig08_fni": "fni",
-    "fig09_link_fairness": "mean_link_fair",
-    "fig11_iterations": "iterations",
-}
-
 GA_SEED_OFFSET = 1
 
 
@@ -190,45 +180,15 @@ def write_aggregates_csv(rows: list[dict], path: str | Path) -> None:
             w.writerow([str(row[name]) for name in AGGREGATES_HEADER])
 
 
-def write_figure_data(rows: list[dict], out_dir: str | Path) -> list[Path]:
-    """One gnuplot-style data file per figure series: links on the x
-    axis, one column per algorithm, one row per scenario."""
-    out_dir = Path(out_dir)
-    scenarios: list[str] = []
-    algorithms: list[str] = []
-    for row in rows:
-        if row["scenario"] not in scenarios:
-            scenarios.append(row["scenario"])
-        if row["algorithm"] not in algorithms:
-            algorithms.append(row["algorithm"])
-    by_key = {(r["scenario"], r["algorithm"]): r for r in rows}
-    written = []
-    for name, column in FIGURE_SERIES.items():
-        path = out_dir / f"{name}.dat"
-        with open(path, "w") as fh:
-            fh.write(f"# {name}: {column} vs links\n")
-            fh.write("# links " + " ".join(algorithms) + "\n")
-            for scenario in scenarios:
-                cells = []
-                links = None
-                for algorithm in algorithms:
-                    row = by_key.get((scenario, algorithm))
-                    links = row["links"] if row else links
-                    cells.append(repr(row[column]) if row else "nan")
-                fh.write(f"{links!r} " + " ".join(cells) + "\n")
-        written.append(path)
-    return written
-
-
 def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
               out_dir: str | Path, ga: GaConfig | None = None,
               workers: int = 1) -> list[MetricsRecord]:
     """Run every scenario x replicate x algorithm combination.
 
     Writes ``results.csv`` (one row per run, flushed scenario by scenario
-    as results arrive), ``aggregates.csv`` (one row per scenario and
-    algorithm, metrics averaged over replicates), and the per-figure
-    ``.dat`` series. Returns the result records in file order.
+    as results arrive) and ``aggregates.csv`` (one row per scenario and
+    algorithm, metrics averaged over replicates). Returns the result
+    records in file order.
     """
     ga = ga or GaConfig()
     ga.validate()
@@ -295,9 +255,7 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
                     results[futures[future]] = future.result()
                     flush_ready()
 
-    rows = aggregate_records(records)
-    write_aggregates_csv(rows, out_dir / "aggregates.csv")
-    write_figure_data(rows, out_dir)
+    write_aggregates_csv(aggregate_records(records), out_dir / "aggregates.csv")
     return records
 
 

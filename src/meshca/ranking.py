@@ -129,12 +129,11 @@ def score_nodes(t: Topology) -> list[NodeScore]:
 
 
 def rank_links(t: Topology, scores: list[NodeScore]) -> LinkRankTable:
-    """Rank links by the sum of their endpoint scores and order the
-    schedule by descending rank, lower link id first on ties."""
-    by_id = {s.node_id: s.score for s in scores}
-    ranks = np.array(
-        [by_id[l.a] + by_id[l.b] for l in t.links], dtype=float
-    )
+    """Rank links by the sum of their endpoint scores (``scores`` in node
+    id order, as :func:`score_nodes` gives them) and order the schedule
+    by descending rank, lower link id first on ties."""
+    score = np.array([s.score for s in scores], dtype=float)
+    ranks = score[t.link_a] + score[t.link_b]
     schedule = np.array(
         sorted(range(t.link_count), key=lambda lid: (-ranks[lid], lid)),
         dtype=np.int64,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,54 +24,39 @@ from .errors import ConnectivityUnreachable, InvalidRequiredRate, ParseError
 PLACEMENT_ATTEMPTS = 1000
 
 
-@dataclass(frozen=True)
-class Node:
-    id: int
-    x: float
-    y: float
-    radios: int
-    is_gateway: bool = False
-
-
-@dataclass(frozen=True)
-class Link:
-    """Undirected link between nodes ``a`` and ``b`` (one record per pair)."""
-
-    id: int
-    a: int
-    b: int
-    length: float
-    required_rate: float
-
-
 class Topology:
-    """Immutable node/link structure plus cached adjacency.
+    """Immutable mesh topology held as arrays, plus cached adjacency.
+
+    A node ``v`` sits at ``positions[v]`` (an (n, 2) float array) with
+    ``radios[v]`` radios; ``gateways`` lists the gateway node ids. A link
+    ``l`` joins ``link_a[l]`` and ``link_b[l]`` with a required rate of
+    ``required_rates[l]``, and its length ``lengths[l]`` is the distance
+    between its endpoints.
 
     Safe to share across threads; all mutation happens during
     construction.
     """
 
-    def __init__(self, nodes: list[Node], links: list[Link],
-                 params: ScenarioConfig, seed: int):
-        self.nodes = tuple(nodes)
-        self.links = tuple(links)
+    def __init__(self, positions, radios, gateways, link_a, link_b,
+                 required_rates, params: ScenarioConfig, seed: int):
         self.params = params
         self.seed = seed
-        self.positions = np.array([(n.x, n.y) for n in nodes], dtype=float)
-        self.radios = np.array([n.radios for n in nodes], dtype=np.int64)
-        self.gateways = tuple(n.id for n in nodes if n.is_gateway)
-        # endpoint arrays indexed by link id
-        self.link_a = np.array([l.a for l in links], dtype=np.int64)
-        self.link_b = np.array([l.b for l in links], dtype=np.int64)
-        self.lengths = np.array([l.length for l in links], dtype=float)
-        self.required_rates = np.array([l.required_rate for l in links], dtype=float)
-        self.adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes]
-        self.incident_links: list[list[int]] = [[] for _ in nodes]
-        for l in links:
-            self.adjacency[l.a].append((l.b, l.id))
-            self.adjacency[l.b].append((l.a, l.id))
-            self.incident_links[l.a].append(l.id)
-            self.incident_links[l.b].append(l.id)
+        self.positions = np.array(positions, dtype=float).reshape(-1, 2)
+        self.radios = np.array(radios, dtype=np.int64)
+        self.gateways = tuple(int(v) for v in gateways)
+        self.link_a = np.array(link_a, dtype=np.int64)
+        self.link_b = np.array(link_b, dtype=np.int64)
+        self.lengths = _euclid(self.positions, self.link_a, self.link_b)
+        self.required_rates = np.array(required_rates, dtype=float)
+        n = len(self.positions)
+        self.adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.incident_links: list[list[int]] = [[] for _ in range(n)]
+        for lid, (a, b) in enumerate(zip(self.link_a.tolist(),
+                                         self.link_b.tolist())):
+            self.adjacency[a].append((b, lid))
+            self.adjacency[b].append((a, lid))
+            self.incident_links[a].append(lid)
+            self.incident_links[b].append(lid)
         # nodes with more incident links than radios, the only ones whose
         # radio budget can bind; row i of crowded_links holds the links of
         # crowded[i], padded by repeating its first link
@@ -88,24 +72,27 @@ class Topology:
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.positions)
 
     @property
     def link_count(self) -> int:
-        return len(self.links)
+        return len(self.link_a)
 
     def to_dict(self) -> dict:
+        gateways = set(self.gateways)
         return {
             "seed": self.seed,
             "params": self.params.to_dict(),
             "nodes": [
-                {"id": n.id, "x": n.x, "y": n.y, "radios": n.radios,
-                 "gateway": n.is_gateway}
-                for n in self.nodes
+                {"id": v, "x": x, "y": y, "radios": r, "gateway": v in gateways}
+                for v, ((x, y), r) in enumerate(zip(self.positions.tolist(),
+                                                     self.radios.tolist()))
             ],
             "links": [
-                {"id": l.id, "a": l.a, "b": l.b, "required_rate": l.required_rate}
-                for l in self.links
+                {"id": lid, "a": a, "b": b, "required_rate": rate}
+                for lid, (a, b, rate) in enumerate(zip(
+                    self.link_a.tolist(), self.link_b.tolist(),
+                    self.required_rates.tolist()))
             ],
         }
 
@@ -130,9 +117,11 @@ class ConflictGraph:
         return len(self.edges)
 
 
-def _euclid(ax: float, ay: float, bx: float, by: float) -> float:
-    # single scalar formula so generator and loader agree bit-for-bit
-    return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
+def _euclid(positions: np.ndarray, a, b) -> np.ndarray:
+    """Distances between nodes ``a`` and ``b`` (index arrays): the one
+    length formula, so generator and loader agree bit-for-bit."""
+    d = positions[a] - positions[b]
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
 
 
 def _pairwise_link_distances(positions: np.ndarray, link_a: np.ndarray,
@@ -268,34 +257,31 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
             f"after {PLACEMENT_ATTEMPTS} attempts"
         )
 
-    lengths = {
-        (int(a), int(b)): _euclid(xs[a], ys[a], xs[b], ys[b])
-        for a, b in pairs
-    }
+    lengths = dict(zip(pairs, _euclid(positions, ia, ib).tolist()))
     pairs = _prune_to_degree_cap(adj, lengths, config.degree_cap)
 
     center = np.array([config.area_w / 2.0, config.area_h / 2.0])
     center_dist = np.linalg.norm(positions - center, axis=1)
-    gateway_ids = set(np.argsort(center_dist, kind="stable")
+    gateways = sorted(np.argsort(center_dist, kind="stable")
                       [: config.gateway_count].tolist())
 
-    nodes = [
-        Node(id=i, x=float(xs[i]), y=float(ys[i]), radios=config.radios,
-             is_gateway=i in gateway_ids)
-        for i in range(n)
+    required = [
+        float(rng.uniform(config.rate_lo, config.rate_hi)
+              * _zero_interference_rate(lengths[pair], config))
+        for pair in pairs
     ]
-    links = []
-    for lid, (a, b) in enumerate(pairs):
-        length = lengths[(a, b)]
-        cap_rate = _zero_interference_rate(length, config)
-        required = float(rng.uniform(config.rate_lo, config.rate_hi) * cap_rate)
-        links.append(Link(id=lid, a=a, b=b, length=length,
-                          required_rate=required))
-    return Topology(nodes, links, config, seed)
+    link_a, link_b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return Topology(positions, np.full(n, config.radios), gateways,
+                    link_a, link_b, required, config, seed)
 
 
 def save_topology(t: Topology, path: str | Path) -> None:
     Path(path).write_text(json.dumps(t.to_dict(), indent=1) + "\n")
+
+
+def _finite(value) -> bool:
+    """A JSON number (not a bool) that is neither infinite nor NaN."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def load_topology(path: str | Path) -> Topology:
@@ -308,13 +294,15 @@ def load_topology(path: str | Path) -> Topology:
     ------
     ParseError
         If the file is unreadable or malformed: node or link ids not
-        ``0..n-1`` in order, a node without radios, an endpoint that is
-        not a node id, a self-loop, a repeated node pair, or links that
+        ``0..n-1`` in order, a seed that is not an int, a coordinate that
+        is not a finite number, a radio count that is not a positive int,
+        a gateway flag that is not a bool, an endpoint that is not a node
+        id, a self-loop, a repeated node pair, or links that
         do not connect every node.
     InvalidConfig
         If the scenario parameters fail validation.
     InvalidRequiredRate
-        If a link's required rate is not positive.
+        If a link's required rate is not positive and finite.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -323,40 +311,47 @@ def load_topology(path: str | Path) -> Topology:
     try:
         params = ScenarioConfig.from_dict(doc["params"])
         params.validate()
-        nodes = [
-            Node(id=nd["id"], x=nd["x"], y=nd["y"], radios=nd["radios"],
-                 is_gateway=nd["gateway"])
-            for nd in doc["nodes"]
-        ]
+        if type(doc["seed"]) is not int:
+            raise ParseError(f"{path}: seed {doc['seed']!r} is not an int")
+        nodes = doc["nodes"]
         n = len(nodes)
-        if [nd.id for nd in nodes] != list(range(n)):
+        if [nd["id"] for nd in nodes] != list(range(n)):
             raise ParseError(f"{path}: node ids must be 0..{n - 1} in order")
-        if not all(nd.radios >= 1 for nd in nodes):
-            raise ParseError(f"{path}: every node needs at least one radio")
-        links = []
+        positions = [(nd["x"], nd["y"]) for nd in nodes]
+        if not all(_finite(x) and _finite(y) for x, y in positions):
+            raise ParseError(f"{path}: node coordinates must be finite numbers")
+        radios = [nd["radios"] for nd in nodes]
+        if not all(type(r) is int and r >= 1 for r in radios):
+            raise ParseError(f"{path}: every node needs a whole number of "
+                             f"radios, at least one")
+        if not all(type(nd["gateway"]) is bool for nd in nodes):
+            raise ParseError(f"{path}: every node's gateway flag must be "
+                             f"true or false")
+        gateways = [v for v, nd in enumerate(nodes) if nd["gateway"]]
+        link_a, link_b, rates = [], [], []
         pairs = set()
         for lid, ld in enumerate(doc["links"]):
             a, b, rate = ld["a"], ld["b"], ld["required_rate"]
             if ld["id"] != lid:
                 raise ParseError(f"{path}: link {lid} has id {ld['id']!r}; "
                                  f"link ids must be 0..L-1 in order")
-            if not (0 <= a < n and 0 <= b < n) or a == b:
+            if not (type(a) is int and type(b) is int
+                    and 0 <= a < n and 0 <= b < n and a != b):
                 raise ParseError(f"{path}: link {lid} joins {a!r} and {b!r}; "
                                  f"endpoints must be two distinct node ids")
             if (min(a, b), max(a, b)) in pairs:
                 raise ParseError(f"{path}: link {lid} repeats node pair {a}-{b}")
             pairs.add((min(a, b), max(a, b)))
-            if not rate > 0:
+            if not (rate > 0 and math.isfinite(rate)):
                 raise InvalidRequiredRate(
                     f"{path}: link {lid} has required_rate {rate!r}, "
-                    f"which must be positive")
-            links.append(Link(
-                id=lid, a=a, b=b,
-                length=_euclid(nodes[a].x, nodes[a].y, nodes[b].x, nodes[b].y),
-                required_rate=rate,
-            ))
+                    f"which must be positive and finite")
+            link_a.append(a)
+            link_b.append(b)
+            rates.append(rate)
         if n and len(_search(_adjacency(n, pairs), 0)) < n:
             raise ParseError(f"{path}: the links do not connect every node")
-        return Topology(nodes, links, params, doc["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return Topology(positions, radios, gateways, link_a, link_b, rates,
+                        params, doc["seed"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed topology file {path}: {exc}") from exc

@@ -11,7 +11,7 @@ from meshca.config import RadioModel, ScenarioConfig
 from meshca.fitness import _batch_link_fairness, jain_index
 from meshca.ga import Problem
 from meshca.harness import OracleResult
-from meshca.topology import Link, Node, Topology, build_conflict_graph
+from meshca.topology import Topology, build_conflict_graph
 
 
 def make_topology(positions, link_pairs=None, radios=3, gateways=(0,),
@@ -37,11 +37,6 @@ def make_topology(positions, link_pairs=None, radios=3, gateways=(0,),
         radios=radios,
         channels=channels,
     )
-    nodes = [
-        Node(id=i, x=float(positions[i][0]), y=float(positions[i][1]),
-             radios=radios, is_gateway=i in set(gateways))
-        for i in range(n)
-    ]
     if link_pairs is None:
         link_pairs = [
             (i, j)
@@ -53,13 +48,10 @@ def make_topology(positions, link_pairs=None, radios=3, gateways=(0,),
         required = 1.0
     if np.isscalar(required):
         required = [float(required)] * len(link_pairs)
-    links = [
-        Link(id=k, a=a, b=b,
-             length=float(np.linalg.norm(positions[a] - positions[b])),
-             required_rate=required[k])
-        for k, (a, b) in enumerate(link_pairs)
-    ]
-    return Topology(nodes, links, params, seed=0)
+    link_a = [a for a, _ in link_pairs]
+    link_b = [b for _, b in link_pairs]
+    return Topology(positions, [radios] * n, gateways, link_a, link_b,
+                    required, params, seed=0)
 
 
 def line_topology(n=4, spacing=100.0, **kwargs):

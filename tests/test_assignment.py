@@ -25,8 +25,6 @@ from meshca.assignment import (
 from meshca.ranking import rank_links, score_nodes
 from meshca.topology import (
     ConflictGraph,
-    Link,
-    Node,
     Topology,
     build_conflict_graph,
 )
@@ -437,13 +435,13 @@ def budget_cases(draw):
                                max_size=len(pairs), unique=True))
     radios = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     k = draw(st.integers(1, 6))
-    nodes = [Node(i, 40.0 * i, 0.0, radios[i], i == 0) for i in range(n)]
-    links = [Link(j, a, b, 40.0 * (b - a), 1.0)
-             for j, (a, b) in enumerate(link_pairs)]
-    t = Topology(nodes, links,
+    L = len(link_pairs)
+    t = Topology([(40.0 * i, 0.0) for i in range(n)], radios, [0],
+                 [a for a, _ in link_pairs], [b for _, b in link_pairs],
+                 [1.0] * L,
                  ScenarioConfig(name="budget", node_count=n, channels=k), 0)
     rows = draw(st.lists(st.lists(st.integers(UNASSIGNED, k - 1),
-                                  min_size=len(links), max_size=len(links)),
+                                  min_size=L, max_size=L),
                          min_size=1, max_size=4))
     return t, k, np.array(rows, dtype=np.int64)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -185,9 +186,12 @@ class TestInputErrors:
         (lambda d: d["links"][0].update(b=d["links"][0]["a"]), 3),
         (lambda d: d["nodes"][0].update(radios=0), 3),
         (lambda d: d["params"].update(channels=0), 2),
+        (lambda d: d["nodes"][0].update(x=math.nan), 3),
+        (lambda d: d["nodes"][0].update(radios=2.5), 3),
+        (lambda d: d["links"][0].update(required_rate=math.inf), 2),
     ], ids=["zero_rate", "negative_rate", "link_id_999",
             "endpoint_out_of_range", "self_loop", "node_without_radios",
-            "zero_channels"])
+            "zero_channels", "nan_x", "fractional_radios", "infinite_rate"])
     def test_bad_topology_file(self, tmp_path, topology_path, capsys, edit,
                                code):
         _break_topology(topology_path, edit)

@@ -192,7 +192,7 @@ class TestFairnessFitness:
         genes = a.genes.tolist()
         conflict_pairs = {tuple(e) for e in cg.edges}
         fair = []
-        for lid, link in enumerate(t.links):
+        for lid, length in enumerate(t.lengths):
             interference = 0.0
             for other in range(4):
                 if other == lid:
@@ -202,7 +202,7 @@ class TestFairnessFitness:
                         interference += 1.0
             assert report.interference[lid] == pytest.approx(interference)
             snr = 20.0 / (10.0 * 2.0 * (1.0 + interference)
-                          * math.log10(max(link.length, 10.0)))
+                          * math.log10(max(length, 10.0)))
             assert report.snr[lid] == pytest.approx(snr, rel=1e-12)
             rate = 20.0 * math.log2(1.0 + snr)
             assert report.actual_rate[lid] == pytest.approx(rate, rel=1e-12)

@@ -40,13 +40,7 @@ from meshca.ga import (
     select_parents,
 )
 from meshca.ranking import rank_links, score_nodes
-from meshca.topology import (
-    Link,
-    Node,
-    Topology,
-    build_conflict_graph,
-    generate_topology,
-)
+from meshca.topology import Topology, build_conflict_graph, generate_topology
 from conftest import assert_valid, make_topology, reference_radio_violations
 
 
@@ -229,7 +223,7 @@ class TestCrossover:
         t, cg, m = setup_instance(4, channels=3)
         genes = np.array([0, 1, 2, 0])
         fair = link_fairness_of(genes, 3, t, cg, m)
-        child = crossover(genes, fair, genes, fair, t, cg, m, 3)
+        child = crossover(genes, fair, genes, fair, Problem(t, cg, m, RM))
         assert np.array_equal(child, genes)
 
     def test_per_gene_dominance(self):
@@ -243,7 +237,8 @@ class TestCrossover:
         cg = build_conflict_graph(t)
         m = OverlapMatrix.orthogonal(2)
         child = crossover(np.array([0, 0]), np.array([1.0, 0.2]),
-                          np.array([1, 1]), np.array([0.2, 1.0]), t, cg, m, 2)
+                          np.array([1, 1]), np.array([0.2, 1.0]),
+                          Problem(t, cg, m, RM))
         assert child.tolist() == [0, 1]
 
     def test_matches_per_gene_argmax_oracle(self):
@@ -254,9 +249,9 @@ class TestCrossover:
         problem = Problem(t, cg, m, RM)
         fa, _ = _evaluate_batch(ga, problem, True)
         fb, _ = _evaluate_batch(gb, problem, True)
-        children = crossover(ga, fa, gb, fb, t, cg, m, 3)
+        children = crossover(ga, fa, gb, fb, problem)
         for i in range(30):
-            child = crossover(ga[i], fa[i], gb[i], fb[i], t, cg, m, 3)
+            child = crossover(ga[i], fa[i], gb[i], fb[i], problem)
             assert np.array_equal(children[i], child)
             fa_i = link_fairness_of(ga[i], 3, t, cg, m)
             fb_i = link_fairness_of(gb[i], 3, t, cg, m)
@@ -266,6 +261,7 @@ class TestCrossover:
 
     def test_repairs_radio_violations(self):
         t, cg, m = setup_instance(6, channels=6, radios=2)
+        problem = Problem(t, cg, m, RM)
         rng = np.random.default_rng(13)
         for _ in range(30):
             ga = rng.integers(6, size=6)
@@ -275,8 +271,7 @@ class TestCrossover:
             ga = repair_radio_constraint(ga, t, cg, m, 6)
             gb = repair_radio_constraint(gb, t, cg, m, 6)
             child = crossover(ga, link_fairness_of(ga, 6, t, cg, m),
-                              gb, link_fairness_of(gb, 6, t, cg, m),
-                              t, cg, m, 6)
+                              gb, link_fairness_of(gb, 6, t, cg, m), problem)
             assert_valid(child, t, 6)
 
 
@@ -344,10 +339,8 @@ def tree_problems(draw):
     radios = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     k = draw(st.integers(2, 12))
     x = [80.0 * draw(st.integers(0, 12)) for _ in range(n)]
-    nodes = [Node(v, x[v], 10.0 * v, radios[v], v == 0) for v in range(n)]
-    links = [Link(j, a, b, abs(x[a] - x[b]) + 10.0, 1.0)
-             for j, (a, b) in enumerate(pairs)]
-    t = Topology(nodes, links,
+    t = Topology([(x[v], 10.0 * v) for v in range(n)], radios, [0],
+                 [a for a, _ in pairs], [b for _, b in pairs], [1.0] * (n - 1),
                  ScenarioConfig(name="tree", node_count=n, channels=k), 0)
     m = OverlapMatrix.graded(k) if draw(st.booleans()) else \
         OverlapMatrix.orthogonal(k)
@@ -359,7 +352,8 @@ def bound_links(t, k):
     radios than channels."""
     binding = {v for v in range(t.node_count)
                if len(t.incident_links[v]) > t.radios[v] and t.radios[v] < k}
-    return {l.id for l in t.links if l.a in binding or l.b in binding}
+    return {lid for lid, (a, b) in enumerate(zip(t.link_a, t.link_b))
+            if a in binding or b in binding}
 
 
 def reference_redraw(genes, hit, u, problem, free_first=False):

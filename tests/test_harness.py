@@ -346,11 +346,10 @@ class TestSweep:
             assert r.mean_link_intf >= 0.0
             assert r.iterations >= 0
 
-    def test_figure_files_written(self, tmp_path):
+    def test_writes_only_results_and_aggregates(self, tmp_path):
         run_sweep([tiny_scenario()], ["mclr"], tmp_path)
-        for stem in ("fig05_network_capacity", "fig08_fni",
-                     "fig11_iterations"):
-            assert (tmp_path / f"{stem}.dat").exists()
+        assert {p.name for p in tmp_path.iterdir()} == {"results.csv",
+                                                        "aggregates.csv"}
 
     def test_replicate_ranks_nodes_once(self, monkeypatch):
         calls = []

@@ -204,12 +204,12 @@ class TestRankLinks:
         scores = score_nodes(t)
         table = rank_links(t, scores)
         by_id = {s.node_id: s.score for s in scores}
-        expected_ranks = [by_id[l.a] + by_id[l.b] for l in t.links]
+        expected_ranks = [by_id[a] + by_id[b]
+                          for a, b in zip(t.link_a.tolist(), t.link_b.tolist())]
         assert np.allclose(table.ranks, expected_ranks)
         expected_schedule = [
             lid for _, lid in sorted(
-                ((-expected_ranks[l.id], l.id) for l in t.links)
-            )
+                (-rank, lid) for lid, rank in enumerate(expected_ranks))
         ]
         assert table.schedule.tolist() == expected_schedule
 

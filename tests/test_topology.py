@@ -45,8 +45,8 @@ class TestGenerateTopology:
         t = generate_topology(cfg, seed=42)
         assert t.node_count == 50
         assert bfs_reaches_all(t)
-        assert all(l.length <= cfg.comm_range for l in t.links)
-        assert all(l.required_rate > 0 for l in t.links)
+        assert (t.lengths <= cfg.comm_range).all()
+        assert (t.required_rates > 0).all()
         assert len(t.gateways) == 1
 
     def test_two_close_nodes_give_single_link(self):
@@ -54,7 +54,7 @@ class TestGenerateTopology:
                              comm_range=252, interference_distance=514)
         t = generate_topology(cfg, seed=0)
         assert t.link_count == 1
-        assert {t.links[0].a, t.links[0].b} == {0, 1}
+        assert {int(t.link_a[0]), int(t.link_b[0])} == {0, 1}
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         cfg = ScenarioConfig(node_count=25)
@@ -200,8 +200,8 @@ class TestDegreeCapPrune:
 def min_link_distance(a, b, t):
     """Shortest distance between an endpoint of link ``a`` and one of
     link ``b``, by enumerating the four endpoint pairs."""
-    p = t.positions
-    return min(math.dist(p[i], p[j]) for i in (a.a, a.b) for j in (b.a, b.b))
+    p, ends = t.positions, (t.link_a, t.link_b)
+    return min(math.dist(p[i[a]], p[j[b]]) for i in ends for j in ends)
 
 
 def link_distance(t, i, j):
@@ -228,15 +228,11 @@ class TestMinLinkDistance:
         pos = rng.uniform(0, 500, size=(4, 2))
         t = make_topology(pos, link_pairs=[(0, 1), (2, 3)], comm_range=1e9,
                           interference=2e9, area=1000.0)
-        a, b = t.links
-        expected = min(
-            math.dist(pos[i], pos[j])
-            for i in (a.a, a.b)
-            for j in (b.a, b.b)
-        )
+        expected = min(math.dist(pos[i], pos[j]) for i in (0, 1)
+                       for j in (2, 3))
         assert link_distance(t, 0, 1) == pytest.approx(expected, rel=1e-12)
         assert link_distance(t, 0, 1) == link_distance(t, 1, 0)
-        assert min_link_distance(a, b, t) == pytest.approx(expected, rel=1e-12)
+        assert min_link_distance(0, 1, t) == pytest.approx(expected, rel=1e-12)
 
 
 class TestConflictGraph:
@@ -257,13 +253,10 @@ class TestConflictGraph:
         t = small_random_topology
         cg = build_conflict_graph(t)
         expected = set()
-        for a in t.links:
-            for b in t.links:
-                if a.id < b.id and (
-                    min_link_distance(a, b, t)
-                    < t.params.interference_distance
-                ):
-                    expected.add((a.id, b.id))
+        for a in range(t.link_count):
+            for b in range(a + 1, t.link_count):
+                if min_link_distance(a, b, t) < t.params.interference_distance:
+                    expected.add((a, b))
         assert {tuple(e) for e in cg.edges} == expected
 
     def test_symmetric_irreflexive(self, small_random_topology,
@@ -324,10 +317,23 @@ class TestLoadTopologyValidation:
         (lambda d: d["nodes"][0].update(id=99), ParseError),
         (lambda d: d["nodes"][0].update(radios=0), ParseError),
         (lambda d: d["params"].update(channels=0), InvalidConfig),
+        (lambda d: d["nodes"][0].update(x=math.nan), ParseError),
+        (lambda d: d["nodes"][1].update(y=-math.inf), ParseError),
+        (lambda d: d["nodes"][0].update(x="12.5"), ParseError),
+        (lambda d: d["nodes"][0].update(x=10 ** 400), ParseError),
+        (lambda d: d["nodes"][0].update(radios=2.5), ParseError),
+        (lambda d: d["nodes"][0].update(radios=True), ParseError),
+        (lambda d: d["links"][0].update(required_rate=math.inf), InvalidRequiredRate),
+        (lambda d: d["links"][0].update(required_rate=math.nan), InvalidRequiredRate),
+        (lambda d: d["links"][0].update(a=float(d["links"][0]["a"])), ParseError),
+        (lambda d: d["nodes"][0].update(gateway="no"), ParseError),
+        (lambda d: d.update(seed="7"), ParseError),
     ], ids=["zero_rate", "negative_rate", "link_id_999", "link_ids_out_of_order",
             "endpoint_past_last_node", "negative_endpoint", "self_loop",
             "repeated_pair", "node_id_gap", "node_without_radios",
-            "invalid_params"])
+            "invalid_params", "nan_x", "infinite_y", "string_x", "huge_x",
+            "fractional_radios", "bool_radios", "infinite_rate", "nan_rate",
+            "float_endpoint", "string_gateway", "string_seed"])
     def test_malformed_document_rejected(self, tmp_path, small_random_topology,
                                          edit, error):
         doc = small_random_topology.to_dict()
