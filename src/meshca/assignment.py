@@ -6,7 +6,10 @@ is the sum of channel-overlap ratios against its conflict-graph
 neighbors, so orthogonal channels contribute nothing and a shared
 channel contributes 1. Every operation here preserves the radio
 constraint: the number of distinct channels on links incident to a node
-never exceeds that node's radio count.
+never exceeds that node's radio count. The budget, repair and MCLR
+helpers take the :class:`~meshca.ga.Problem`, which holds the channel
+count and the one rule for which nodes' budgets can bind
+(``Problem.binding``).
 """
 
 from __future__ import annotations
@@ -14,12 +17,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidAssignment, InvalidConfig, ParseError
-from .topology import ConflictGraph, Topology
+from .topology import ConflictGraph
 from .ranking import LinkRankTable
+
+if TYPE_CHECKING:
+    from .ga import Problem
 
 UNASSIGNED = -1
 
@@ -38,9 +45,6 @@ class ChannelAssignment:
 
     def __post_init__(self):
         self.genes = np.asarray(self.genes, dtype=np.int64)
-
-    def copy(self) -> "ChannelAssignment":
-        return ChannelAssignment(self.genes.copy(), self.channel_count)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ChannelAssignment)
@@ -132,59 +136,52 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
     return out[0] if genes.ndim == 1 else out
 
 
-def _channel_interference_all(l: int, genes: np.ndarray, cg: ConflictGraph,
-                              m: OverlapMatrix) -> np.ndarray:
+def _channel_interference_all(l: int, genes: np.ndarray,
+                              problem: Problem) -> np.ndarray:
     """Interference index of link ``l`` for every candidate channel,
     against its assigned conflict neighbors (unassigned ones add 0)."""
-    nbr_genes = genes[cg.neighbors[l]]
+    nbr_genes = genes[problem.cg.neighbors[l]]
     nbr_genes = nbr_genes[nbr_genes >= 0]
     if not len(nbr_genes):
-        return np.zeros(m.channel_count)
-    return m.ratio[:, nbr_genes].sum(axis=1)
+        return np.zeros(problem.channels)
+    return problem.m.ratio[:, nbr_genes].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # radio constraint
 
 
-def radio_constraint_binding(t: Topology, channel_count: int) -> bool:
-    """True when some node has more incident links than radios and fewer
-    radios than channels, so its radio budget can bind; otherwise every
-    channel is feasible for every link, enabling unconstrained fast paths."""
-    return bool((t.radios[t.crowded] < channel_count).any())
-
-
-def channels_in_use(genes: np.ndarray, t: Topology) -> np.ndarray:
-    """Distinct assigned channels at each of ``t.crowded``'s nodes, for an
-    (L,) row or a (P, L) batch of genes (shape (C,) or (P, C));
+def channels_in_use(genes: np.ndarray, problem: Problem) -> np.ndarray:
+    """Distinct assigned channels at each of ``problem.binding``'s nodes,
+    for an (L,) row or a (P, L) batch of genes (shape (B,) or (P, B));
     ``UNASSIGNED`` genes are not counted. No other node can exceed its
-    radio budget: its distinct channels are at most its link count."""
-    sub = np.sort(np.asarray(genes)[..., t.crowded_links], axis=-1)
+    radio budget: its distinct channels are at most its link count and
+    at most the channel count."""
+    sub = np.sort(np.asarray(genes)[..., problem.binding_links], axis=-1)
     distinct = 1 + np.count_nonzero(np.diff(sub, axis=-1), axis=-1)
     return distinct - (sub[..., 0] == UNASSIGNED)
 
 
-def within_budget(genes: np.ndarray, t: Topology) -> np.ndarray:
+def within_budget(genes: np.ndarray, problem: Problem) -> np.ndarray:
     """Whether an (L,) row, or each row of a (P, L) batch, keeps every
     node within its radio budget."""
-    return (channels_in_use(genes, t) <= t.radios[t.crowded]).all(axis=-1)
+    radios = problem.t.radios[problem.binding]
+    return (channels_in_use(genes, problem) <= radios).all(axis=-1)
 
 
 class _RadioBook:
-    """A gene row plus, per crowded node (``Topology.crowded``), how many
-    of its assigned incident links hold each channel. Other nodes have
-    no more links than radios, so their budgets never bind and they are
-    not counted. :meth:`set` keeps the row and the counts in step."""
+    """A gene row plus, per binding node (``Problem.binding``), how many
+    of its assigned incident links hold each channel. Other nodes' budgets
+    never bind, so they are not counted. :meth:`set` keeps the row and the
+    counts in step."""
 
-    def __init__(self, t: Topology, genes: np.ndarray, channel_count: int):
-        self.t = t
-        self.genes = genes
-        self.channel_count = channel_count
+    def __init__(self, problem: Problem, genes: np.ndarray):
+        self.problem, self.t, self.genes = problem, problem.t, genes
         row = genes.tolist()
         self.counts: dict[int, dict[int, int]] = {}
-        for v in t.crowded.tolist():
+        for v in problem.binding.tolist():
             held = self.counts[v] = {}
-            for c in (row[lid] for lid in t.incident_links[v]):
+            for c in (row[lid] for lid in self.t.incident_links[v]):
                 if c >= 0:
                     held[c] = held.get(c, 0) + 1
 
@@ -217,14 +214,13 @@ def feasible_channels(lid: int, book: _RadioBook) -> list[int]:
         if len(used) >= t.radios[v]:
             allowed = used if allowed is None else allowed & used
     if allowed is None:
-        return list(range(book.channel_count))
+        return list(range(book.problem.channels))
     if own >= 0:
         allowed.add(own)
-    return sorted(c for c in allowed if c < book.channel_count)
+    return sorted(c for c in allowed if c < book.problem.channels)
 
 
-def _assign_stuck(lid: int, book: _RadioBook, cg: ConflictGraph,
-                  m: OverlapMatrix) -> None:
+def _assign_stuck(lid: int, book: _RadioBook) -> None:
     """Both endpoints are at budget with disjoint palettes: merge them.
 
     The link takes the least-interfering channel already used at either
@@ -236,7 +232,7 @@ def _assign_stuck(lid: int, book: _RadioBook, cg: ConflictGraph,
     t, genes = book.t, book.genes
     u, v = int(t.link_a[lid]), int(t.link_b[lid])
     pool = sorted(book.counts[u].keys() | book.counts[v].keys())
-    per_channel = _channel_interference_all(lid, genes, cg, m)
+    per_channel = _channel_interference_all(lid, genes, book.problem)
     c = min(pool, key=lambda ch: (per_channel[ch], ch))
     book.set(lid, c)
     queue = [u, v]
@@ -251,9 +247,8 @@ def _assign_stuck(lid: int, book: _RadioBook, cg: ConflictGraph,
                 queue.extend((int(t.link_a[l2]), int(t.link_b[l2])))
 
 
-def repair_radio_constraint(genes: np.ndarray, t: Topology, cg: ConflictGraph,
-                            m: OverlapMatrix,
-                            channel_count: int) -> np.ndarray:
+def repair_radio_constraint(genes: np.ndarray,
+                            problem: Problem) -> np.ndarray:
     """Rebuild an assignment link by link, keeping each requested gene
     when the radio budgets allow it and otherwise substituting the
     least-interfering feasible channel (reusing an endpoint channel).
@@ -261,21 +256,19 @@ def repair_radio_constraint(genes: np.ndarray, t: Topology, cg: ConflictGraph,
     Already-valid assignments are returned unchanged (the rebuild would
     keep every gene anyway, since a valid assignment stays within budget
     on every prefix)."""
-    if not radio_constraint_binding(t, channel_count):
+    if within_budget(genes, problem):
         return genes
-    if within_budget(genes, t):
-        return genes
-    out = np.full(t.link_count, UNASSIGNED, dtype=np.int64)
-    book = _RadioBook(t, out, channel_count)
-    for lid in range(t.link_count):
+    out = np.full(problem.t.link_count, UNASSIGNED, dtype=np.int64)
+    book = _RadioBook(problem, out)
+    for lid in range(len(out)):
         cand = feasible_channels(lid, book)
         if not cand:
-            _assign_stuck(lid, book, cg, m)
+            _assign_stuck(lid, book)
             continue
         if genes[lid] in cand:
             c = int(genes[lid])
         else:
-            per_channel = _channel_interference_all(lid, out, cg, m)
+            per_channel = _channel_interference_all(lid, out, problem)
             c = min(cand, key=lambda ch: (per_channel[ch], ch))
         book.set(lid, c)
     return out
@@ -285,8 +278,7 @@ def repair_radio_constraint(genes: np.ndarray, t: Topology, cg: ConflictGraph,
 # greedy assignment
 
 
-def mclr_assign(t: Topology, cg: ConflictGraph, rt: LinkRankTable,
-                m: OverlapMatrix, channels: int) -> ChannelAssignment:
+def mclr_assign(problem: Problem, rt: LinkRankTable) -> ChannelAssignment:
     """Greedy rank-ordered channel assignment (the primary chromosome).
 
     Links are visited in descending rank order. Each link takes the
@@ -297,26 +289,24 @@ def mclr_assign(t: Topology, cg: ConflictGraph, rt: LinkRankTable,
     degree, the interference it would suffer in a single-channel network;
     so the fallback never makes a link worse than the common channel would.
     """
-    if channels < 1:
-        raise InvalidConfig(f"channels must be >= 1, got {channels}")
-    genes = np.full(t.link_count, UNASSIGNED, dtype=np.int64)
-    book = _RadioBook(t, genes, channels)
+    genes = np.full(problem.t.link_count, UNASSIGNED, dtype=np.int64)
+    book = _RadioBook(problem, genes)
     for lid in rt.schedule:
         lid = int(lid)
         cand = feasible_channels(lid, book)
         if not cand:
-            _assign_stuck(lid, book, cg, m)
+            _assign_stuck(lid, book)
             continue
-        per_channel = _channel_interference_all(lid, genes, cg, m)
+        per_channel = _channel_interference_all(lid, genes, problem)
         zero = [c for c in cand if per_channel[c] == 0.0]
         if zero:
             c = zero[0]
         else:
             c = min(cand, key=lambda ch: (per_channel[ch], ch))
-            if per_channel[c] > cg.degrees[lid] and 0 in cand:
+            if per_channel[c] > problem.cg.degrees[lid] and 0 in cand:
                 c = 0
         book.set(lid, c)
-    return ChannelAssignment(genes, channels)
+    return ChannelAssignment(genes, problem.channels)
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +335,14 @@ def load_assignment(path: str | Path) -> tuple[ChannelAssignment, dict]:
 
     Metadata holds the ``algorithm`` header and, when the file has one,
     the ``seed`` header. Channels out of range, duplicate or missing link
-    ids, and malformed rows raise ``ParseError`` naming the offending
-    entry.
+    ids, malformed rows and a ``channels`` or ``seed`` header that is not
+    an integer raise ``ParseError`` naming the offending entry.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read assignment file {path}: {exc}") from exc
     meta: dict = {"algorithm": "unknown"}
-    channels = None
     rows: dict[int, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -363,12 +352,14 @@ def load_assignment(path: str | Path) -> tuple[ChannelAssignment, dict]:
             match = _HEADER_RE.match(line)
             if match:
                 key, value = match.groups()
-                if key == "channels":
-                    channels = int(value)
-                elif key == "seed":
-                    meta["seed"] = int(value)
-                elif key == "algorithm":
+                if key == "algorithm":
                     meta["algorithm"] = value
+                elif key in ("channels", "seed"):
+                    try:
+                        meta[key] = int(value)
+                    except ValueError as exc:
+                        raise ParseError(f"{path}:{lineno}: '# {key}:' header "
+                                         f"{value!r} is not an integer") from exc
             continue
         if line == "link_id,channel":
             continue
@@ -382,6 +373,7 @@ def load_assignment(path: str | Path) -> tuple[ChannelAssignment, dict]:
         if lid in rows:
             raise ParseError(f"{path}:{lineno}: duplicate link id {lid}")
         rows[lid] = c
+    channels = meta.pop("channels", None)
     if channels is None or channels < 1:
         raise ParseError(f"{path}: missing or invalid '# channels:' header")
     if not rows:

@@ -142,6 +142,10 @@ class ScenarioConfig:
                 f"topologies_per_scenario must be >= 1, got "
                 f"{self.topologies_per_scenario}"
             )
+        if self.master_seed < 0:
+            raise InvalidConfig(
+                f"master_seed must be >= 0, got {self.master_seed}"
+            )
         self.radio_model.validate()
 
     def to_dict(self) -> dict[str, Any]:
@@ -166,7 +170,8 @@ class GaConfig:
     the best fairness index reaches ``target_fairness``. A gene counts as
     strong when its link fairness is at least ``strong_gene_threshold``.
     The algorithm name, not this record, selects the initialization and
-    the fitness (see :mod:`meshca.ga`).
+    the fitness (see :mod:`meshca.ga`). No field switches the radio-budget
+    check: the GA checks every generation wherever a budget can bind.
     """
 
     population_size: int = 40
@@ -175,7 +180,6 @@ class GaConfig:
     target_fairness: float = 0.99
     stall_window: int = 20
     strong_gene_threshold: float = 1.0
-    validate_every_generation: bool = False
 
     def validate(self) -> None:
         if self.population_size < 2:

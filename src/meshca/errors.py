@@ -35,7 +35,8 @@ class ParseError(MeshcaError):
 
 
 class InconsistentInputs(MeshcaError):
-    """Topology and assignment files do not describe the same network."""
+    """Topology and assignment files do not describe the same network,
+    or the assignment gives a node more channels than radios."""
 
 
 class InvalidAssignment(MeshcaError):

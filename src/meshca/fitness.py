@@ -27,10 +27,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assignment import OverlapMatrix, interference_matrix
+from .assignment import interference_matrix
 from .config import RadioModel
 from .errors import AllZeroValues
-from .topology import ConflictGraph, Topology
 
 if TYPE_CHECKING:
     from .ga import Problem
@@ -104,14 +103,13 @@ def jain_index(values):
     return float(out) if x.ndim == 1 else out
 
 
-def _batch_link_fairness(genes: np.ndarray, t: Topology, cg: ConflictGraph,
-                         m: OverlapMatrix, rm: RadioModel):
+def _batch_link_fairness(genes: np.ndarray, problem: Problem):
     """Interference, SNR, rate, and clamped fairness for (P, L) or (L,)
     gene arrays, vectorized across the population."""
-    interference = interference_matrix(genes, cg, m)
-    snr = _snr_values(t.lengths, interference, rm)
-    rate = actual_link_rate(snr, rm)
-    fairness = np.minimum(1.0, rate / t.required_rates)
+    interference = interference_matrix(genes, problem.cg, problem.m)
+    snr = _snr_values(problem.t.lengths, interference, problem.rm)
+    rate = actual_link_rate(snr, problem.rm)
+    fairness = np.minimum(1.0, rate / problem.t.required_rates)
     return interference, snr, rate, fairness
 
 
@@ -128,9 +126,7 @@ def evaluate(problem: Problem, genes: np.ndarray) -> FitnessReport:
     """
     genes = np.asarray(genes)
     cg = problem.cg
-    interference, snr, rate, fairness = _batch_link_fairness(
-        genes, problem.t, cg, problem.m, problem.rm
-    )
+    interference, snr, rate, fairness = _batch_link_fairness(genes, problem)
     capacity = 1.0 / (1.0 + interference)
     nc_raw = float(capacity.sum())
     if cg.edge_count:

@@ -20,7 +20,8 @@ step, and only bound links' genes through the radio book.
 
 Every entry point runs on one :class:`Problem` per topology, which
 builds the link-rank table and the greedy primary chromosome once, on
-first use, for every algorithm that needs them. Four algorithm variants
+first use, for every algorithm that needs them, and holds the one rule
+for which nodes' radio budgets can bind. Four algorithm variants
 share the loop; the name is the only selector:
 
 ``fa_scga``
@@ -49,7 +50,6 @@ from .assignment import (
     feasible_channels,
     interference_matrix,
     mclr_assign,
-    radio_constraint_binding,
     repair_radio_constraint,
     within_budget,
 )
@@ -69,8 +69,9 @@ _GA_KINDS = {"ia_ga": (False, False), "scga": (True, False),
 @dataclass(eq=False)
 class Problem:
     """One topology's channel-assignment instance: its conflict graph,
-    channel overlap and radio model, plus the link-rank table and the
-    MCLR primary chromosome, each built once on first use."""
+    channel overlap and radio model; the link-rank table and the MCLR
+    primary chromosome; and the radio-budget rule (:attr:`binding`). Each
+    derived value is built once, on first use."""
 
     t: Topology
     cg: ConflictGraph
@@ -87,15 +88,32 @@ class Problem:
 
     @cached_property
     def primary(self) -> ChannelAssignment:
-        return mclr_assign(self.t, self.cg, self.rank_table, self.m,
-                           self.channels)
+        return mclr_assign(self, self.rank_table)
+
+    @cached_property
+    def binding(self) -> np.ndarray:
+        """Ascending ids of the nodes whose radio budget can bind: fewer
+        radios than both their link count and the channel count. Any
+        other node's distinct channels always fit its radios."""
+        t = self.t
+        degree = np.bincount(np.concatenate((t.link_a, t.link_b)),
+                             minlength=t.node_count)
+        return np.flatnonzero(t.radios < np.minimum(degree, self.channels))
+
+    @cached_property
+    def binding_links(self) -> np.ndarray:
+        """Row i holds the links of ``binding[i]``, padded to a common
+        width by repeating its first link."""
+        rows = [self.t.incident_links[v] for v in self.binding.tolist()]
+        width = max(map(len, rows), default=1)
+        return np.array([r + r[:1] * (width - len(r)) for r in rows],
+                        dtype=np.int64).reshape(len(rows), width)
 
     @cached_property
     def bound_links(self) -> np.ndarray:
-        """(L,) mask of the links with a binding endpoint (a crowded node
-        with fewer radios than channels); other links are free."""
-        t = self.t
-        binding = t.crowded[t.radios[t.crowded] < self.channels]
+        """(L,) mask of the links with a binding endpoint; other links
+        are free."""
+        t, binding = self.t, self.binding
         return np.isin(t.link_a, binding) | np.isin(t.link_b, binding)
 
 
@@ -128,8 +146,7 @@ def _evaluate_batch(genes: np.ndarray, problem: Problem,
                     fairness_fitness: bool) -> tuple[np.ndarray, np.ndarray]:
     """Link fairness (P, L) and fitness (P,) of a (P, L) gene array: each
     row's Jain index, or minus its total interference."""
-    interference, _, _, fairness = _batch_link_fairness(
-        genes, problem.t, problem.cg, problem.m, problem.rm)
+    interference, _, _, fairness = _batch_link_fairness(genes, problem)
     if fairness_fitness:
         return fairness, jain_index(fairness)
     return fairness, -interference.sum(axis=1)
@@ -157,13 +174,13 @@ def _redraw(genes: np.ndarray, hit: np.ndarray, u: np.ndarray,
     genes[free] = (u[free] * k).astype(np.int64)
     hit = hit & bound
     for i in np.flatnonzero(hit.any(axis=1)):
-        book = _RadioBook(problem.t, genes[i], k)
+        book = _RadioBook(problem, genes[i])
         for lid in np.flatnonzero(hit[i]).tolist():
             cand = feasible_channels(lid, book)
             if cand:
                 book.set(lid, cand[int(u[i, lid] * len(cand))])
             else:
-                _assign_stuck(lid, book, problem.cg, problem.m)
+                _assign_stuck(lid, book)
     return genes
 
 
@@ -211,13 +228,11 @@ def crossover(genes_a: np.ndarray, fairness_a: np.ndarray,
     higher there (ties toward parent ``a``), each repaired if the mix
     broke a radio budget. Parents are (L,) rows or (n, L) batches, and
     the children have the same shape."""
-    t, k = problem.t, problem.channels
     children = np.where(fairness_a >= fairness_b, genes_a, genes_b)
-    if radio_constraint_binding(t, k):
+    if problem.binding.size:
         rows = children.reshape(-1, children.shape[-1])
-        for i in np.flatnonzero(~within_budget(rows, t)):
-            rows[i] = repair_radio_constraint(rows[i], t, problem.cg,
-                                              problem.m, k)
+        for i in np.flatnonzero(~within_budget(rows, problem)):
+            rows[i] = repair_radio_constraint(rows[i], problem)
     return children
 
 
@@ -233,10 +248,8 @@ def mutate(genes: np.ndarray, fairness: np.ndarray, cfg: GaConfig,
     return _redraw(out, hit, rng.random(out.shape), problem)
 
 
-def _check_population(genes: np.ndarray, t: Topology,
-                      channel_count: int) -> None:
-    bad = ((genes < 0) | (genes >= channel_count)).any(axis=1)
-    bad |= ~within_budget(genes, t)
+def _check_population(genes: np.ndarray, problem: Problem) -> None:
+    bad = ~within_budget(genes, problem)
     if bad.any():
         raise InvalidAssignment(
             f"individual {np.argmax(bad)} violates the radio constraint "
@@ -251,8 +264,8 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
     statistics, and the executed iteration count.
 
     A pure function of its inputs and the seed: repeat calls are
-    bit-identical. With ``cfg.validate_every_generation``, a generation
-    that breaks a radio budget raises :class:`InvalidAssignment`.
+    bit-identical. Where a radio budget can bind, a generation that
+    breaks one raises :class:`InvalidAssignment`.
     """
     if algorithm not in _GA_KINDS:
         raise InvalidConfig(f"{algorithm!r} is not a GA variant")
@@ -269,8 +282,8 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
     history = []
     iterations = last_improvement = 0
     while True:
-        if cfg.validate_every_generation:
-            _check_population(genes, problem.t, problem.channels)
+        if problem.binding.size:
+            _check_population(genes, problem)
         i = int(np.argmax(fitness))  # first of the best
         if fitness[i] > best_fitness:
             best_genes, best_fitness = genes[i].copy(), fitness[i]

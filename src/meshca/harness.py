@@ -8,15 +8,17 @@ built by :func:`problem_for`, and every results row comes from
 column is the integer that regenerates the row's topology, and the GA
 for that row is seeded with ``seed + GA_SEED_OFFSET``. Replicates may run
 in a process pool; rows are written in deterministic (scenario, seed,
-algorithm) order regardless of completion order.
+algorithm) order whatever the worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -25,9 +27,9 @@ import numpy as np
 from .assignment import (
     ChannelAssignment,
     OverlapMatrix,
+    channels_in_use,
     load_assignment,
     overlap_for_config,
-    radio_constraint_binding,
     within_budget,
 )
 from .config import GaConfig, RadioModel, ScenarioConfig
@@ -109,7 +111,15 @@ def run_row(problem: Problem, algorithm: str, ga: GaConfig,
     """Run one algorithm for the results row of ``seed``, the row seed
     that regenerates ``problem``'s topology; the GA runs with
     ``seed + GA_SEED_OFFSET``. ``wall_ms`` covers the algorithm, plus the
-    problem's rank table and primary chromosome when it builds them."""
+    problem's rank table and primary chromosome when it builds them.
+
+    Raises
+    ------
+    InvalidConfig
+        If ``seed`` is negative: no topology has such a seed.
+    """
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     start = time.perf_counter()
     result = run(algorithm, problem, ga, seed + GA_SEED_OFFSET)
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -185,10 +195,12 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
               workers: int = 1) -> list[MetricsRecord]:
     """Run every scenario x replicate x algorithm combination.
 
-    Writes ``results.csv`` (one row per run, flushed scenario by scenario
-    as results arrive) and ``aggregates.csv`` (one row per scenario and
-    algorithm, metrics averaged over replicates). Returns the result
-    records in file order.
+    Writes ``results.csv`` (one row per run, in scenario order, each
+    scenario's rows by seed then algorithm, flushed scenario by scenario)
+    and ``aggregates.csv`` (one row per scenario and algorithm, metrics
+    averaged over replicates). Returns the result records in file order.
+    With ``workers > 1`` the replicates run in a process pool, whose
+    ordered ``map`` gives the same files as a serial run.
     """
     ga = ga or GaConfig()
     ga.validate()
@@ -208,52 +220,26 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
-    job_meta = []  # (scenario_index, replicate_index)
-    for s_idx, scenario in enumerate(scenarios):
-        for r_idx in range(scenario.topologies_per_scenario):
-            seed = replicate_seed(scenario.master_seed, s_idx, r_idx)
-            jobs.append((scenario, seed, list(algorithms), ga))
-            job_meta.append((s_idx, r_idx))
-
-    results: dict[int, list[MetricsRecord]] = {}
+    jobs = [(scenario, replicate_seed(scenario.master_seed, s_idx, r_idx),
+             list(algorithms), ga)
+            for s_idx, scenario in enumerate(scenarios)
+            for r_idx in range(scenario.topologies_per_scenario)]
     records: list[MetricsRecord] = []
-    results_path = out_dir / "results.csv"
-    with open(results_path, "w", newline="") as fh:
+    pool = ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
+    with open(out_dir / "results.csv", "w", newline="") as fh, pool:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
-        flushed_jobs = 0
-
-        def flush_ready():
-            nonlocal flushed_jobs
-            # flush whole scenarios once all their replicates are in, so
-            # file order is deterministic while results stream in
-            while flushed_jobs < len(jobs):
-                s_idx = job_meta[flushed_jobs][0]
-                span = [j for j, (s, _) in enumerate(job_meta) if s == s_idx]
-                if not all(j in results for j in span):
-                    break
-                scenario_rows = [rec for j in span for rec in results[j]]
-                scenario_rows.sort(
-                    key=lambda r: (r.seed, algorithms.index(r.algorithm))
-                )
-                for rec in scenario_rows:
-                    writer.writerow(rec.to_csv_row())
-                    records.append(rec)
-                fh.flush()
-                flushed_jobs = span[-1] + 1
-
-        if workers == 1:
-            for j, job in enumerate(jobs):
-                results[j] = _sweep_job(job)
-                flush_ready()
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(_sweep_job, job): j
-                           for j, job in enumerate(jobs)}
-                for future in as_completed(futures):
-                    results[futures[future]] = future.result()
-                    flush_ready()
+        # both maps yield in job order: each scenario, by position, takes
+        # its replicates' next results, and is written once they are in
+        results = (pool.map if workers > 1 else map)(_sweep_job, jobs)
+        for scenario in scenarios:
+            done = islice(results, scenario.topologies_per_scenario)
+            rows = sorted((rec for recs in done for rec in recs),
+                          key=lambda r: (r.seed,
+                                         algorithms.index(r.algorithm)))
+            writer.writerows(rec.to_csv_row() for rec in rows)
+            fh.flush()
+            records += rows
 
     write_aggregates_csv(aggregate_records(records), out_dir / "aggregates.csv")
     return records
@@ -369,6 +355,7 @@ def brute_force_optimum(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
             f"{channels} channels requested, overlap matrix has "
             f"{m.channel_count}"
         )
+    problem = Problem(t, cg, m, rm)
     L = t.link_count
     total = channels ** L
     if total > SEARCH_GUARD:
@@ -380,18 +367,17 @@ def brute_force_optimum(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
         chunks = _relabelling_representatives(L, channels)
     else:
         chunks = _all_assignments(L, channels)
-    binding = radio_constraint_binding(t, channels)
     best_fitness = -np.inf
     best_genes = None
     candidates = feasible_total = 0
     for genes in chunks:
         candidates += len(genes)
-        if binding:
-            genes = genes[within_budget(genes, t)]
+        if problem.binding.size:
+            genes = genes[within_budget(genes, problem)]
             if not len(genes):
                 continue
         feasible_total += len(genes)
-        interference, _, _, fairness = _batch_link_fairness(genes, t, cg, m, rm)
+        interference, _, _, fairness = _batch_link_fairness(genes, problem)
         if fitness_kind == "fairness":
             values = jain_index(fairness)
         else:
@@ -419,15 +405,17 @@ def evaluate_file(topology_path: str | Path,
     """Recompute all metrics for an externally supplied assignment.
 
     The assignment must cover exactly the topology's link ids with the
-    topology's channel count. It is scored on the topology's
-    :func:`problem_for`, as in :func:`run_replicate`.
+    topology's channel count, and keep every node within its radio
+    budget. It is scored on the topology's :func:`problem_for`, as in
+    :func:`run_replicate`.
 
     Raises
     ------
     ParseError
         If either file is malformed.
     InconsistentInputs
-        If the files do not describe the same set of links or channels.
+        If the files do not describe the same set of links or channels,
+        or the assignment gives a node more channels than radios.
     """
     t = load_topology(topology_path)
     a, meta = load_assignment(assignment_path)
@@ -442,7 +430,16 @@ def evaluate_file(topology_path: str | Path,
             f"{t.params.channels}"
         )
     start = time.perf_counter()
-    report = evaluate(problem_for(t), a.genes)
+    problem = problem_for(t)
+    in_use = channels_in_use(a.genes, problem)
+    over = np.flatnonzero(in_use > t.radios[problem.binding])
+    if over.size:
+        v = int(problem.binding[over[0]])
+        raise InconsistentInputs(
+            f"assignment gives node {v} {in_use[over[0]]} channels, but it "
+            f"has {t.radios[v]} radios"
+        )
+    report = evaluate(problem, a.genes)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return build_record(t.params.name, int(meta.get("seed", t.seed)),
                         meta.get("algorithm", "unknown"), report,

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .errors import ConnectivityUnreachable, InvalidRequiredRate, ParseError
+from .errors import (ConnectivityUnreachable, InvalidConfig,
+                     InvalidRequiredRate, ParseError)
 
 PLACEMENT_ATTEMPTS = 1000
 
@@ -57,18 +58,6 @@ class Topology:
             self.adjacency[b].append((a, lid))
             self.incident_links[a].append(lid)
             self.incident_links[b].append(lid)
-        # nodes with more incident links than radios, the only ones whose
-        # radio budget can bind; row i of crowded_links holds the links of
-        # crowded[i], padded by repeating its first link
-        crowded = [v for v, inc in enumerate(self.incident_links)
-                   if len(inc) > self.radios[v]]
-        width = max((len(self.incident_links[v]) for v in crowded), default=1)
-        self.crowded = np.array(crowded, dtype=np.int64)
-        self.crowded_links = np.array(
-            [inc + inc[:1] * (width - len(inc))
-             for inc in (self.incident_links[v] for v in crowded)],
-            dtype=np.int64,
-        ).reshape(len(crowded), width)
 
     @property
     def node_count(self) -> int:
@@ -232,11 +221,13 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
     Raises
     ------
     InvalidConfig
-        If the configuration fails validation.
+        If the configuration fails validation or the seed is negative.
     ConnectivityUnreachable
         If no connected placement is found within the attempt budget.
     """
     config.validate()
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = config.node_count
     for _ in range(PLACEMENT_ATTEMPTS):
@@ -294,11 +285,11 @@ def load_topology(path: str | Path) -> Topology:
     ------
     ParseError
         If the file is unreadable or malformed: node or link ids not
-        ``0..n-1`` in order, a seed that is not an int, a coordinate that
-        is not a finite number, a radio count that is not a positive int,
-        a gateway flag that is not a bool, an endpoint that is not a node
-        id, a self-loop, a repeated node pair, or links that
-        do not connect every node.
+        ``0..n-1`` in order, a seed that is not an int >= 0, a coordinate
+        that is not a finite number, a radio count that is not a positive
+        int, a gateway flag that is not a bool, an endpoint that is not a
+        node id, a self-loop, a repeated node pair, or links that do not
+        connect every node.
     InvalidConfig
         If the scenario parameters fail validation.
     InvalidRequiredRate
@@ -311,8 +302,9 @@ def load_topology(path: str | Path) -> Topology:
     try:
         params = ScenarioConfig.from_dict(doc["params"])
         params.validate()
-        if type(doc["seed"]) is not int:
-            raise ParseError(f"{path}: seed {doc['seed']!r} is not an int")
+        if type(doc["seed"]) is not int or doc["seed"] < 0:
+            raise ParseError(f"{path}: seed {doc['seed']!r} is not an int "
+                             f">= 0")
         nodes = doc["nodes"]
         n = len(nodes)
         if [nd["id"] for nd in nodes] != list(range(n)):

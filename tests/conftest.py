@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from meshca.assignment import (
-    ChannelAssignment,
-    OverlapMatrix,
-    radio_constraint_binding,
-    within_budget,
-)
+from meshca.assignment import ChannelAssignment, OverlapMatrix, within_budget
 from meshca.config import RadioModel, ScenarioConfig
 from meshca.fitness import _batch_link_fairness, jain_index
 from meshca.ga import Problem
@@ -93,9 +88,9 @@ def reference_brute_force(t, cg, m, rm, channels, fitness_kind="fairness"):
     """The oracle by full enumeration: every one of the ``channels **
     link_count`` assignments in lexicographic order, in chunks, keeping
     the first optimum. Counts cover every assignment."""
+    problem = Problem(t, cg, m, rm)
     L = t.link_count
     total = channels ** L
-    binding = radio_constraint_binding(t, channels)
     weights = channels ** np.arange(L - 1, -1, -1, dtype=np.int64)
     best_fitness = -np.inf
     best_genes = None
@@ -103,12 +98,12 @@ def reference_brute_force(t, cg, m, rm, channels, fitness_kind="fairness"):
     for start in range(0, total, 1 << 15):
         idx = np.arange(start, min(start + (1 << 15), total), dtype=np.int64)
         genes = (idx[:, None] // weights[None, :]) % channels
-        if binding:
-            genes = genes[within_budget(genes, t)]
+        if problem.binding.size:
+            genes = genes[within_budget(genes, problem)]
             if not len(genes):
                 continue
         feasible_total += len(genes)
-        interference, _, _, fairness = _batch_link_fairness(genes, t, cg, m, rm)
+        interference, _, _, fairness = _batch_link_fairness(genes, problem)
         if fitness_kind == "fairness":
             values = jain_index(fairness)
         else:

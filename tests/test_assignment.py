@@ -17,11 +17,12 @@ from meshca.assignment import (
     interference_matrix,
     load_assignment,
     mclr_assign,
-    radio_constraint_binding,
     repair_radio_constraint,
     save_assignment,
     within_budget,
 )
+from meshca.config import RadioModel
+from meshca.ga import Problem
 from meshca.ranking import rank_links, score_nodes
 from meshca.topology import (
     ConflictGraph,
@@ -31,9 +32,12 @@ from meshca.topology import (
 from conftest import (
     assert_valid,
     line_topology,
+    make_problem,
     make_topology,
     reference_radio_violations,
 )
+
+RM = RadioModel()
 
 
 def clique_topology(n_links=4, **kwargs):
@@ -222,36 +226,32 @@ class TestLeastInterferingChannel:
     conflict neighbours, least first, ties to the lower channel."""
 
     @staticmethod
-    def least_interfering(lid, genes, cg, m, t):
-        cand = feasible_channels(lid, _RadioBook(t, genes, m.channel_count))
-        per_channel = _channel_interference_all(lid, genes, cg, m)
+    def least_interfering(lid, genes, problem):
+        cand = feasible_channels(lid, _RadioBook(problem, genes))
+        per_channel = _channel_interference_all(lid, genes, problem)
         return min(cand, key=lambda ch: (per_channel[ch], ch))
 
     def test_no_assigned_neighbors_gives_channel_zero(self):
-        t = clique_topology(3)
-        cg = build_conflict_graph(t)
+        problem = make_problem(clique_topology(3))
         genes = np.full(3, -1)
-        m = OverlapMatrix.orthogonal(3)
-        assert _channel_interference_all(0, genes, cg, m).tolist() == [0.0] * 3
-        assert self.least_interfering(0, genes, cg, m, t) == 0
+        assert _channel_interference_all(0, genes, problem).tolist() == [0.0] * 3
+        assert self.least_interfering(0, genes, problem) == 0
 
     def test_picks_the_free_channel(self):
-        t = clique_topology(3)
-        cg = build_conflict_graph(t)
+        problem = make_problem(clique_topology(3))
         genes = np.array([0, -1, 1])
-        m = OverlapMatrix.orthogonal(3)
-        assert _channel_interference_all(1, genes, cg, m).tolist() == [1, 1, 0]
-        assert self.least_interfering(1, genes, cg, m, t) == 2
+        assert _channel_interference_all(1, genes, problem).tolist() == [1, 1, 0]
+        assert self.least_interfering(1, genes, problem) == 2
 
     def test_matches_exhaustive_per_channel_evaluation(self):
-        t = clique_topology(6)
-        cg = build_conflict_graph(t)
         m = OverlapMatrix.graded(3)
+        problem = make_problem(clique_topology(6), m)
+        cg = problem.cg
         rng = np.random.default_rng(7)
         for _ in range(25):
             genes = rng.integers(-1, 3, size=6)
             lid = int(rng.integers(6))
-            got = _channel_interference_all(lid, genes, cg, m)
+            got = _channel_interference_all(lid, genes, problem)
             scores = []
             for c in range(3):
                 trial = sum(
@@ -260,25 +260,23 @@ class TestLeastInterferingChannel:
                 )
                 assert got[c] == pytest.approx(trial, rel=1e-12, abs=0)
                 scores.append((trial, c))
-            assert self.least_interfering(lid, genes, cg, m, t) == min(scores)[1]
+            assert self.least_interfering(lid, genes, problem) == min(scores)[1]
 
     def test_radio_budget_restricts_candidates(self):
         # node 1 has one radio already busy on channel 2
-        t = line_topology(n=3, radios=1)
-        cg = build_conflict_graph(t)
+        problem = make_problem(line_topology(n=3, radios=1))
         genes = np.array([2, -1])
-        m = OverlapMatrix.orthogonal(3)
         # link 1 shares node 1 with link 0, so it must reuse channel 2
-        assert feasible_channels(1, _RadioBook(t, genes, 3)) == [2]
-        assert self.least_interfering(1, genes, cg, m, t) == 2
+        assert feasible_channels(1, _RadioBook(problem, genes)) == [2]
+        assert self.least_interfering(1, genes, problem) == 2
 
     def test_no_feasible_channel_raises(self):
         # middle link of a 3-link path with 1 radio per node and the two
         # outer links pinned to different channels: no candidate is left,
         # which is the case MCLR and repair hand to the stuck-link merge
-        t = line_topology(n=4, radios=1)
+        problem = make_problem(line_topology(n=4, radios=1))
         genes = np.array([0, -1, 1])
-        assert feasible_channels(1, _RadioBook(t, genes, 3)) == []
+        assert feasible_channels(1, _RadioBook(problem, genes)) == []
 
 
 class TestMclrAssign:
@@ -292,7 +290,7 @@ class TestMclrAssign:
         cg = build_conflict_graph(t)
         assert cg.edge_count == 3
         m = OverlapMatrix.orthogonal(2)
-        a = mclr_assign(t, cg, self._table(t), m, 2)
+        a = mclr_assign(Problem(t, cg, m, RM), self._table(t))
         assert a.genes.tolist() == [0, 1, 0]
         assert interference_matrix(a.genes, cg, m)[1] == 0.0
         # exhaustive check: no assignment of 2 channels does better in
@@ -308,28 +306,25 @@ class TestMclrAssign:
         t = clique_topology(4, channels=5, radios=5)
         cg = build_conflict_graph(t)
         m = OverlapMatrix.orthogonal(5)
-        a = mclr_assign(t, cg, self._table(t), m, 5)
+        a = mclr_assign(Problem(t, cg, m, RM), self._table(t))
         assert (interference_matrix(a.genes, cg, m) == 0.0).all()
 
     def test_single_link_gets_channel_zero(self):
         t = make_topology([(0, 0), (100, 0)], link_pairs=[(0, 1)])
         cg = build_conflict_graph(t)
-        a = mclr_assign(t, cg, self._table(t),
-                        OverlapMatrix.orthogonal(3), 3)
+        a = mclr_assign(make_problem(t), self._table(t))
         assert a.genes.tolist() == [0]
 
     def test_respects_radio_constraint(self):
         t = clique_topology(8, radios=2, channels=6)
-        cg = build_conflict_graph(t)
-        a = mclr_assign(t, cg, self._table(t),
-                        OverlapMatrix.orthogonal(6), 6)
+        a = mclr_assign(make_problem(t), self._table(t))
         assert_valid(a.genes, t, 6)
 
     def test_never_worse_than_common_channel(self, small_random_topology):
         t = small_random_topology
         cg = build_conflict_graph(t)
         m = OverlapMatrix.orthogonal(t.params.channels)
-        a = mclr_assign(t, cg, self._table(t), m, t.params.channels)
+        a = mclr_assign(Problem(t, cg, m, RM), self._table(t))
         assert (interference_matrix(a.genes, cg, m) <= cg.degrees).all()
 
     def test_relabeling_invariance(self):
@@ -339,7 +334,7 @@ class TestMclrAssign:
         cg = build_conflict_graph(t)
         m = OverlapMatrix.orthogonal(2)
         table = self._table(t)
-        a = mclr_assign(t, cg, table, m, 2)
+        a = mclr_assign(Problem(t, cg, m, RM), table)
 
         # manual relabel: new link k corresponds to old link rev[k]
         rev = [3, 2, 1, 0]
@@ -351,7 +346,7 @@ class TestMclrAssign:
         )
         cg2 = build_conflict_graph(t2)
         table2 = self._table(t2)
-        a2 = mclr_assign(t2, cg2, table2, m, 2)
+        a2 = mclr_assign(Problem(t2, cg2, m, RM), table2)
         # same schedule order by rank implies identical channel pattern
         # under the relabeling
         for k in range(4):
@@ -359,54 +354,45 @@ class TestMclrAssign:
 
     def test_all_links_assigned(self, small_random_topology):
         t = small_random_topology
-        cg = build_conflict_graph(t)
-        a = mclr_assign(t, cg, self._table(t),
-                        OverlapMatrix.orthogonal(3), 3)
+        a = mclr_assign(make_problem(t), self._table(t))
         assert (a.genes >= 0).all()
         assert (a.genes < 3).all()
 
     def test_tight_radios_still_yields_valid_assignment(self):
         # radios=1 forces whole neighborhoods onto shared channels
         t = clique_topology(6, radios=1, channels=4)
-        cg = build_conflict_graph(t)
-        a = mclr_assign(t, cg, self._table(t),
-                        OverlapMatrix.orthogonal(4), 4)
+        a = mclr_assign(make_problem(t), self._table(t))
         assert_valid(a.genes, t, 4)
 
 
 class TestRadioConstraintHelpers:
     def test_violations_detected(self):
-        t = line_topology(n=4, radios=1)
+        problem = make_problem(line_topology(n=4, radios=1))
         genes = np.array([0, 1, 2])
-        assert t.crowded.tolist() == [1, 2]
-        assert channels_in_use(genes, t).tolist() == [2, 2]
-        assert not within_budget(genes, t)
-        assert within_budget(np.array([0, 0, 0]), t)
+        assert problem.binding.tolist() == [1, 2]
+        assert channels_in_use(genes, problem).tolist() == [2, 2]
+        assert not within_budget(genes, problem)
+        assert within_budget(np.array([0, 0, 0]), problem)
 
     def test_feasible_channels_includes_own(self):
-        t = line_topology(n=4, radios=1)
-        book = _RadioBook(t, np.array([0, 0, 1]), 3)
+        problem = make_problem(line_topology(n=4, radios=1))
+        book = _RadioBook(problem, np.array([0, 0, 1]))
         assert feasible_channels(1, book) == [0]
         assert feasible_channels(2, book) == [0, 1]
 
     def test_repair_produces_valid_assignment(self):
         t = clique_topology(6, radios=2, channels=5)
-        cg = build_conflict_graph(t)
-        m = OverlapMatrix.orthogonal(5)
+        problem = make_problem(t)
         rng = np.random.default_rng(3)
         for _ in range(50):
             genes = rng.integers(5, size=6)
-            repaired = repair_radio_constraint(genes, t, cg, m, 5)
+            repaired = repair_radio_constraint(genes, problem)
             assert_valid(repaired, t, 5)
 
     def test_repair_keeps_feasible_genes(self):
-        t = clique_topology(4, radios=3, channels=3)
-        cg = build_conflict_graph(t)
-        m = OverlapMatrix.orthogonal(3)
+        problem = make_problem(clique_topology(4, radios=3, channels=3))
         genes = np.array([0, 1, 2, 0])
-        assert np.array_equal(
-            repair_radio_constraint(genes, t, cg, m, 3), genes
-        )
+        assert np.array_equal(repair_radio_constraint(genes, problem), genes)
 
 
 def reference_feasible_channels(lid, genes, t, channel_count):
@@ -451,22 +437,21 @@ class TestRadioBudgetProperties:
     @settings(max_examples=300, deadline=None)
     def test_matches_set_based_references(self, case):
         t, k, genes = case
-        cg = build_conflict_graph(t)
-        m = OverlapMatrix.orthogonal(k)
-        counts = channels_in_use(genes, t)
-        assert counts.shape == (len(genes), len(t.crowded))
+        problem = make_problem(t)
+        counts = channels_in_use(genes, problem)
+        assert counts.shape == (len(genes), len(problem.binding))
         for row, row_counts in zip(genes, counts):
-            assert np.array_equal(channels_in_use(row, t), row_counts)
-            for v, c in zip(t.crowded, row_counts):
+            assert np.array_equal(channels_in_use(row, problem), row_counts)
+            for v, c in zip(problem.binding, row_counts):
                 assert c == len({g for g in row[t.incident_links[v]] if g >= 0})
-            over = [(int(v), int(c)) for v, c in zip(t.crowded, row_counts)
+            over = [(int(v), int(c)) for v, c in zip(problem.binding, row_counts)
                     if c > t.radios[v]]
             assert over == reference_radio_violations(row, t)
-            assert within_budget(row, t) == (not over)
-            valid = repair_radio_constraint(np.maximum(row, 0), t, cg, m, k)
+            assert within_budget(row, problem) == (not over)
+            valid = repair_radio_constraint(np.maximum(row, 0), problem)
             assert_valid(valid, t, k)
             for r in (row, valid):
-                book = _RadioBook(t, r.copy(), k)
+                book = _RadioBook(problem, r.copy())
                 for lid in range(t.link_count):
                     assert (feasible_channels(lid, book)
                             == reference_feasible_channels(lid, r, t, k))
@@ -475,27 +460,24 @@ class TestRadioBudgetProperties:
     @settings(max_examples=300, deadline=None)
     def test_non_binding_budget_allows_every_channel(self, case):
         t, k, genes = case
-        if radio_constraint_binding(t, k):
+        problem = make_problem(t)
+        if problem.binding.size:
             return
-        cg = build_conflict_graph(t)
-        m = OverlapMatrix.orthogonal(k)
         for row in genes:
-            book = _RadioBook(t, row, k)
+            book = _RadioBook(problem, row)
             for lid in range(t.link_count):
                 assert feasible_channels(lid, book) == list(range(k))
-            assert repair_radio_constraint(row, t, cg, m, k) is row
+            assert repair_radio_constraint(row, problem) is row
 
     def test_binding_needs_a_node_with_more_links_than_radios(self):
         # every node of a 3-link path has at most 2 links
         t = line_topology(n=4, radios=2)
-        assert t.crowded.tolist() == []
-        assert not radio_constraint_binding(t, 6)
+        assert make_problem(t, OverlapMatrix.orthogonal(6)).binding.tolist() == []
         # the hub of a 3-link star has 3 links for 2 radios
         star = make_topology([(0, 0), (100, 0), (0, 100), (-100, 0)],
                              link_pairs=[(0, 1), (0, 2), (0, 3)], radios=2)
-        assert star.crowded.tolist() == [0]
-        assert not radio_constraint_binding(star, 2)
-        assert radio_constraint_binding(star, 3)
+        assert make_problem(star, OverlapMatrix.orthogonal(2)).binding.tolist() == []
+        assert make_problem(star, OverlapMatrix.orthogonal(3)).binding.tolist() == [0]
 
 
 class TestAssignmentFile:
@@ -524,6 +506,13 @@ class TestAssignmentFile:
         path = tmp_path / "a.csv"
         path.write_text("link_id,channel\n0,0\n")
         with pytest.raises(ParseError, match="channels"):
+            load_assignment(path)
+
+    @pytest.mark.parametrize("header", ["# channels: three", "# seed: x"])
+    def test_non_integer_header_rejected(self, tmp_path, header):
+        path = tmp_path / "a.csv"
+        path.write_text(f"# channels: 3\n{header}\nlink_id,channel\n0,0\n")
+        with pytest.raises(ParseError, match=r"a\.csv:2: .*not an integer"):
             load_assignment(path)
 
     def test_non_contiguous_ids_rejected(self, tmp_path):

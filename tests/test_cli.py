@@ -189,9 +189,11 @@ class TestInputErrors:
         (lambda d: d["nodes"][0].update(x=math.nan), 3),
         (lambda d: d["nodes"][0].update(radios=2.5), 3),
         (lambda d: d["links"][0].update(required_rate=math.inf), 2),
+        (lambda d: d.update(seed=-7), 3),
     ], ids=["zero_rate", "negative_rate", "link_id_999",
             "endpoint_out_of_range", "self_loop", "node_without_radios",
-            "zero_channels", "nan_x", "fractional_radios", "infinite_rate"])
+            "zero_channels", "nan_x", "fractional_radios", "infinite_rate",
+            "negative_seed"])
     def test_bad_topology_file(self, tmp_path, topology_path, capsys, edit,
                                code):
         _break_topology(topology_path, edit)
@@ -211,7 +213,9 @@ class TestInputErrors:
         {"node_count": 20, "bogus": 1},
         {"node_count": "20"},
         {"radio_model": {"tss": "loud"}},
-    ], ids=["unknown_key", "wrong_type", "wrong_radio_type"])
+        {"node_count": 20, "master_seed": -2},
+    ], ids=["unknown_key", "wrong_type", "wrong_radio_type",
+            "negative_master_seed"])
     def test_bad_gen_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(doc))
@@ -223,7 +227,9 @@ class TestInputErrors:
         {"population_size": 6, "elitism": True},
         {"fitness_kind": "interference"},
         {"init_kind": "random"},
-    ], ids=["wrong_type", "unknown_key", "fitness_kind", "init_kind"])
+        {"validate_every_generation": True},
+    ], ids=["wrong_type", "unknown_key", "fitness_kind", "init_kind",
+            "validate_every_generation"])
     def test_bad_ga_config_exits_2(self, tmp_path, topology_path, capsys, doc):
         ga = tmp_path / "ga.json"
         ga.write_text(json.dumps(doc))
@@ -246,8 +252,10 @@ class TestInputErrors:
         {"scenarios": [{"node_count": 8}], "ga": {"stall_window": 2.5}},
         {"scenarios": [{"node_count": 8}], "algorithms": 5},
         {"scenarios": [{"node_count": 8}], "algorithms": ["mclr", "mclr"]},
+        {"scenarios": [{"node_count": 8, "master_seed": -2}]},
     ], ids=["no_scenarios", "unknown_scenario_key", "wrong_ga_type",
-            "algorithms_not_a_list", "algorithms_repeated"])
+            "algorithms_not_a_list", "algorithms_repeated",
+            "negative_master_seed"])
     def test_bad_sweep_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(doc))
@@ -263,6 +271,52 @@ class TestInputErrors:
         assert self._exit_code(["sweep", "--config", str(cfg), "--workers",
                                 workers, "--out", str(tmp_path)], capsys) == 2
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["gen"],
+        ["assign", "--algo", "mclr"],
+        ["assign", "--algo", "fa_scga"],
+        ["sweep"],
+    ], ids=["gen", "assign_mclr", "assign_fa_scga", "sweep"])
+    def test_negative_seed_exits_2(self, tmp_path, topology_path, capsys,
+                                   command):
+        out = tmp_path / "out"
+        if command[0] == "assign":
+            command = command + ["--topology", str(topology_path)]
+        assert self._exit_code(command + ["--seed", "-1", "--out", str(out)],
+                               capsys) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("header", ["# channels: three", "# seed: x"])
+    def test_non_integer_assignment_header_exits_3(self, tmp_path,
+                                                   topology_path, capsys,
+                                                   header):
+        t = load_topology(topology_path)
+        assignment = tmp_path / "assignment.csv"
+        assignment.write_text(
+            f"# channels: {t.params.channels}\n{header}\nlink_id,channel\n"
+            + "".join(f"{lid},0\n" for lid in range(t.link_count)))
+        assert self._exit_code(["eval", "--topology", str(topology_path),
+                                "--assignment", str(assignment)],
+                               capsys) == 3
+
+    def test_assignment_over_a_radio_budget_exits_3(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, node_count=20, radios=1, channels=4,
+                           area_w=1000.0, area_h=1000.0)
+        assert main(["gen", "--config", str(cfg), "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "topology-clitest-seed5.json"
+        t = load_topology(path)
+        genes = [0] * t.link_count
+        hub = next(v for v, inc in enumerate(t.incident_links) if len(inc) > 1)
+        for c, lid in enumerate(t.incident_links[hub]):
+            genes[lid] = c % 4
+        assignment = tmp_path / "assignment.csv"
+        assignment.write_text("# channels: 4\nlink_id,channel\n" + "".join(
+            f"{lid},{c}\n" for lid, c in enumerate(genes)))
+        assert self._exit_code(["eval", "--topology", str(path),
+                                "--assignment", str(assignment)],
+                               capsys) == 3
 
     def test_unknown_key_module_invocation_has_no_traceback(self, tmp_path):
         cfg = tmp_path / "scenario.json"

@@ -21,7 +21,6 @@ from meshca.assignment import (
     interference_matrix,
     mclr_assign,
     overlap_for_config,
-    radio_constraint_binding,
     repair_radio_constraint,
     within_budget,
 )
@@ -266,10 +265,8 @@ class TestCrossover:
         for _ in range(30):
             ga = rng.integers(6, size=6)
             gb = rng.integers(6, size=6)
-            from meshca.assignment import repair_radio_constraint
-
-            ga = repair_radio_constraint(ga, t, cg, m, 6)
-            gb = repair_radio_constraint(gb, t, cg, m, 6)
+            ga = repair_radio_constraint(ga, problem)
+            gb = repair_radio_constraint(gb, problem)
             child = crossover(ga, link_fairness_of(ga, 6, t, cg, m),
                               gb, link_fairness_of(gb, 6, t, cg, m), problem)
             assert_valid(child, t, 6)
@@ -317,9 +314,8 @@ class TestMutate:
 
     def test_keeps_radio_constraint(self):
         t, cg, m = setup_instance(6, channels=6, radios=2)
-        primary = mclr_assign(
-            t, cg, rank_links(t, score_nodes(t)), m, 6
-        )
+        primary = mclr_assign(Problem(t, cg, m, RM),
+                              rank_links(t, score_nodes(t)))
         fair = link_fairness_of(primary.genes, 6, t, cg, m)
         cfg = GaConfig(mutation_prob=1.0, strong_gene_threshold=1.0)
         out = mutate(np.tile(primary.genes, (50, 1)), np.tile(fair, (50, 1)),
@@ -360,11 +356,10 @@ def reference_redraw(genes, hit, u, problem, free_first=False):
     """Every hit gene walks its row's radio book, in link order (the free
     links' genes first if ``free_first``), taking ``cand[int(u *
     len(cand))]`` of its feasible channels, or a stuck merge if none."""
-    t, k = problem.t, problem.channels
-    bound = bound_links(t, k)
+    bound = bound_links(problem.t, problem.channels)
     out = np.array(genes, dtype=np.int64)
     for row, row_hit, row_u in zip(out, hit, u):
-        book = _RadioBook(t, row, k)
+        book = _RadioBook(problem, row)
         order = sorted(np.flatnonzero(row_hit).tolist(),
                        key=lambda l: (free_first and l in bound, l))
         for lid in order:
@@ -372,15 +367,14 @@ def reference_redraw(genes, hit, u, problem, free_first=False):
             if cand:
                 book.set(lid, cand[int(row_u[lid] * len(cand))])
             else:
-                _assign_stuck(lid, book, problem.cg, problem.m)
+                _assign_stuck(lid, book)
     return out
 
 
 def valid_rows(problem, n, rng):
-    t, k = problem.t, problem.channels
     return np.array([
-        repair_radio_constraint(rng.integers(k, size=t.link_count), t,
-                                problem.cg, problem.m, k)
+        repair_radio_constraint(
+            rng.integers(problem.channels, size=problem.t.link_count), problem)
         for _ in range(n)
     ])
 
@@ -411,7 +405,7 @@ class TestRedrawProperties:
         assert np.array_equal(out[strong], genes[strong])
         untouched = ~hit.any(axis=1)
         assert np.array_equal(out[untouched], genes[untouched])
-        assert within_budget(out, t).all()
+        assert within_budget(out, problem).all()
 
     @given(tree_problems(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -425,7 +419,7 @@ class TestRedrawProperties:
         want = reference_redraw(unassigned, np.ones((6, L), dtype=bool), u,
                                 problem, free_first=True)
         assert np.array_equal(pop, want)
-        assert within_budget(pop, t).all()
+        assert within_budget(pop, problem).all()
 
         problem.primary = ChannelAssignment(pop[0], problem.channels)
         weak = interference_matrix(pop[0], problem.cg, problem.m) > 0.0
@@ -436,7 +430,7 @@ class TestRedrawProperties:
             np.tile(problem.primary.genes, (6, 1)), hit, u, problem))
         assert np.array_equal(pop[:, ~weak],
                               np.tile(problem.primary.genes[~weak], (6, 1)))
-        assert within_budget(pop, t).all()
+        assert within_budget(pop, problem).all()
 
     def test_random_init_merges_stuck_links(self, monkeypatch):
         # one radio per node; links 0 and 1 share no node, so link 2
@@ -464,7 +458,7 @@ class TestRedrawProperties:
     @given(tree_problems(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_each_hit_gene_covers_its_feasible_channels(self, problem, seed):
-        t, k = problem.t, problem.channels
+        t = problem.t
         row = valid_rows(problem, 1, np.random.default_rng(seed))[0]
         cfg = GaConfig(mutation_prob=1.0)
         for lid in range(t.link_count):
@@ -476,17 +470,16 @@ class TestRedrawProperties:
                                   np.delete(np.tile(row, (400, 1)), lid,
                                             axis=1))
             assert (set(out[:, lid].tolist())
-                    == set(feasible_channels(lid, _RadioBook(t, row.copy(),
-                                                             k))))
+                    == set(feasible_channels(lid, _RadioBook(problem,
+                                                             row.copy()))))
 
     @given(tree_problems(), st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["ia_ga", "scga", "fa_scga"]))
     @settings(max_examples=40, deadline=None)
     def test_run_ga_is_valid_and_repeatable_under_binding_budgets(
             self, problem, seed, algorithm):
-        assume(radio_constraint_binding(problem.t, problem.channels))
-        cfg = GaConfig(population_size=8, max_iterations=6,
-                       validate_every_generation=True)
+        assume(problem.binding.size)
+        cfg = GaConfig(population_size=8, max_iterations=6)
         r1 = run_ga(algorithm, problem, cfg, seed)
         r2 = run_ga(algorithm, Problem(problem.t, problem.cg, problem.m, RM),
                     cfg, seed)
@@ -496,7 +489,7 @@ class TestRedrawProperties:
         assert r1.history == r2.history
         assert (r1.iterations, r1.stop_reason) == (r2.iterations,
                                                    r2.stop_reason)
-        assert within_budget(r1.best.assignment.genes, problem.t)
+        assert within_budget(r1.best.assignment.genes, problem)
 
 
 class TestRun:
@@ -539,7 +532,8 @@ class TestRun:
     def test_mclr_equals_direct_heuristic(self):
         t, cg, m = setup_instance(5, channels=3)
         result = run("mclr", Problem(t, cg, m, RM), seed=1)
-        direct = mclr_assign(t, cg, rank_links(t, score_nodes(t)), m, 3)
+        direct = mclr_assign(Problem(t, cg, m, RM),
+                             rank_links(t, score_nodes(t)))
         assert np.array_equal(result.best.assignment.genes, direct.genes)
         assert result.iterations == 0
 
@@ -553,8 +547,7 @@ class TestRun:
 
     def test_every_generation_respects_radio_constraint(self):
         t, cg, m = setup_instance(6, channels=6, radios=2)
-        cfg = GaConfig(population_size=10, max_iterations=15,
-                       validate_every_generation=True)
+        cfg = GaConfig(population_size=10, max_iterations=15)
         for algorithm in ("fa_scga", "ia_ga"):
             result = run(algorithm, Problem(t, cg, m, RM), cfg, seed=2)
             assert_valid(result.best.assignment.genes, t, 6)
@@ -594,11 +587,12 @@ def star_instance():
 class TestCheckPopulation:
     def test_invalid_row_raises_typed_error(self):
         t, cg, m = star_instance()
+        problem = Problem(t, cg, m, RM)
         valid, broken = np.array([0, 1, 1]), np.array([0, 1, 2])
-        _check_population(np.stack([valid, valid]), t, 6)
+        _check_population(np.stack([valid, valid]), problem)
         assert reference_radio_violations(broken, t) == [(0, 3)]
         with pytest.raises(InvalidAssignment, match="individual 1"):
-            _check_population(np.stack([valid, broken]), t, 6)
+            _check_population(np.stack([valid, broken]), problem)
 
     def test_run_ga_rejects_an_invalid_generation(self, monkeypatch):
         t, cg, m = star_instance()
@@ -609,12 +603,44 @@ class TestCheckPopulation:
             return out
 
         monkeypatch.setattr("meshca.ga.mutate", break_radio_budget)
-        cfg = GaConfig(population_size=6, max_iterations=3,
-                       validate_every_generation=True)
+        cfg = GaConfig(population_size=6, max_iterations=3)
         # two radios for three mutually conflicting links: interference
         # stays above zero, so the loop runs past generation 0
         with pytest.raises(InvalidAssignment):
             run("scga", Problem(t, cg, m, RM), cfg, seed=1)
+
+    def test_runs_every_generation_only_where_a_budget_binds(
+            self, monkeypatch):
+        checked = []
+        monkeypatch.setattr("meshca.ga._check_population",
+                            lambda genes, problem: checked.append(len(genes)))
+        cfg = GaConfig(population_size=6, max_iterations=3)
+        t, cg, m = star_instance()
+        result = run("scga", Problem(t, cg, m, RM), cfg, seed=1)
+        assert checked == [6] * (result.iterations + 1)
+        checked.clear()
+        # the same star with as many radios as links binds nowhere
+        t = make_topology([(0, 0), (50, 0), (0, 50), (-50, 0)],
+                          link_pairs=[(0, 1), (0, 2), (0, 3)], channels=6,
+                          radios=3)
+        run("scga", Problem(t, build_conflict_graph(t), m, RM), cfg, seed=1)
+        assert checked == []
+
+
+class TestBindingRule:
+    @given(tree_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_binding_nodes_and_their_links(self, problem):
+        t, k = problem.t, problem.channels
+        degree = [len(inc) for inc in t.incident_links]
+        want = [v for v in range(t.node_count)
+                if t.radios[v] < min(degree[v], k)]
+        assert problem.binding.tolist() == want
+        for v, row in zip(want, problem.binding_links.tolist()):
+            assert set(row) == set(t.incident_links[v])
+            assert row[:degree[v]] == t.incident_links[v]
+        assert (set(np.flatnonzero(problem.bound_links).tolist())
+                == bound_links(t, k))
 
 
 PINNED_INSTANCES = {

@@ -39,10 +39,12 @@ from meshca.harness import (
     read_results_csv,
     replicate_seed,
     run_replicate,
+    run_row,
     run_sweep,
 )
 from meshca.topology import build_conflict_graph, generate_topology, save_topology
-from conftest import assert_valid, make_topology, reference_brute_force
+from conftest import (assert_valid, make_topology, reference_brute_force,
+                      reference_radio_violations)
 
 
 def tiny_scenario(name="tiny", replicates=1, master_seed=0, nodes=8):
@@ -241,7 +243,7 @@ class TestOracleBeatsEveryAlgorithm:
         assume(t.link_count <= 10)
         p = problem_for(t)
         oracle = brute_force_optimum(t, p.cg, p.m, p.rm, p.channels)
-        assert within_budget(oracle.assignment.genes, t)
+        assert within_budget(oracle.assignment.genes, p)
         ga = GaConfig(population_size=8, max_iterations=5)
         for record, _ in run_replicate(cfg, seed, list(ALGORITHMS), ga):
             assert oracle.fitness >= record.fairness_index - 1e-12
@@ -307,6 +309,20 @@ class TestSweep:
         assert len(serial) == 1 + 2 * 2 * len(ALGORITHMS)
         assert serial == rows_but_wall_ms(tmp_path / "par")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_config_listed_twice_is_two_scenarios(self, tmp_path,
+                                                      workers):
+        s = tiny_scenario("twice", replicates=2, master_seed=3)
+        seeds = [[replicate_seed(s.master_seed, i, r) for r in range(2)]
+                 for i in range(2)]
+        want = sorted(seeds[0]) + sorted(seeds[1])
+        assert want != sorted(want)  # merging the two would reorder rows
+        records = run_sweep([s, s], ["mclr", "fa_scga"], tmp_path,
+                            ga=GaConfig(population_size=6, max_iterations=2),
+                            workers=workers)
+        assert [r.seed for r in records] == [x for x in want for _ in "ab"]
+        assert read_results_csv(tmp_path / "results.csv") == records
+
     @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
     def test_bad_worker_count_rejected(self, tmp_path, workers):
         with pytest.raises(InvalidConfig, match="workers"):
@@ -359,6 +375,14 @@ class TestSweep:
         run_replicate(tiny_scenario(), 3, ["mclr", "ia_ga", "scga", "fa_scga"],
                       GaConfig(population_size=6, max_iterations=2))
         assert len(calls) == 1
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(InvalidConfig, match="master_seed"):
+            run_sweep([tiny_scenario(master_seed=-1)], ["mclr"], tmp_path)
+        assert not (tmp_path / "results.csv").exists()
+        problem = problem_for(generate_topology(tiny_scenario(), 3))
+        with pytest.raises(InvalidConfig, match="seed"):
+            run_row(problem, "mclr", GaConfig(), -5)
 
     def test_replicate_seed_is_stable(self):
         assert replicate_seed(0, 0, 0) == replicate_seed(0, 0, 0)
@@ -426,6 +450,23 @@ class TestEvaluateFile:
             evaluate_file(topo_path, assign_path)
 
 
+    def test_radio_budget_breach_names_the_first_node(self, tmp_path):
+        cfg = ScenarioConfig(node_count=20, radios=1, channels=4)
+        t = generate_topology(cfg, 5)
+        genes = np.zeros(t.link_count, dtype=int)
+        hub = next(v for v, inc in enumerate(t.incident_links) if len(inc) > 1)
+        genes[t.incident_links[hub]] = np.arange(len(t.incident_links[hub])) % 4
+        [(node, count), *_] = reference_radio_violations(genes, t)
+        topo_path, assign_path = tmp_path / "t.json", tmp_path / "a.csv"
+        save_topology(t, topo_path)
+        save_assignment(ChannelAssignment(genes, 4), assign_path)
+        with pytest.raises(InconsistentInputs,
+                           match=f"node {node} {count} channels, but it has 1 "):
+            evaluate_file(topo_path, assign_path)
+        genes[:] = 0
+        save_assignment(ChannelAssignment(genes, 4), assign_path)
+        assert evaluate_file(topo_path, assign_path).fni == 1.0
+
     def test_channel_count_mismatch_raises(self, tmp_path):
         t, cg, m, a, topo_path, assign_path = self._write_pair(tmp_path)
         save_assignment(ChannelAssignment(a.genes, 4), assign_path)
@@ -481,13 +522,14 @@ class TestEntryPointProperties:
         ga = GaConfig(population_size=8, max_iterations=5)
         pairs = run_replicate(cfg, seed, list(ALGORITHMS), ga)
         t = generate_topology(cfg, seed)
+        problem = problem_for(t)
         fi = {}
         with tempfile.TemporaryDirectory() as tmp:
             topo_path = Path(tmp) / "t.json"
             save_topology(t, topo_path)
             for record, result in pairs:
                 genes = result.best.assignment.genes
-                assert within_budget(genes, t)
+                assert within_budget(genes, problem)
                 assert 0.0 < record.fairness_index <= 1.0
                 path = Path(tmp) / f"{record.algorithm}.csv"
                 save_assignment(result.best.assignment, path,

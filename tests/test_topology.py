@@ -91,10 +91,15 @@ class TestGenerateTopology:
         dict(channels=0),
         dict(rate_lo=0.0),
         dict(gateway_count=0),
+        dict(master_seed=-1),
     ])
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(InvalidConfig):
             generate_topology(ScenarioConfig(**bad), seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfig, match="seed"):
+            generate_topology(ScenarioConfig(), seed=-1)
 
     def test_gateway_is_nearest_center(self):
         cfg = ScenarioConfig(node_count=30)
@@ -328,12 +333,14 @@ class TestLoadTopologyValidation:
         (lambda d: d["links"][0].update(a=float(d["links"][0]["a"])), ParseError),
         (lambda d: d["nodes"][0].update(gateway="no"), ParseError),
         (lambda d: d.update(seed="7"), ParseError),
+        (lambda d: d.update(seed=-7), ParseError),
     ], ids=["zero_rate", "negative_rate", "link_id_999", "link_ids_out_of_order",
             "endpoint_past_last_node", "negative_endpoint", "self_loop",
             "repeated_pair", "node_id_gap", "node_without_radios",
             "invalid_params", "nan_x", "infinite_y", "string_x", "huge_x",
             "fractional_radios", "bool_radios", "infinite_rate", "nan_rate",
-            "float_endpoint", "string_gateway", "string_seed"])
+            "float_endpoint", "string_gateway", "string_seed",
+            "negative_seed"])
     def test_malformed_document_rejected(self, tmp_path, small_random_topology,
                                          edit, error):
         doc = small_random_topology.to_dict()
