@@ -335,8 +335,9 @@ def load_assignment(path: str | Path) -> tuple[ChannelAssignment, dict]:
 
     Metadata holds the ``algorithm`` header and, when the file has one,
     the ``seed`` header. Channels out of range, duplicate or missing link
-    ids, malformed rows and a ``channels`` or ``seed`` header that is not
-    an integer raise ``ParseError`` naming the offending entry.
+    ids, malformed rows, a ``channels`` or ``seed`` header that is not
+    an integer and a negative ``seed`` header (no topology can be
+    generated from it) raise ``ParseError`` naming the offending entry.
     """
     try:
         text = Path(path).read_text()
@@ -360,6 +361,9 @@ def load_assignment(path: str | Path) -> tuple[ChannelAssignment, dict]:
                     except ValueError as exc:
                         raise ParseError(f"{path}:{lineno}: '# {key}:' header "
                                          f"{value!r} is not an integer") from exc
+                    if key == "seed" and meta[key] < 0:
+                        raise ParseError(f"{path}:{lineno}: '# seed:' header "
+                                         f"{value!r} is negative")
             continue
         if line == "link_id,channel":
             continue

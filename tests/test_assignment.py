@@ -508,11 +508,15 @@ class TestAssignmentFile:
         with pytest.raises(ParseError, match="channels"):
             load_assignment(path)
 
-    @pytest.mark.parametrize("header", ["# channels: three", "# seed: x"])
+    @pytest.mark.parametrize("header", ["# channels: three", "# seed: x",
+                                        "# seed: -3"])
     def test_non_integer_header_rejected(self, tmp_path, header):
+        """A header that is not an integer, or a negative seed, which no
+        topology can be generated from, is rejected at its line."""
         path = tmp_path / "a.csv"
         path.write_text(f"# channels: 3\n{header}\nlink_id,channel\n0,0\n")
-        with pytest.raises(ParseError, match=r"a\.csv:2: .*not an integer"):
+        with pytest.raises(ParseError,
+                           match=r"a\.csv:2: .*(not an integer|negative)"):
             load_assignment(path)
 
     def test_non_contiguous_ids_rejected(self, tmp_path):

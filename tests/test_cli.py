@@ -287,10 +287,13 @@ class TestInputErrors:
                                capsys) == 2
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("header", ["# channels: three", "# seed: x"])
+    @pytest.mark.parametrize("header", ["# channels: three", "# seed: x",
+                                        "# seed: -3"])
     def test_non_integer_assignment_header_exits_3(self, tmp_path,
                                                    topology_path, capsys,
                                                    header):
+        """A non-integer header, or a negative seed that ``gen`` could not
+        regenerate, is a parse error."""
         t = load_topology(topology_path)
         assignment = tmp_path / "assignment.csv"
         assignment.write_text(

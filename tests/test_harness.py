@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tempfile
+import tracemalloc
 from itertools import product
 from pathlib import Path
 from unittest.mock import patch
@@ -220,6 +221,45 @@ class TestOracleEquivalence:
         else:
             assert (got.candidates, got.feasible) == (want.candidates,
                                                       want.feasible)
+
+
+class TestOracleBlocks:
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("links,channels",
+                             [(1, 1), (3, 1), (1, 4), (4, 2), (5, 3), (4, 4),
+                              (3, 5)])
+    def test_blocks_are_bounded_and_concatenate_to_the_enumeration(
+            self, chunk, links, channels):
+        every = [list(g) for g in product(range(channels), repeat=links)]
+        restricted = [g for g in every
+                      if all(c <= 1 + max(g[:i], default=-1)
+                             for i, c in enumerate(g))]
+        with patch.object(meshca.harness, "_CHUNK", chunk):
+            for blocks, want in (
+                    (meshca.harness._all_assignments, every),
+                    (meshca.harness._relabelling_representatives,
+                     restricted)):
+                got = list(blocks(links, channels))
+                assert all(len(block) <= chunk for block in got)
+                assert np.concatenate(got).tolist() == want
+
+    @pytest.mark.parametrize("links,m", [(12, OverlapMatrix.orthogonal(3)),
+                                         (11, OverlapMatrix.graded(3))],
+                             ids=["orthogonal-12", "graded-11"])
+    def test_working_set_is_a_few_mb(self, links, m):
+        """Scoring in bounded blocks keeps the oracle's peak allocation
+        well below the size of its search space (88,574 representatives
+        and 177,147 assignments here)."""
+        t = make_topology([(i * 55.0, 0.0) for i in range(links + 1)],
+                          link_pairs=[(i, i + 1) for i in range(links)])
+        cg = build_conflict_graph(t)
+        tracemalloc.start()
+        try:
+            brute_force_optimum(t, cg, m, RadioModel(), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
 
 
 @st.composite
