@@ -141,10 +141,7 @@ def _channel_interference_all(l: int, genes: np.ndarray,
     """Interference index of link ``l`` for every candidate channel,
     against its assigned conflict neighbors (unassigned ones add 0)."""
     nbr_genes = genes[problem.cg.neighbors[l]]
-    nbr_genes = nbr_genes[nbr_genes >= 0]
-    if not len(nbr_genes):
-        return np.zeros(problem.channels)
-    return problem.m.ratio[:, nbr_genes].sum(axis=1)
+    return problem.m.ratio[:, nbr_genes[nbr_genes >= 0]].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,108 +166,89 @@ def within_budget(genes: np.ndarray, problem: Problem) -> np.ndarray:
     return (channels_in_use(genes, problem) <= radios).all(axis=-1)
 
 
-class _RadioBook:
-    """A gene row plus, per binding node (``Problem.binding``), how many
-    of its assigned incident links hold each channel. Other nodes' budgets
-    never bind, so they are not counted. :meth:`set` keeps the row and the
-    counts in step."""
-
-    def __init__(self, problem: Problem, genes: np.ndarray):
-        self.problem, self.t, self.genes = problem, problem.t, genes
-        row = genes.tolist()
-        self.counts: dict[int, dict[int, int]] = {}
-        for v in problem.binding.tolist():
-            held = self.counts[v] = {}
-            for c in (row[lid] for lid in self.t.incident_links[v]):
-                if c >= 0:
-                    held[c] = held.get(c, 0) + 1
-
-    def set(self, lid: int, channel: int) -> None:
-        """Give ``lid`` the channel, in the row and in the counts."""
-        old = int(self.genes[lid])
-        self.genes[lid] = channel
-        for v in (int(self.t.link_a[lid]), int(self.t.link_b[lid])):
-            held = self.counts.get(v)
-            if held is None:
-                continue
-            if old >= 0:
-                held[old] -= 1
-                if not held[old]:
-                    del held[old]
-            held[channel] = held.get(channel, 0) + 1
+def feasible_channels(lid: int, genes: np.ndarray,
+                      problem: Problem) -> np.ndarray:
+    """(n, K) mask of the channels link ``lid`` may hold in each row of
+    the (n, L) genes ((K,) for an (L,) row): a binding endpoint whose
+    other links already hold as many channels as it has radios allows
+    only those channels. ``UNASSIGNED`` genes hold none. The link's own
+    gene is always allowed, so an assigned link's mask is never empty,
+    and a free link may take every channel."""
+    g = np.atleast_2d(genes)
+    channels = np.arange(problem.channels)
+    allowed = np.ones((len(g), len(channels)), dtype=bool)
+    for others, radios in problem.bound_walk.get(lid, ()):
+        used = (g[:, others, None] == channels).any(axis=1)
+        allowed &= used | (used.sum(axis=1) < radios)[:, None]
+    allowed |= g[:, lid, None] == channels
+    return allowed if np.ndim(genes) == 2 else allowed[0]
 
 
-def feasible_channels(lid: int, book: _RadioBook) -> list[int]:
-    """Channels link ``lid`` may hold, keeping both endpoints within
-    their radio budgets given every other link recorded in ``book``. The
-    link's own recorded channel is always included, so the result is
-    never empty for an assigned link."""
-    t = book.t
-    own = int(book.genes[lid])
-    allowed = None
-    for v in (int(t.link_a[lid]), int(t.link_b[lid])):
-        held = book.counts.get(v, {})
-        used = {c for c, n in held.items() if n > (c == own)}
-        if len(used) >= t.radios[v]:
-            allowed = used if allowed is None else allowed & used
-    if allowed is None:
-        return list(range(book.problem.channels))
-    if own >= 0:
-        allowed.add(own)
-    return sorted(c for c in allowed if c < book.problem.channels)
+def _assign_stuck(lid: int, genes: np.ndarray, problem: Problem) -> None:
+    """Both endpoints are at budget with disjoint palettes: merge them in
+    the (L,) row ``genes``, in place (``UNASSIGNED`` marks links not yet
+    placed). The link takes the least-interfering channel already used
+    at either endpoint, and every endpoint pushed over budget has all its
+    assigned links collapsed onto it, cascading. Reachable only under
+    tight radio budgets; at worst a region shares one channel, which is
+    always valid."""
+    t = problem.t
 
+    def held(v):
+        return set(genes[t.incident_links[v]].tolist()) - {UNASSIGNED}
 
-def _assign_stuck(lid: int, book: _RadioBook) -> None:
-    """Both endpoints are at budget with disjoint palettes: merge them.
-
-    The link takes the least-interfering channel already used at either
-    endpoint, and every endpoint pushed over budget has all its assigned
-    links collapsed onto that channel, cascading until no node exceeds
-    its budget. Reachable only under tight radio budgets; in the worst
-    case a region degrades to a common channel, which is always valid.
-    """
-    t, genes = book.t, book.genes
     u, v = int(t.link_a[lid]), int(t.link_b[lid])
-    pool = sorted(book.counts[u].keys() | book.counts[v].keys())
-    per_channel = _channel_interference_all(lid, genes, book.problem)
-    c = min(pool, key=lambda ch: (per_channel[ch], ch))
-    book.set(lid, c)
+    per_channel = _channel_interference_all(lid, genes, problem)
+    c = min(held(u) | held(v), key=lambda ch: (per_channel[ch], ch))
+    genes[lid] = c
     queue = [u, v]
     while queue:
         x = queue.pop()
-        if len(book.counts.get(x, ())) <= t.radios[x]:
+        if len(held(x)) <= t.radios[x]:
             continue
         for l2 in t.incident_links[x]:
-            old = int(genes[l2])
-            if old >= 0 and old != c:
-                book.set(l2, c)
+            if genes[l2] not in (UNASSIGNED, c):
+                genes[l2] = c
                 queue.extend((int(t.link_a[l2]), int(t.link_b[l2])))
 
 
 def repair_radio_constraint(genes: np.ndarray,
                             problem: Problem) -> np.ndarray:
-    """Rebuild an assignment link by link, keeping each requested gene
-    when the radio budgets allow it and otherwise substituting the
-    least-interfering feasible channel (reusing an endpoint channel).
+    """Repair each row of an (L,) row or (n, L) batch that breaks a radio
+    budget: the input itself if none does, else a repaired copy.
 
-    Already-valid assignments are returned unchanged (the rebuild would
-    keep every gene anyway, since a valid assignment stays within budget
-    on every prefix)."""
-    if within_budget(genes, problem):
+    An over-budget row keeps its free genes and rebuilds its bound ones
+    in ascending link id order, as a link-by-link rebuild from an empty
+    row would: the requested gene if the budgets allow it, else the
+    feasible channel least interfering with the lower-id conflict
+    neighbours (the links placed so far; ties to the lower channel),
+    else a stuck merge. Each bound link is placed in all such rows at
+    once. Genes must lie in ``[0, channel_count)``."""
+    ok = np.atleast_1d(within_budget(genes, problem))
+    if ok.all():
         return genes
-    out = np.full(problem.t.link_count, UNASSIGNED, dtype=np.int64)
-    book = _RadioBook(problem, out)
-    for lid in range(len(out)):
-        cand = feasible_channels(lid, book)
-        if not cand:
-            _assign_stuck(lid, book)
-            continue
-        if genes[lid] in cand:
-            c = int(genes[lid])
-        else:
-            per_channel = _channel_interference_all(lid, out, problem)
-            c = min(cand, key=lambda ch: (per_channel[ch], ch))
-        book.set(lid, c)
+    out = np.array(genes, dtype=np.int64)
+    rows = out.reshape(-1, out.shape[-1])
+    sub = rows[~ok]
+    bound = list(problem.bound_walk)
+    requested = sub[:, bound]
+    sub[:, bound] = UNASSIGNED
+    for want, lid in zip(requested.T, bound):
+        allowed = feasible_channels(lid, sub, problem)
+        keep = allowed[np.arange(len(sub)), want]
+        sub[keep, lid] = want[keep]
+        stuck = ~allowed.any(axis=1)
+        pick = np.flatnonzero(~keep & ~stuck)
+        nbrs = problem.cg.neighbors[lid]
+        per_channel = problem.m.ratio[:, sub[np.ix_(pick, nbrs[nbrs < lid])]]
+        sub[pick, lid] = np.where(allowed[pick].T, per_channel.sum(axis=-1),
+                                  np.inf).argmin(axis=0)
+        for i in np.flatnonzero(stuck).tolist():
+            row = sub[i].copy()
+            row[lid + 1:] = UNASSIGNED  # links the rebuild has not placed
+            _assign_stuck(lid, row, problem)
+            sub[i, :lid + 1] = row[:lid + 1]
+    rows[~ok] = sub
     return out
 
 
@@ -290,22 +268,18 @@ def mclr_assign(problem: Problem, rt: LinkRankTable) -> ChannelAssignment:
     so the fallback never makes a link worse than the common channel would.
     """
     genes = np.full(problem.t.link_count, UNASSIGNED, dtype=np.int64)
-    book = _RadioBook(problem, genes)
-    for lid in rt.schedule:
-        lid = int(lid)
-        cand = feasible_channels(lid, book)
-        if not cand:
-            _assign_stuck(lid, book)
-            continue
+    for lid in rt.schedule.tolist():
+        cand = range(problem.channels)
+        if lid in problem.bound_walk:
+            cand = np.flatnonzero(feasible_channels(lid, genes, problem)).tolist()
+            if not cand:
+                _assign_stuck(lid, genes, problem)
+                continue
         per_channel = _channel_interference_all(lid, genes, problem)
-        zero = [c for c in cand if per_channel[c] == 0.0]
-        if zero:
-            c = zero[0]
-        else:
-            c = min(cand, key=lambda ch: (per_channel[ch], ch))
-            if per_channel[c] > problem.cg.degrees[lid] and 0 in cand:
-                c = 0
-        book.set(lid, c)
+        c = min(cand, key=lambda ch: (per_channel[ch], ch))
+        if per_channel[c] > problem.cg.degrees[lid] and 0 in cand:
+            c = 0
+        genes[lid] = c
     return ChannelAssignment(genes, problem.channels)
 
 

@@ -16,7 +16,9 @@ and return such arrays. Only the final best individual becomes an
 Each initialisation draws one (P, L) uniform array, and each generation
 one (n, L) array for the mutation mask and one for the new channels.
 :func:`_redraw` maps them to feasible channels: free links' genes in one
-step, and only bound links' genes through the radio book.
+step, then each bound link in all rows at once, in ascending id order;
+crossover repair walks the bound links of its over-budget children the
+same way (:func:`~meshca.assignment.repair_radio_constraint`).
 
 Every entry point runs on one :class:`Problem` per topology, which
 builds the link-rank table and the greedy primary chromosome once, on
@@ -45,7 +47,6 @@ from .assignment import (
     ChannelAssignment,
     OverlapMatrix,
     UNASSIGNED,
-    _RadioBook,
     _assign_stuck,
     feasible_channels,
     interference_matrix,
@@ -111,10 +112,19 @@ class Problem:
 
     @cached_property
     def bound_links(self) -> np.ndarray:
-        """(L,) mask of the links with a binding endpoint; other links
-        are free."""
+        """(L,) mask of the links with a binding endpoint; others are free."""
         t, binding = self.t, self.binding
         return np.isin(t.link_a, binding) | np.isin(t.link_b, binding)
+
+    @cached_property
+    def bound_walk(self) -> dict[int, list[tuple[np.ndarray, int]]]:
+        """Per bound link, in ascending id order: each binding endpoint's
+        other links and radio count, which decide its feasible channels."""
+        t, binding = self.t, set(self.binding.tolist())
+        return {lid: [(np.array([l for l in t.incident_links[v] if l != lid],
+                                dtype=np.int64), t.radios[v])
+                      for v in (t.link_a[lid], t.link_b[lid]) if v in binding]
+                for lid in np.flatnonzero(self.bound_links).tolist()}
 
 
 @dataclass
@@ -165,22 +175,24 @@ def _redraw(genes: np.ndarray, hit: np.ndarray, u: np.ndarray,
     """Give each hit gene of the (n, L) rows ``genes``, in place, the
     channel ``cand[int(u * len(cand))]`` of its feasible channels
     ``cand``, or a stuck merge if there are none. A free link's ``cand``
-    is ``range(k)``, so free hits are drawn first, in one step; then
-    each row's bound hits walk its :class:`_RadioBook` in link order.
-    Free genes never change a binding node's counts, so on a valid row
-    this equals walking every hit gene through the book in link order."""
-    k, bound = problem.channels, problem.bound_links
-    free = hit & ~bound
-    genes[free] = (u[free] * k).astype(np.int64)
-    hit = hit & bound
-    for i in np.flatnonzero(hit.any(axis=1)):
-        book = _RadioBook(problem, genes[i])
-        for lid in np.flatnonzero(hit[i]).tolist():
-            cand = feasible_channels(lid, book)
-            if cand:
-                book.set(lid, cand[int(u[i, lid] * len(cand))])
-            else:
-                _assign_stuck(lid, book)
+    is ``range(k)``, so free hits are drawn first, in one step; then the
+    bound links are walked in ascending id order, each in all its hit
+    rows at once. Rows are independent and free genes never change a
+    binding node's channels, so on a valid row this equals walking one
+    row's hit genes in link order."""
+    np.copyto(genes, (u * problem.channels).astype(np.int64),
+              where=hit & ~problem.bound_links)
+    for lid in problem.bound_walk:
+        rows = np.flatnonzero(hit[:, lid])
+        if not rows.size:
+            continue
+        allowed = feasible_channels(lid, genes[rows], problem)
+        count = allowed.sum(axis=1)
+        pick = (u[rows, lid] * count).astype(np.int64)
+        drawn = (allowed.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
+        genes[rows[count > 0], lid] = drawn[count > 0]
+        for i in rows[count == 0].tolist():
+            _assign_stuck(lid, genes[i], problem)
     return genes
 
 
@@ -231,8 +243,9 @@ def crossover(genes_a: np.ndarray, fairness_a: np.ndarray,
     children = np.where(fairness_a >= fairness_b, genes_a, genes_b)
     if problem.binding.size:
         rows = children.reshape(-1, children.shape[-1])
-        for i in np.flatnonzero(~within_budget(rows, problem)):
-            rows[i] = repair_radio_constraint(rows[i], problem)
+        bad = ~within_budget(rows, problem)
+        if bad.any():
+            rows[bad] = repair_radio_constraint(rows[bad], problem)
     return children
 
 
@@ -310,7 +323,7 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
         b = parents[rng.integers(len(parents), size=n)]
         children = crossover(genes[a], fairness[a], genes[b], fairness[b],
                              problem)
-        child_fairness, _ = _evaluate_batch(children, problem, fair)
+        child_fairness = _batch_link_fairness(children, problem)[3]
         # child 0 is replaced by the elite, so it is not mutated
         children[1:] = mutate(children[1:], child_fairness[1:], cfg, problem,
                               rng)

@@ -14,8 +14,9 @@ algorithm) order whatever the worker count.
 from __future__ import annotations
 
 import csv
+import os
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
@@ -163,16 +164,10 @@ def aggregate_records(records: list[MetricsRecord]) -> list[dict]:
     """Mean over replicates per (scenario, algorithm), in first-seen
     scenario order then algorithm order."""
     groups: dict[tuple[str, str], list[MetricsRecord]] = {}
-    order: list[tuple[str, str]] = []
     for rec in records:
-        key = (rec.scenario, rec.algorithm)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault((rec.scenario, rec.algorithm), []).append(rec)
     rows = []
-    for scenario, algorithm in order:
-        grp = groups[(scenario, algorithm)]
+    for (scenario, algorithm), grp in groups.items():
         row = {"scenario": scenario, "algorithm": algorithm,
                "replicates": len(grp)}
         for name in _AVERAGED:
@@ -189,6 +184,21 @@ def write_aggregates_csv(rows: list[dict], path: str | Path) -> None:
             w.writerow([str(row[name]) for name in AGGREGATES_HEADER])
 
 
+@contextmanager
+def _one_blas_thread():
+    """Set ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``, where unset,
+    to 1 for the block: processes spawned in it run one BLAS thread, as
+    threaded OpenBLAS in several processes on few cores stalls."""
+    added = [name for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+             if name not in os.environ]
+    os.environ.update(dict.fromkeys(added, "1"))
+    try:
+        yield
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
+
+
 def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
               out_dir: str | Path, ga: GaConfig | None = None,
               workers: int = 1) -> list[MetricsRecord]:
@@ -198,8 +208,10 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
     scenario's rows by seed then algorithm, flushed scenario by scenario)
     and ``aggregates.csv`` (one row per scenario and algorithm, metrics
     averaged over replicates). Returns the result records in file order.
-    With ``workers > 1`` the replicates run in a process pool, whose
-    ordered ``map`` gives the same files as a serial run.
+    With ``workers > 1`` the replicates run in a pool of spawned
+    processes with one BLAS thread each (unless ``OPENBLAS_NUM_THREADS``
+    or ``OMP_NUM_THREADS`` is set), whose ordered ``map`` gives the same
+    files as a serial run.
     """
     ga = ga or GaConfig()
     ga.validate()
@@ -224,14 +236,15 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
             for s_idx, scenario in enumerate(scenarios)
             for r_idx in range(scenario.topologies_per_scenario)]
     records: list[MetricsRecord] = []
+    env = pool = nullcontext()
     if workers > 1:
         # imported here: the pool machinery costs about 1.5 MB and 8 ms
         # at import, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(workers)
-    else:
-        pool = nullcontext()
-    with open(out_dir / "results.csv", "w", newline="") as fh, pool:
+        from multiprocessing import get_context
+        env = _one_blas_thread()
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+    with env, open(out_dir / "results.csv", "w", newline="") as fh, pool:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         # both maps yield in job order: each scenario, by position, takes

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from meshca.assignment import ChannelAssignment, OverlapMatrix, within_budget
+from meshca.assignment import (UNASSIGNED, ChannelAssignment, OverlapMatrix,
+                               within_budget)
 from meshca.config import RadioModel, ScenarioConfig
 from meshca.fitness import _batch_link_fairness, jain_index
 from meshca.ga import Problem
@@ -82,6 +83,113 @@ def assert_valid(genes, t, channel_count):
     assert genes.shape == (t.link_count,)
     assert ((genes >= 0) & (genes < channel_count)).all()
     assert reference_radio_violations(genes, t) == []
+
+
+class ReferenceRadioBook:
+    """A gene row plus, per binding node (``Problem.binding``), how many
+    of its assigned incident links hold each channel: the per-row radio
+    book that the library's link-major walk replaced. :meth:`set` keeps
+    the row and the counts in step."""
+
+    def __init__(self, problem, genes):
+        self.problem, self.t, self.genes = problem, problem.t, genes
+        row = genes.tolist()
+        self.counts = {}
+        for v in problem.binding.tolist():
+            held = self.counts[v] = {}
+            for c in (row[lid] for lid in self.t.incident_links[v]):
+                if c >= 0:
+                    held[c] = held.get(c, 0) + 1
+
+    def set(self, lid, channel):
+        """Give ``lid`` the channel, in the row and in the counts."""
+        old = int(self.genes[lid])
+        self.genes[lid] = channel
+        for v in (int(self.t.link_a[lid]), int(self.t.link_b[lid])):
+            held = self.counts.get(v)
+            if held is None:
+                continue
+            if old >= 0:
+                held[old] -= 1
+                if not held[old]:
+                    del held[old]
+            held[channel] = held.get(channel, 0) + 1
+
+
+def reference_channel_interference(lid, genes, problem):
+    """Interference index of link ``lid`` for every candidate channel,
+    against its assigned conflict neighbours (unassigned ones add 0)."""
+    nbr_genes = genes[problem.cg.neighbors[lid]]
+    nbr_genes = nbr_genes[nbr_genes >= 0]
+    if not len(nbr_genes):
+        return np.zeros(problem.channels)
+    return problem.m.ratio[:, nbr_genes].sum(axis=1)
+
+
+def reference_book_feasible(lid, book):
+    """Channels link ``lid`` may hold, keeping both endpoints within
+    their radio budgets given every other link recorded in ``book``; the
+    link's own recorded channel is always included."""
+    t = book.t
+    own = int(book.genes[lid])
+    allowed = None
+    for v in (int(t.link_a[lid]), int(t.link_b[lid])):
+        held = book.counts.get(v, {})
+        used = {c for c, n in held.items() if n > (c == own)}
+        if len(used) >= t.radios[v]:
+            allowed = used if allowed is None else allowed & used
+    if allowed is None:
+        return list(range(book.problem.channels))
+    if own >= 0:
+        allowed.add(own)
+    return sorted(c for c in allowed if c < book.problem.channels)
+
+
+def reference_assign_stuck(lid, book):
+    """Both endpoints are at budget with disjoint palettes: the link
+    takes the least-interfering channel already used at either endpoint,
+    and every endpoint pushed over budget has its assigned links
+    collapsed onto it, cascading."""
+    t, genes = book.t, book.genes
+    u, v = int(t.link_a[lid]), int(t.link_b[lid])
+    pool = sorted(book.counts[u].keys() | book.counts[v].keys())
+    per_channel = reference_channel_interference(lid, genes, book.problem)
+    c = min(pool, key=lambda ch: (per_channel[ch], ch))
+    book.set(lid, c)
+    queue = [u, v]
+    while queue:
+        x = queue.pop()
+        if len(book.counts.get(x, ())) <= t.radios[x]:
+            continue
+        for l2 in t.incident_links[x]:
+            old = int(genes[l2])
+            if old >= 0 and old != c:
+                book.set(l2, c)
+                queue.extend((int(t.link_a[l2]), int(t.link_b[l2])))
+
+
+def reference_repair(genes, problem):
+    """One row rebuilt link by link through its radio book: each
+    requested gene is kept when the budgets allow it, else the
+    least-interfering feasible channel against the links already rebuilt
+    (ties to the lower channel), else a stuck merge. A valid row comes
+    back as the same object."""
+    if within_budget(genes, problem):
+        return genes
+    out = np.full(problem.t.link_count, UNASSIGNED, dtype=np.int64)
+    book = ReferenceRadioBook(problem, out)
+    for lid in range(len(out)):
+        cand = reference_book_feasible(lid, book)
+        if not cand:
+            reference_assign_stuck(lid, book)
+            continue
+        if genes[lid] in cand:
+            c = int(genes[lid])
+        else:
+            per_channel = reference_channel_interference(lid, out, problem)
+            c = min(cand, key=lambda ch: (per_channel[ch], ch))
+        book.set(lid, c)
+    return out
 
 
 def reference_brute_force(t, cg, m, rm, channels, fitness_kind="fairness"):

@@ -10,7 +10,7 @@ from meshca.assignment import (
     UNASSIGNED,
     ChannelAssignment,
     OverlapMatrix,
-    _RadioBook,
+    _assign_stuck,
     _channel_interference_all,
     channels_in_use,
     feasible_channels,
@@ -35,6 +35,7 @@ from conftest import (
     make_problem,
     make_topology,
     reference_radio_violations,
+    reference_repair,
 )
 
 RM = RadioModel()
@@ -227,7 +228,7 @@ class TestLeastInterferingChannel:
 
     @staticmethod
     def least_interfering(lid, genes, problem):
-        cand = feasible_channels(lid, _RadioBook(problem, genes))
+        cand = np.flatnonzero(feasible_channels(lid, genes, problem)).tolist()
         per_channel = _channel_interference_all(lid, genes, problem)
         return min(cand, key=lambda ch: (per_channel[ch], ch))
 
@@ -267,7 +268,7 @@ class TestLeastInterferingChannel:
         problem = make_problem(line_topology(n=3, radios=1))
         genes = np.array([2, -1])
         # link 1 shares node 1 with link 0, so it must reuse channel 2
-        assert feasible_channels(1, _RadioBook(problem, genes)) == [2]
+        assert np.flatnonzero(feasible_channels(1, genes, problem)).tolist() == [2]
         assert self.least_interfering(1, genes, problem) == 2
 
     def test_no_feasible_channel_raises(self):
@@ -276,7 +277,7 @@ class TestLeastInterferingChannel:
         # which is the case MCLR and repair hand to the stuck-link merge
         problem = make_problem(line_topology(n=4, radios=1))
         genes = np.array([0, -1, 1])
-        assert feasible_channels(1, _RadioBook(problem, genes)) == []
+        assert np.flatnonzero(feasible_channels(1, genes, problem)).tolist() == []
 
 
 class TestMclrAssign:
@@ -376,9 +377,9 @@ class TestRadioConstraintHelpers:
 
     def test_feasible_channels_includes_own(self):
         problem = make_problem(line_topology(n=4, radios=1))
-        book = _RadioBook(problem, np.array([0, 0, 1]))
-        assert feasible_channels(1, book) == [0]
-        assert feasible_channels(2, book) == [0, 1]
+        genes = np.array([0, 0, 1])
+        assert np.flatnonzero(feasible_channels(1, genes, problem)).tolist() == [0]
+        assert np.flatnonzero(feasible_channels(2, genes, problem)).tolist() == [0, 1]
 
     def test_repair_produces_valid_assignment(self):
         t = clique_topology(6, radios=2, channels=5)
@@ -451,9 +452,8 @@ class TestRadioBudgetProperties:
             valid = repair_radio_constraint(np.maximum(row, 0), problem)
             assert_valid(valid, t, k)
             for r in (row, valid):
-                book = _RadioBook(problem, r.copy())
                 for lid in range(t.link_count):
-                    assert (feasible_channels(lid, book)
+                    assert (np.flatnonzero(feasible_channels(lid, r, problem)).tolist()
                             == reference_feasible_channels(lid, r, t, k))
 
     @given(budget_cases())
@@ -464,9 +464,9 @@ class TestRadioBudgetProperties:
         if problem.binding.size:
             return
         for row in genes:
-            book = _RadioBook(problem, row)
             for lid in range(t.link_count):
-                assert feasible_channels(lid, book) == list(range(k))
+                assert (np.flatnonzero(feasible_channels(lid, row, problem)).tolist()
+                        == list(range(k)))
             assert repair_radio_constraint(row, problem) is row
 
     def test_binding_needs_a_node_with_more_links_than_radios(self):
@@ -478,6 +478,94 @@ class TestRadioBudgetProperties:
                              link_pairs=[(0, 1), (0, 2), (0, 3)], radios=2)
         assert make_problem(star, OverlapMatrix.orthogonal(2)).binding.tolist() == []
         assert make_problem(star, OverlapMatrix.orthogonal(3)).binding.tolist() == [0]
+
+
+@st.composite
+def repair_cases(draw):
+    """A random tree of 3-9 nodes plus up to three extra links (ids in
+    random order), 1-3 radios per node, 2-6 channels, orthogonal or
+    graded overlap, and a (P, L) batch of complete gene rows."""
+    n = draw(st.integers(3, 9))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [(a, b) for a in range(n) for b in range(a + 1, n)
+              if (a, b) not in pairs]
+    pairs += draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+    pairs = draw(st.permutations(pairs))
+    radios = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    k = draw(st.integers(2, 6))
+    L = len(pairs)
+    x = [80.0 * draw(st.integers(0, 12)) for _ in range(n)]
+    t = Topology([(x[v], 10.0 * v) for v in range(n)], radios, [0],
+                 [a for a, _ in pairs], [b for _, b in pairs], [1.0] * L,
+                 ScenarioConfig(name="repair", node_count=n, channels=k), 0)
+    m = OverlapMatrix.graded(k) if draw(st.booleans()) else \
+        OverlapMatrix.orthogonal(k)
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=L,
+                                  max_size=L), min_size=1, max_size=6))
+    return make_problem(t, m), np.array(rows, dtype=np.int64)
+
+
+class TestBatchedRepair:
+    """The repair walks only the bound links, each across every
+    over-budget row at once; it must equal the link-by-link rebuild of
+    one row at a time."""
+
+    @given(repair_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_row_reference(self, case):
+        problem, genes = case
+        batch = repair_radio_constraint(genes, problem)
+        assert batch.shape == genes.shape
+        for row, got in zip(genes, batch):
+            want = reference_repair(row, problem)
+            assert np.array_equal(got, want)
+            single = repair_radio_constraint(row, problem)
+            assert single.shape == row.shape
+            assert np.array_equal(single, want)
+            assert (single is row) == (want is row)
+            assert_valid(single, problem.t, problem.channels)
+
+    def test_one_radio_forces_stuck_merges(self, monkeypatch):
+        # one radio per node on the path 0-1-2-3-4, link ids (0,1), (2,3),
+        # (1,2), (3,4): links 0 and 1 are placed first, so link 2 meets two
+        # full endpoints whenever they hold different channels. Link 4,
+        # (5,6), is free and conflicts with link 2; having a higher id, it
+        # must not weigh in the merge's choice of channel.
+        t = make_topology([(50.0 * i, 0.0) for i in range(5)]
+                          + [(100.0, 60.0), (150.0, 60.0)],
+                          link_pairs=[(0, 1), (2, 3), (1, 2), (3, 4), (5, 6)],
+                          radios=1, channels=4)
+        problem = make_problem(t)
+        assert problem.bound_links.tolist() == [True] * 4 + [False]
+        merges = []
+
+        def counted(lid, genes, problem):
+            merges.append(lid)
+            _assign_stuck(lid, genes, problem)
+
+        monkeypatch.setattr("meshca.assignment._assign_stuck", counted)
+        genes = np.array([[0, 1, 2, 3, 0], [3, 2, 2, 1, 1], [2, 2, 3, 2, 3]])
+        out = repair_radio_constraint(genes, problem)
+        assert merges == [2, 2]  # the third row keeps links 0 and 1 equal
+        for row, got in zip(genes, out):
+            assert np.array_equal(got, reference_repair(row, problem))
+            assert_valid(got, t, 4)
+        # one radio: one channel per row on the path, and the merge of
+        # row 0 ties channels 0 and 1 on links 0 and 1 alone
+        assert out.tolist() == [[0, 0, 0, 0, 0], [2, 2, 2, 2, 1],
+                                [2, 2, 2, 2, 3]]
+
+    def test_valid_input_is_returned_as_is(self):
+        # one radio per node on a 6-link chain: only one-channel rows fit
+        problem = make_problem(clique_topology(6, radios=1, channels=5))
+        valid = np.array([[0, 0, 0, 0, 0, 0], [2, 2, 2, 2, 2, 2]])
+        assert repair_radio_constraint(valid, problem) is valid
+        row = valid[0]
+        assert repair_radio_constraint(row, problem) is row
+        over = np.array([0, 1, 2, 3, 4, 0])
+        out = repair_radio_constraint(over, problem)
+        assert out is not over and out.shape == over.shape
+        assert over.tolist() == [0, 1, 2, 3, 4, 0]  # the input is kept
 
 
 class TestAssignmentFile:

@@ -59,7 +59,8 @@ def test_ga_operator_hooks_fire_under_a_binding_budget(tmp_path, monkeypatch):
     from tracing import Tracer
 
     # 2 radios for 6 channels on 10 nodes: several nodes have 3+ links,
-    # so mutation and initialisation walk the radio book
+    # so initialisation and mutation walk the bound links and crossover
+    # repairs over-budget children
     scenario = ScenarioConfig(name="hooks_binding", node_count=10,
                               area_w=500.0, area_h=500.0, radios=2,
                               channels=6, topologies_per_scenario=1,
@@ -70,5 +71,5 @@ def test_ga_operator_hooks_fire_under_a_binding_budget(tmp_path, monkeypatch):
                                  ga=GaConfig(max_iterations=2))
     metrics = {name: value for name, (value, _) in tracer.metrics().items()}
     for name in ("ga.init_ms", "ga.mutate_ms", "ga.crossover_ms",
-                 "assignment.feasible_channels_calls"):
+                 "assignment.repair_ms", "assignment.feasible_channels_calls"):
         assert metrics[name] > 0, name

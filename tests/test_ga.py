@@ -15,7 +15,6 @@ from meshca import (
 from meshca.assignment import (
     ChannelAssignment,
     OverlapMatrix,
-    _RadioBook,
     _assign_stuck,
     feasible_channels,
     interference_matrix,
@@ -40,7 +39,14 @@ from meshca.ga import (
 )
 from meshca.ranking import rank_links, score_nodes
 from meshca.topology import Topology, build_conflict_graph, generate_topology
-from conftest import assert_valid, make_topology, reference_radio_violations
+from conftest import (
+    ReferenceRadioBook,
+    assert_valid,
+    make_topology,
+    reference_assign_stuck,
+    reference_book_feasible,
+    reference_radio_violations,
+)
 
 
 RM = RadioModel()
@@ -56,6 +62,19 @@ def setup_instance(n_links=4, channels=3, **kwargs):
     t = clique_topology(n_links, channels=channels, **kwargs)
     cg = build_conflict_graph(t)
     m = OverlapMatrix.orthogonal(channels)
+    return t, cg, m
+
+
+def hub_instance():
+    """A hub with 2 radios and 6 mutually conflicting links to leaves, 6
+    orthogonal channels, required rates above what a link achieves: the
+    hub's radio budget binds."""
+    t = make_topology([(0, 0)] + [(60.0 * np.cos(a), 60.0 * np.sin(a))
+                                  for a in np.arange(6) * np.pi / 3],
+                      link_pairs=[(0, v) for v in range(1, 7)], radios=2,
+                      channels=6, required=20.0)
+    cg, m = build_conflict_graph(t), OverlapMatrix.orthogonal(6)
+    assert Problem(t, cg, m, RM).binding.tolist() == [0]
     return t, cg, m
 
 
@@ -259,17 +278,23 @@ class TestCrossover:
                 assert child[g] == want
 
     def test_repairs_radio_violations(self):
-        t, cg, m = setup_instance(6, channels=6, radios=2)
+        # rates below the required ones make link fairness follow the
+        # channels, so a mix of two valid parents can break the hub's budget
+        t, cg, m = hub_instance()
         problem = Problem(t, cg, m, RM)
         rng = np.random.default_rng(13)
+        broken = 0
         for _ in range(30):
             ga = rng.integers(6, size=6)
             gb = rng.integers(6, size=6)
             ga = repair_radio_constraint(ga, problem)
             gb = repair_radio_constraint(gb, problem)
-            child = crossover(ga, link_fairness_of(ga, 6, t, cg, m),
-                              gb, link_fairness_of(gb, 6, t, cg, m), problem)
+            fa = link_fairness_of(ga, 6, t, cg, m)
+            fb = link_fairness_of(gb, 6, t, cg, m)
+            broken += not within_budget(np.where(fa >= fb, ga, gb), problem)
+            child = crossover(ga, fa, gb, fb, problem)
             assert_valid(child, t, 6)
+        assert broken
 
 
 def mutate_one(genes, fairness, cfg, t, cg, m, seed):
@@ -313,7 +338,7 @@ class TestMutate:
         assert np.array_equal(a, b)
 
     def test_keeps_radio_constraint(self):
-        t, cg, m = setup_instance(6, channels=6, radios=2)
+        t, cg, m = hub_instance()
         primary = mclr_assign(Problem(t, cg, m, RM),
                               rank_links(t, score_nodes(t)))
         fair = link_fairness_of(primary.genes, 6, t, cg, m)
@@ -359,15 +384,15 @@ def reference_redraw(genes, hit, u, problem, free_first=False):
     bound = bound_links(problem.t, problem.channels)
     out = np.array(genes, dtype=np.int64)
     for row, row_hit, row_u in zip(out, hit, u):
-        book = _RadioBook(problem, row)
+        book = ReferenceRadioBook(problem, row)
         order = sorted(np.flatnonzero(row_hit).tolist(),
                        key=lambda l: (free_first and l in bound, l))
         for lid in order:
-            cand = feasible_channels(lid, book)
+            cand = reference_book_feasible(lid, book)
             if cand:
                 book.set(lid, cand[int(row_u[lid] * len(cand))])
             else:
-                _assign_stuck(lid, book)
+                reference_assign_stuck(lid, book)
     return out
 
 
@@ -470,8 +495,8 @@ class TestRedrawProperties:
                                   np.delete(np.tile(row, (400, 1)), lid,
                                             axis=1))
             assert (set(out[:, lid].tolist())
-                    == set(feasible_channels(lid, _RadioBook(problem,
-                                                             row.copy()))))
+                    == set(np.flatnonzero(
+                        feasible_channels(lid, row, problem)).tolist()))
 
     @given(tree_problems(), st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["ia_ga", "scga", "fa_scga"]))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import tempfile
 import tracemalloc
 from itertools import product
@@ -33,6 +34,7 @@ from meshca.fitness import evaluate
 from meshca.ga import Problem, run
 from meshca.harness import (
     MetricsRecord,
+    _one_blas_thread,
     aggregate_records,
     brute_force_optimum,
     evaluate_file,
@@ -348,6 +350,18 @@ class TestSweep:
         serial = rows_but_wall_ms(tmp_path / "serial")
         assert len(serial) == 1 + 2 * 2 * len(ALGORITHMS)
         assert serial == rows_but_wall_ms(tmp_path / "par")
+
+    def test_pool_workers_get_one_blas_thread(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        before = dict(os.environ)
+        with _one_blas_thread():
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+            assert os.environ["OMP_NUM_THREADS"] == "2"  # the user's
+        assert dict(os.environ) == before
+        run_sweep([tiny_scenario("env", replicates=2)], ["mclr"], tmp_path,
+                  workers=2)
+        assert dict(os.environ) == before
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_config_listed_twice_is_two_scenarios(self, tmp_path,
