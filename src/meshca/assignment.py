@@ -277,7 +277,7 @@ def mclr_assign(problem: Problem, rt: LinkRankTable) -> ChannelAssignment:
                 continue
         per_channel = _channel_interference_all(lid, genes, problem)
         c = min(cand, key=lambda ch: (per_channel[ch], ch))
-        if per_channel[c] > problem.cg.degrees[lid] and 0 in cand:
+        if per_channel[c] > len(problem.cg.neighbors[lid]) and 0 in cand:
             c = 0
         genes[lid] = c
     return ChannelAssignment(genes, problem.channels)

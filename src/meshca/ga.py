@@ -85,7 +85,7 @@ class Problem:
 
     @cached_property
     def rank_table(self) -> LinkRankTable:
-        return rank_links(self.t, score_nodes(self.t))
+        return rank_links(self.t, score_nodes(self.t).score)
 
     @cached_property
     def primary(self) -> ChannelAssignment:

@@ -8,8 +8,10 @@ smaller is better, and averaged. A link's rank is the sum of its
 endpoint scores; the schedule orders links by descending rank and drives
 the greedy channel assignment.
 
-Hop levels come from one breadth-first search from the gateways, and
-usage from one sweep back over that search order (see ``score_nodes``).
+Every result is an array indexed by node or link id. Hop levels come
+from one breadth-first search from the gateways over the topology's
+``incident_links``, and usage from one sweep back over that search
+order (see ``score_nodes``).
 """
 
 from __future__ import annotations
@@ -25,14 +27,17 @@ CRITERIA = ("hops", "proximity", "usage", "capacity")
 
 
 @dataclass(frozen=True)
-class NodeScore:
-    node_id: int
-    hops: int
-    proximity: float
-    usage: int
-    capacity: int
-    normalized: dict[str, float]
-    score: float
+class NodeScores:
+    """Per-node criteria, each an (n,) array indexed by node id:
+    ``normalized`` maps each of :data:`CRITERIA` to its [0, 1] scaling,
+    and ``score`` is their mean."""
+
+    hops: np.ndarray
+    proximity: np.ndarray
+    usage: np.ndarray
+    capacity: np.ndarray
+    normalized: dict[str, np.ndarray]
+    score: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ def _minmax(values: np.ndarray, invert: bool) -> np.ndarray:
     return 1.0 - scaled if invert else scaled
 
 
-def score_nodes(t: Topology) -> list[NodeScore]:
+def score_nodes(t: Topology) -> NodeScores:
     """Score every node on the four ranking criteria, equally weighted.
 
     Hops and proximity are computed against the nearest gateway; usage
@@ -83,12 +88,15 @@ def score_nodes(t: Topology) -> list[NodeScore]:
     if not t.gateways:
         raise NoGateway("topology has no gateway node")
     n = t.node_count
+    ends = (t.link_a + t.link_b).tolist()  # a link's other end is ends - v
+    nbrs = [[ends[lid] - v for lid in links]
+            for v, links in enumerate(t.incident_links)]
     level = [-1] * n
     order = list(t.gateways)  # breadth-first, so levels never decrease
     for g in order:
         level[g] = 0
     for v in order:
-        for w, _ in t.adjacency[v]:
+        for w in nbrs[v]:
             if level[w] < 0:
                 level[w] = level[v] + 1
                 order.append(w)
@@ -96,46 +104,32 @@ def score_nodes(t: Topology) -> list[NodeScore]:
         raise NoGateway(f"node {level.index(-1)} has no path to a gateway")
     upstream = [1 << v for v in range(n)]
     for v in reversed(order):
-        for w, _ in t.adjacency[v]:
+        for w in nbrs[v]:
             if level[w] == level[v] - 1:
                 upstream[w] |= upstream[v]
-    usage = [u.bit_count() for u in upstream]
+    hops = np.array(level, dtype=np.int64)
+    usage = np.array([u.bit_count() for u in upstream], dtype=np.int64)
     gw_pos = t.positions[list(t.gateways)]
     proximity = np.min(
         np.linalg.norm(t.positions[:, None, :] - gw_pos[None, :, :], axis=-1),
         axis=1,
     )
 
-    capacity = t.radios
+    capacity = t.radios.copy()
     norm = {
-        "hops": _minmax(level, invert=True),
+        "hops": _minmax(hops, invert=True),
         "proximity": _minmax(proximity, invert=True),
         "usage": _minmax(usage, invert=False),
         "capacity": _minmax(capacity, invert=False),
     }
-    scores = sum(norm[c] for c in CRITERIA) / len(CRITERIA)
-    return [
-        NodeScore(
-            node_id=i,
-            hops=level[i],
-            proximity=float(proximity[i]),
-            usage=usage[i],
-            capacity=int(capacity[i]),
-            normalized={c: float(norm[c][i]) for c in CRITERIA},
-            score=float(scores[i]),
-        )
-        for i in range(n)
-    ]
+    score = sum(norm[c] for c in CRITERIA) / len(CRITERIA)
+    return NodeScores(hops, proximity, usage, capacity, norm, score)
 
 
-def rank_links(t: Topology, scores: list[NodeScore]) -> LinkRankTable:
-    """Rank links by the sum of their endpoint scores (``scores`` in node
-    id order, as :func:`score_nodes` gives them) and order the schedule
-    by descending rank, lower link id first on ties."""
-    score = np.array([s.score for s in scores], dtype=float)
+def rank_links(t: Topology, score: np.ndarray) -> LinkRankTable:
+    """Rank links by the sum of their endpoint scores (``score`` indexed
+    by node id, as :attr:`NodeScores.score`) and order the schedule by
+    descending rank, lower link id first on ties."""
     ranks = score[t.link_a] + score[t.link_b]
-    schedule = np.array(
-        sorted(range(t.link_count), key=lambda lid: (-ranks[lid], lid)),
-        dtype=np.int64,
-    )
-    return LinkRankTable(ranks=ranks, schedule=schedule)
+    return LinkRankTable(ranks=ranks,
+                         schedule=np.argsort(-ranks, kind="stable"))

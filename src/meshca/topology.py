@@ -26,13 +26,14 @@ PLACEMENT_ATTEMPTS = 1000
 
 
 class Topology:
-    """Immutable mesh topology held as arrays, plus cached adjacency.
+    """Immutable mesh topology held as arrays.
 
     A node ``v`` sits at ``positions[v]`` (an (n, 2) float array) with
     ``radios[v]`` radios; ``gateways`` lists the gateway node ids. A link
     ``l`` joins ``link_a[l]`` and ``link_b[l]`` with a required rate of
     ``required_rates[l]``, and its length ``lengths[l]`` is the distance
-    between its endpoints.
+    between its endpoints. ``incident_links[v]`` lists node ``v``'s links
+    in ascending id order, the one node adjacency.
 
     Safe to share across threads; all mutation happens during
     construction.
@@ -50,12 +51,9 @@ class Topology:
         self.lengths = _euclid(self.positions, self.link_a, self.link_b)
         self.required_rates = np.array(required_rates, dtype=float)
         n = len(self.positions)
-        self.adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.incident_links: list[list[int]] = [[] for _ in range(n)]
         for lid, (a, b) in enumerate(zip(self.link_a.tolist(),
                                          self.link_b.tolist())):
-            self.adjacency[a].append((b, lid))
-            self.adjacency[b].append((a, lid))
             self.incident_links[a].append(lid)
             self.incident_links[b].append(lid)
 
@@ -99,7 +97,6 @@ class ConflictGraph:
         self.adjacency[edges[:, 0], edges[:, 1]] = 1.0
         self.adjacency[edges[:, 1], edges[:, 0]] = 1.0
         self.neighbors = [np.flatnonzero(row) for row in self.adjacency]
-        self.degrees = np.array([len(n) for n in self.neighbors], dtype=np.int64)
 
     @property
     def edge_count(self) -> int:
@@ -284,12 +281,12 @@ def load_topology(path: str | Path) -> Topology:
     Raises
     ------
     ParseError
-        If the file is unreadable or malformed: node or link ids not
-        ``0..n-1`` in order, a seed that is not an int >= 0, a coordinate
-        that is not a finite number, a radio count that is not a positive
-        int, a gateway flag that is not a bool, an endpoint that is not a
-        node id, a self-loop, a repeated node pair, or links that do not
-        connect every node.
+        If the file is unreadable or malformed: fewer than two nodes,
+        node or link ids not ``0..n-1`` in order, a seed that is not an
+        int >= 0, a coordinate that is not a finite number, a radio count
+        that is not a positive int, a gateway flag that is not a bool, an
+        endpoint that is not a node id, a self-loop, a repeated node pair,
+        or links that do not connect every node.
     InvalidConfig
         If the scenario parameters fail validation.
     InvalidRequiredRate
@@ -307,6 +304,9 @@ def load_topology(path: str | Path) -> Topology:
                              f">= 0")
         nodes = doc["nodes"]
         n = len(nodes)
+        if n < 2:
+            raise ParseError(f"{path}: a topology needs at least two nodes, "
+                             f"got {n}")
         if [nd["id"] for nd in nodes] != list(range(n)):
             raise ParseError(f"{path}: node ids must be 0..{n - 1} in order")
         positions = [(nd["x"], nd["y"]) for nd in nodes]
@@ -341,7 +341,7 @@ def load_topology(path: str | Path) -> Topology:
             link_a.append(a)
             link_b.append(b)
             rates.append(rate)
-        if n and len(_search(_adjacency(n, pairs), 0)) < n:
+        if len(_search(_adjacency(n, pairs), 0)) < n:
             raise ParseError(f"{path}: the links do not connect every node")
         return Topology(positions, radios, gateways, link_a, link_b, rates,
                         params, doc["seed"])

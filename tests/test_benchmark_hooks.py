@@ -30,6 +30,7 @@ def test_every_hook_fires_once_per_layer(tmp_path, monkeypatch):
     topologies = tracer.counts["topologies"]
     assert topologies == 2
     assert tracer.calls["assignment.mclr"] == topologies
+    assert tracer.calls["ranking.rank_links"] == topologies
     assert metrics["ranking.score_nodes_calls_per_topology"] == 1
     assert metrics["topology.conflict_edges"] > 0
     for algorithm in ALGORITHMS:

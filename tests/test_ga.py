@@ -340,7 +340,7 @@ class TestMutate:
     def test_keeps_radio_constraint(self):
         t, cg, m = hub_instance()
         primary = mclr_assign(Problem(t, cg, m, RM),
-                              rank_links(t, score_nodes(t)))
+                              rank_links(t, score_nodes(t).score))
         fair = link_fairness_of(primary.genes, 6, t, cg, m)
         cfg = GaConfig(mutation_prob=1.0, strong_gene_threshold=1.0)
         out = mutate(np.tile(primary.genes, (50, 1)), np.tile(fair, (50, 1)),
@@ -558,7 +558,7 @@ class TestRun:
         t, cg, m = setup_instance(5, channels=3)
         result = run("mclr", Problem(t, cg, m, RM), seed=1)
         direct = mclr_assign(Problem(t, cg, m, RM),
-                             rank_links(t, score_nodes(t)))
+                             rank_links(t, score_nodes(t).score))
         assert np.array_equal(result.best.assignment.genes, direct.genes)
         assert result.iterations == 0
 

@@ -16,7 +16,8 @@ def enumerate_shortest_path_nodes(t):
     """Brute-force usage oracle: DFS over every shortest path from every
     node to its nearest gateway, collecting visited nodes."""
     n = t.node_count
-    adj = [[w for w, _ in t.adjacency[v]] for v in range(n)]
+    adj = [[int(t.link_b[lid] if t.link_a[lid] == v else t.link_a[lid])
+            for lid in t.incident_links[v]] for v in range(n)]
 
     def bfs(sources):
         dist = {s: 0 for s in sources}
@@ -54,7 +55,8 @@ def bfs_usage(t):
     """Usage by one breadth-first search per node: v counts u iff
     d(u, v) + hops(v) == hops(u), hops being the distance to the nearest
     gateway."""
-    adj = [[w for w, _ in t.adjacency[v]] for v in range(t.node_count)]
+    adj = [[int(t.link_b[lid] if t.link_a[lid] == v else t.link_a[lid])
+            for lid in t.incident_links[v]] for v in range(t.node_count)]
 
     def bfs(sources):
         dist = np.full(t.node_count, -1, dtype=np.int64)
@@ -101,10 +103,10 @@ class TestScoreNodes:
     def test_gateway_normalizes_to_one(self, small_random_topology):
         scores = score_nodes(small_random_topology)
         gw = small_random_topology.gateways[0]
-        assert scores[gw].hops == 0
-        assert scores[gw].proximity == 0.0
-        assert scores[gw].normalized["hops"] == 1.0
-        assert scores[gw].normalized["proximity"] == 1.0
+        assert scores.hops[gw] == 0
+        assert scores.proximity[gw] == 0.0
+        assert scores.normalized["hops"][gw] == 1.0
+        assert scores.normalized["proximity"][gw] == 1.0
 
     def test_star_leaves_score_equal(self):
         # gateway at the center, four symmetric leaves
@@ -114,13 +116,13 @@ class TestScoreNodes:
             gateways=(0,),
         )
         scores = score_nodes(t)
-        leaf_scores = {scores[i].score for i in range(1, 5)}
+        leaf_scores = {scores.score[i] for i in range(1, 5)}
         assert len(leaf_scores) == 1
 
     def test_line_usage_strictly_decreasing_and_matches_enumeration(self):
         t = line_topology(n=6, gateways=(0,))
         scores = score_nodes(t)
-        usage = [s.usage for s in scores]
+        usage = scores.usage.tolist()
         assert all(usage[i] > usage[i + 1] for i in range(5))
         oracle = enumerate_shortest_path_nodes(t)
         assert usage == oracle.tolist()
@@ -134,26 +136,27 @@ class TestScoreNodes:
         )
         scores = score_nodes(t)
         oracle = enumerate_shortest_path_nodes(t)
-        assert [s.usage for s in scores] == oracle.tolist()
+        assert scores.usage.tolist() == oracle.tolist()
 
     def test_all_equal_criterion_maps_to_one(self):
         # two nodes, symmetric in every criterion
         t = make_topology([(0, 0), (100, 0)], link_pairs=[(0, 1)],
                           gateways=(0, 1))
         scores = score_nodes(t)
-        for s in scores:
-            assert s.normalized == {c: 1.0 for c in s.normalized}
-            assert s.score == 1.0
+        for i in range(t.node_count):
+            assert ({c: v[i] for c, v in scores.normalized.items()}
+                    == {c: 1.0 for c in scores.normalized})
+            assert scores.score[i] == 1.0
 
     def test_normalization_attains_bounds(self, small_random_topology):
         scores = score_nodes(small_random_topology)
         for criterion in ("hops", "proximity", "usage", "capacity"):
-            values = [s.normalized[criterion] for s in scores]
+            values = scores.normalized[criterion].tolist()
             raw = {
-                "hops": [s.hops for s in scores],
-                "proximity": [s.proximity for s in scores],
-                "usage": [s.usage for s in scores],
-                "capacity": [s.capacity for s in scores],
+                "hops": scores.hops.tolist(),
+                "proximity": scores.proximity.tolist(),
+                "usage": scores.usage.tolist(),
+                "capacity": scores.capacity.tolist(),
             }[criterion]
             if len(set(raw)) > 1:
                 assert min(values) == 0.0
@@ -177,7 +180,7 @@ class TestScoreNodes:
     @given(connected_topologies())
     @settings(max_examples=150, deadline=None)
     def test_usage_matches_per_node_bfs(self, t):
-        usage = [s.usage for s in score_nodes(t)]
+        usage = score_nodes(t).usage.tolist()
         assert usage == bfs_usage(t).tolist()
         if t.node_count <= 12:
             assert usage == enumerate_shortest_path_nodes(t).tolist()
@@ -189,21 +192,21 @@ class TestRankLinks:
         t = make_topology([(0, 0), (100, 0), (50, 87)],
                           link_pairs=[(0, 1), (1, 2), (0, 2)],
                           gateways=(0, 1, 2))
-        table = rank_links(t, score_nodes(t))
+        table = rank_links(t, score_nodes(t).score)
         assert table.schedule.tolist() == [0, 1, 2]
 
     def test_gateway_link_scheduled_first(self):
         # link 1 touches the gateway and dominates on every criterion
         t = line_topology(n=4, gateways=(0,))
-        table = rank_links(t, score_nodes(t))
+        table = rank_links(t, score_nodes(t).score)
         assert table.schedule[0] == 0
         assert table.schedule[-1] == 2
 
     def test_matches_independent_sort(self, small_random_topology):
         t = small_random_topology
         scores = score_nodes(t)
-        table = rank_links(t, scores)
-        by_id = {s.node_id: s.score for s in scores}
+        table = rank_links(t, scores.score)
+        by_id = dict(enumerate(scores.score.tolist()))
         expected_ranks = [by_id[a] + by_id[b]
                           for a, b in zip(t.link_a.tolist(), t.link_b.tolist())]
         assert np.allclose(table.ranks, expected_ranks)
@@ -215,7 +218,7 @@ class TestRankLinks:
 
     def test_schedule_is_permutation(self, small_random_topology):
         table = rank_links(small_random_topology,
-                           score_nodes(small_random_topology))
+                           score_nodes(small_random_topology).score)
         assert sorted(table.schedule.tolist()) == list(
             range(small_random_topology.link_count)
         )
@@ -223,13 +226,9 @@ class TestRankLinks:
     def test_raising_endpoint_score_never_demotes_link(self):
         t = line_topology(n=4, gateways=(0,))
         scores = score_nodes(t)
-        table = rank_links(t, scores)
-        boosted = [
-            s if s.node_id != 0 else
-            type(s)(s.node_id, s.hops, s.proximity, s.usage, s.capacity,
-                    s.normalized, s.score + 0.5)
-            for s in scores
-        ]
+        table = rank_links(t, scores.score)
+        boosted = scores.score.copy()
+        boosted[0] += 0.5
         table2 = rank_links(t, boosted)
         # link 0 touches node 0; its position must not get worse
         pos = list(table.schedule).index(0)
@@ -247,6 +246,6 @@ class TestRankLinks:
         side = round(1000 * math.sqrt(n / 94), 1)
         t = generate_topology(ScenarioConfig(node_count=n, area_w=side,
                                              area_h=side), seed)
-        table = rank_links(t, score_nodes(t))
+        table = rank_links(t, score_nodes(t).score)
         data = table.ranks.tobytes() + table.schedule.tobytes()
         assert hashlib.sha256(data).hexdigest()[:16] == digest

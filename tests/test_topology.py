@@ -30,7 +30,8 @@ def bfs_reaches_all(t):
     stack = [0]
     while stack:
         v = stack.pop()
-        for w, _ in t.adjacency[v]:
+        for lid in t.incident_links[v]:
+            w = int(t.link_b[lid] if t.link_a[lid] == v else t.link_a[lid])
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -71,7 +72,7 @@ class TestGenerateTopology:
     def test_degree_cap_prunes_excess_links(self):
         cfg = ScenarioConfig(node_count=40, degree_cap=3)
         t = generate_topology(cfg, seed=3)
-        degrees = [len(t.adjacency[v]) for v in range(t.node_count)]
+        degrees = [len(t.incident_links[v]) for v in range(t.node_count)]
         # the cap is a target: most nodes respect it, none drop to zero
         assert np.mean(degrees) <= 4.0
         assert min(degrees) >= 1
@@ -334,13 +335,14 @@ class TestLoadTopologyValidation:
         (lambda d: d["nodes"][0].update(gateway="no"), ParseError),
         (lambda d: d.update(seed="7"), ParseError),
         (lambda d: d.update(seed=-7), ParseError),
+        (lambda d: d.update(nodes=d["nodes"][:1], links=[]), ParseError),
     ], ids=["zero_rate", "negative_rate", "link_id_999", "link_ids_out_of_order",
             "endpoint_past_last_node", "negative_endpoint", "self_loop",
             "repeated_pair", "node_id_gap", "node_without_radios",
             "invalid_params", "nan_x", "infinite_y", "string_x", "huge_x",
             "fractional_radios", "bool_radios", "infinite_rate", "nan_rate",
             "float_endpoint", "string_gateway", "string_seed",
-            "negative_seed"])
+            "negative_seed", "one_node"])
     def test_malformed_document_rejected(self, tmp_path, small_random_topology,
                                          edit, error):
         doc = small_random_topology.to_dict()
