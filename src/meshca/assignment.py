@@ -315,7 +315,7 @@ def load_assignment(path: str | Path) -> tuple[ChannelAssignment, dict]:
     """
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read assignment file {path}: {exc}") from exc
     meta: dict = {"algorithm": "unknown"}
     rows: dict[int, int] = {}

@@ -43,7 +43,7 @@ from .topology import generate_topology, load_topology, save_topology
 def _load_json(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad UTF-8, JSON or a huge int
         raise ParseError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -124,10 +124,7 @@ def _cmd_sweep(args) -> int:
     else:
         scenarios = paper_scale_scenarios()
     if args.seed is not None:
-        scenarios = [
-            ScenarioConfig.from_dict({**s.to_dict(), "master_seed": args.seed})
-            for s in scenarios
-        ]
+        scenarios = [replace(s, master_seed=args.seed) for s in scenarios]
     out = _out_dir(args)
     records = run_sweep(scenarios, algorithms, out, ga=ga,
                         workers=args.workers)
@@ -155,7 +152,6 @@ def _cmd_oracle(args) -> int:
     cfg = t.params
     if args.channels is not None:
         cfg = replace(cfg, channels=args.channels)
-        cfg.validate()
     p = problem_for(t, cfg)
     result = brute_force_optimum(t, p.cg, p.m, p.rm, p.channels,
                                  fitness_kind=args.fitness)

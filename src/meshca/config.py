@@ -1,5 +1,9 @@
 """Configuration records for scenarios, the radio model, and the GA engine.
 
+Each record checks itself when built (``from_dict`` and
+``dataclasses.replace`` build one too): a bad or non-finite field raises
+:class:`InvalidConfig`, so no caller checks a record again.
+
 Defaults follow common 802.11 mesh simulation practice: a 1000m x 1000m
 area, 252m communication range, 514m interference distance, 3 radios per
 router, and 3 orthogonal channels (set ``channels=12`` for 802.11a-style
@@ -8,7 +12,8 @@ experiments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from .errors import InvalidConfig
@@ -36,6 +41,20 @@ def _checked_fields(cls, d: Any) -> dict[str, Any]:
     return d
 
 
+def _check_finite(record) -> None:
+    """Raise :class:`InvalidConfig` naming a ``float`` field of ``record``
+    that is NaN, infinite, or an int too large for a float."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        try:
+            finite = f.type != "float" or math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidConfig(f"{type(record).__name__}.{f.name} must be "
+                                f"a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RadioModel:
     """Analytic link-rate model parameters.
@@ -51,7 +70,8 @@ class RadioModel:
     bandwidth: float = 20.0
     min_distance: float = 10.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        _check_finite(self)
         if self.tss <= 0:
             raise InvalidConfig(f"tss must be positive, got {self.tss}")
         if self.path_loss_exp < 1:
@@ -102,7 +122,8 @@ class ScenarioConfig:
     master_seed: int = 0
     radio_model: RadioModel = field(default_factory=RadioModel)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        _check_finite(self)
         if self.node_count < 2:
             raise InvalidConfig(f"node_count must be >= 2, got {self.node_count}")
         if self.area_w <= 0 or self.area_h <= 0:
@@ -146,7 +167,6 @@ class ScenarioConfig:
             raise InvalidConfig(
                 f"master_seed must be >= 0, got {self.master_seed}"
             )
-        self.radio_model.validate()
 
     def to_dict(self) -> dict[str, Any]:
         d = asdict(self)
@@ -162,7 +182,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Genetic engine parameters.
+    """Genetic engine parameters, checked when built.
 
     The defaults are repository choices, not published values: population
     40, per-weak-gene mutation probability 0.2, at most 200 generations,
@@ -181,7 +201,8 @@ class GaConfig:
     stall_window: int = 20
     strong_gene_threshold: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        _check_finite(self)
         if self.population_size < 2:
             raise InvalidConfig(
                 f"population_size must be >= 2, got {self.population_size}"

@@ -201,7 +201,6 @@ def init_population_semi_chaotic(problem: Problem, cfg: GaConfig,
     """(P, L) genes around ``problem.primary``: row 0 is the primary
     itself; the others keep its zero-interference (strong) genes and
     re-draw the rest from one (P, L) uniform array seeded by ``seed``."""
-    cfg.validate()
     primary = problem.primary.genes
     genes = np.tile(primary, (cfg.population_size, 1))
     hit = np.zeros(genes.shape, dtype=bool)
@@ -214,7 +213,6 @@ def init_population_random(problem: Problem, cfg: GaConfig,
                            seed) -> np.ndarray:
     """(P, L) random genes, each drawn from the channels the radio
     budgets allow, from one (P, L) uniform array seeded by ``seed``."""
-    cfg.validate()
     shape = (cfg.population_size, problem.t.link_count)
     genes = np.full(shape, UNASSIGNED, dtype=np.int64)
     u = np.random.default_rng(seed).random(shape)
@@ -283,7 +281,6 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
     if algorithm not in _GA_KINDS:
         raise InvalidConfig(f"{algorithm!r} is not a GA variant")
     semi_chaotic, fair = _GA_KINDS[algorithm]
-    cfg.validate()
     init_ss, loop_ss = np.random.SeedSequence(seed).spawn(2)
     if semi_chaotic:
         genes = init_population_semi_chaotic(problem, cfg, init_ss)
@@ -354,7 +351,6 @@ def run(algorithm: str, problem: Problem, cfg: GaConfig | None = None,
             f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}"
         )
     cfg = cfg or GaConfig()
-    cfg.validate()  # for mclr too, as run_sweep does for every algorithm
     if algorithm != "mclr":
         return run_ga(algorithm, problem, cfg, seed)
     best = _individual(problem.primary.genes, problem, True)

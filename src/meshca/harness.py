@@ -211,12 +211,10 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
     With ``workers > 1`` the replicates run in a pool of spawned
     processes with one BLAS thread each (unless ``OPENBLAS_NUM_THREADS``
     or ``OMP_NUM_THREADS`` is set), whose ordered ``map`` gives the same
-    files as a serial run.
+    files as a serial run. A bad ``algorithms`` list or ``workers`` count
+    raises :class:`InvalidConfig`; the configs were checked when built.
     """
     ga = ga or GaConfig()
-    ga.validate()
-    for s in scenarios:
-        s.validate()
     if not isinstance(algorithms, (list, tuple)) or not algorithms:
         raise InvalidConfig(
             f"algorithms must be a non-empty list, got {algorithms!r}"

@@ -218,11 +218,10 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
     Raises
     ------
     InvalidConfig
-        If the configuration fails validation or the seed is negative.
+        If the seed is negative (``config`` was checked when built).
     ConnectivityUnreachable
         If no connected placement is found within the attempt budget.
     """
-    config.validate()
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -284,21 +283,20 @@ def load_topology(path: str | Path) -> Topology:
         If the file is unreadable or malformed: fewer than two nodes,
         node or link ids not ``0..n-1`` in order, a seed that is not an
         int >= 0, a coordinate that is not a finite number, a radio count
-        that is not a positive int, a gateway flag that is not a bool, an
-        endpoint that is not a node id, a self-loop, a repeated node pair,
-        or links that do not connect every node.
+        that is not a positive int, a gateway flag that is not a bool, no
+        gateway, an endpoint that is not a node id, a self-loop, a repeated
+        node pair, or links that do not connect every node.
     InvalidConfig
-        If the scenario parameters fail validation.
+        If the scenario parameters are invalid (see :mod:`meshca.config`).
     InvalidRequiredRate
         If a link's required rate is not positive and finite.
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # bad UTF-8, JSON or a huge int
         raise ParseError(f"cannot read topology file {path}: {exc}") from exc
     try:
         params = ScenarioConfig.from_dict(doc["params"])
-        params.validate()
         if type(doc["seed"]) is not int or doc["seed"] < 0:
             raise ParseError(f"{path}: seed {doc['seed']!r} is not an int "
                              f">= 0")
@@ -320,6 +318,8 @@ def load_topology(path: str | Path) -> Topology:
             raise ParseError(f"{path}: every node's gateway flag must be "
                              f"true or false")
         gateways = [v for v, nd in enumerate(nodes) if nd["gateway"]]
+        if not gateways:
+            raise ParseError(f"{path}: no node is a gateway")
         link_a, link_b, rates = [], [], []
         pairs = set()
         for lid, ld in enumerate(doc["links"]):

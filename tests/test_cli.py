@@ -190,10 +190,11 @@ class TestInputErrors:
         (lambda d: d["nodes"][0].update(radios=2.5), 3),
         (lambda d: d["links"][0].update(required_rate=math.inf), 2),
         (lambda d: d.update(seed=-7), 3),
+        (lambda d: [nd.update(gateway=False) for nd in d["nodes"]], 3),
     ], ids=["zero_rate", "negative_rate", "link_id_999",
             "endpoint_out_of_range", "self_loop", "node_without_radios",
             "zero_channels", "nan_x", "fractional_radios", "infinite_rate",
-            "negative_seed"])
+            "negative_seed", "no_gateway"])
     def test_bad_topology_file(self, tmp_path, topology_path, capsys, edit,
                                code):
         _break_topology(topology_path, edit)
@@ -214,8 +215,13 @@ class TestInputErrors:
         {"node_count": "20"},
         {"radio_model": {"tss": "loud"}},
         {"node_count": 20, "master_seed": -2},
+        {"node_count": 20, "radio_model": {"tss": math.nan}},
+        {"node_count": 20, "area_w": math.inf},
+        {"node_count": 20, "interference_distance": math.inf},
+        {"node_count": 20, "area_h": 10 ** 400},
     ], ids=["unknown_key", "wrong_type", "wrong_radio_type",
-            "negative_master_seed"])
+            "negative_master_seed", "nan_tss", "infinite_area",
+            "infinite_interference", "huge_int_area"])
     def test_bad_gen_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(doc))
@@ -253,15 +259,60 @@ class TestInputErrors:
         {"scenarios": [{"node_count": 8}], "algorithms": 5},
         {"scenarios": [{"node_count": 8}], "algorithms": ["mclr", "mclr"]},
         {"scenarios": [{"node_count": 8, "master_seed": -2}]},
+        {"scenarios": [{"node_count": 8,
+                        "radio_model": {"path_loss_exp": math.nan}}]},
+        {"scenarios": [{"node_count": 8, "area_w": math.inf}]},
+        {"scenarios": [{"node_count": 8, "rate_hi": 10 ** 400}]},
+        {"scenarios": [{"node_count": 8}], "ga": {"mutation_prob": math.nan}},
     ], ids=["no_scenarios", "unknown_scenario_key", "wrong_ga_type",
             "algorithms_not_a_list", "algorithms_repeated",
-            "negative_master_seed"])
+            "negative_master_seed", "nan_path_loss", "infinite_area",
+            "huge_int_rate", "nan_mutation_prob"])
     def test_bad_sweep_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(doc))
         assert self._exit_code(["sweep", "--config", str(cfg), "--out",
                                 str(tmp_path)], capsys) == 2
         assert not (tmp_path / "results.csv").exists()
+
+    def test_bad_scenario_named_before_bad_ga(self, tmp_path, capsys):
+        """A config raises where it is built, so the scenario list, read
+        first, is the one named."""
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"scenarios": [{"channels": 0}],
+                                   "ga": {"population_size": 1}}))
+        assert main(["sweep", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: channels must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", ["eval", "oracle"])
+    def test_gatewayless_topology_exits_3(self, tmp_path, topology_path,
+                                          capsys, command):
+        assert main(["assign", "--algo", "mclr", "--topology",
+                     str(topology_path), "--out", str(tmp_path)]) == 0
+        _break_topology(topology_path, lambda d: [
+            nd.update(gateway=False) for nd in d["nodes"]])
+        argv = [command, "--topology", str(topology_path)]
+        if command == "eval":
+            argv += ["--assignment", str(tmp_path / "assignment-mclr-seed1.csv")]
+        assert self._exit_code(argv, capsys) == 3
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b'{"node_count": 1' + b"0" * 5000 + b"}",
+    ], ids=["not_utf8", "int_past_digit_limit"])
+    def test_unreadable_json_exits_3(self, tmp_path, topology_path, capsys,
+                                     content):
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        for argv in (["gen", "--config", str(path)],
+                     ["assign", "--topology", str(path)],
+                     ["assign", "--topology", str(topology_path),
+                      "--ga", str(path)],
+                     ["eval", "--topology", str(topology_path),
+                      "--assignment", str(path)]):
+            assert self._exit_code(argv + ["--out", str(tmp_path / "o")],
+                                   capsys) == 3
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):

@@ -1,0 +1,45 @@
+"""A config record checks itself when built, whichever way it is built."""
+
+import math
+from dataclasses import replace
+
+import pytest
+
+from meshca import GaConfig, InvalidConfig, ScenarioConfig
+from meshca.config import RadioModel
+from test_ga import BAD_GA_FIELDS
+from test_topology import BAD_SCENARIO_FIELDS
+
+BAD_RECORDS = ([(GaConfig, bad) for bad in BAD_GA_FIELDS]
+               + [(ScenarioConfig, bad) for bad in BAD_SCENARIO_FIELDS])
+
+FLOAT_FIELDS = [(cls, name) for cls in (RadioModel, ScenarioConfig, GaConfig)
+                for name, value in vars(cls()).items() if type(value) is float]
+
+
+@pytest.mark.parametrize("cls, bad", BAD_RECORDS,
+                         ids=[f"{c.__name__}.{'-'.join(b)}" for c, b in BAD_RECORDS])
+def test_bad_field_raises_through_constructor_and_from_dict(cls, bad):
+    with pytest.raises(InvalidConfig):
+        cls(**bad)
+    with pytest.raises(InvalidConfig):
+        cls.from_dict(bad)
+
+
+def test_replace_checks_the_new_record():
+    with pytest.raises(InvalidConfig, match="channels must be >= 1"):
+        replace(ScenarioConfig(), channels=0)
+
+
+def test_every_float_field_is_covered():
+    assert len(FLOAT_FIELDS) == 13  # 4 radio, 6 scenario, 3 GA
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "minus_inf", "huge_int"])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_non_finite_float_field_rejected(cls, name, value):
+    with pytest.raises(InvalidConfig,
+                       match=rf"^{cls.__name__}\.{name} must be a finite number"):
+        cls(**{name: value})

@@ -90,21 +90,24 @@ def link_fairness_of(genes, channels, t, cg, m):
     return evaluate(Problem(t, cg, m, RM), np.asarray(genes)).link_fairness
 
 
+BAD_GA_FIELDS = [
+    dict(mutation_prob=1.5),
+    dict(target_fairness=-0.1),
+    dict(stall_window=0),
+    dict(max_iterations=-1),
+    dict(strong_gene_threshold=1.5),
+]
+
+
 class TestConfigValidation:
     def test_population_of_one_rejected(self):
         with pytest.raises(InvalidConfig):
-            GaConfig(population_size=1).validate()
+            GaConfig(population_size=1)
 
-    @pytest.mark.parametrize("bad", [
-        dict(mutation_prob=1.5),
-        dict(target_fairness=-0.1),
-        dict(stall_window=0),
-        dict(max_iterations=-1),
-        dict(strong_gene_threshold=1.5),
-    ])
+    @pytest.mark.parametrize("bad", BAD_GA_FIELDS)
     def test_bad_fields_rejected(self, bad):
         with pytest.raises(InvalidConfig):
-            GaConfig(**bad).validate()
+            GaConfig(**bad)
 
 
 class TestSemiChaoticInit:

@@ -1,8 +1,10 @@
 import hashlib
 import math
 import os
+import pickle
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from unittest.mock import patch
@@ -362,6 +364,22 @@ class TestSweep:
         run_sweep([tiny_scenario("env", replicates=2)], ["mclr"], tmp_path,
                   workers=2)
         assert dict(os.environ) == before
+
+    def test_spawned_pool_round_trips_configs(self, tmp_path):
+        # A worker unpickles its configs without calling __init__, so
+        # __post_init__ does not run there. That is safe: pickling copies
+        # a record the parent built, and so checked, field for field.
+        s = replace(tiny_scenario("rt", replicates=2, master_seed=7),
+                    rate_lo=0.6, radio_model=RadioModel(tss=25.0,
+                                                        path_loss_exp=2.5))
+        ga = GaConfig(population_size=6, max_iterations=3, mutation_prob=0.3)
+        assert pickle.loads(pickle.dumps((s, ga))) == (s, ga)
+        run_sweep([s], ["mclr", "fa_scga"], tmp_path / "serial", ga=ga,
+                  workers=1)
+        run_sweep([s], ["mclr", "fa_scga"], tmp_path / "pool", ga=ga,
+                  workers=2)
+        assert (rows_but_wall_ms(tmp_path / "serial")
+                == rows_but_wall_ms(tmp_path / "pool"))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_config_listed_twice_is_two_scenarios(self, tmp_path,

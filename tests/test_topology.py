@@ -25,6 +25,18 @@ from meshca.topology import (
 from conftest import make_topology
 
 
+BAD_SCENARIO_FIELDS = [
+    dict(node_count=1),
+    dict(area_w=0.0),
+    dict(comm_range=600.0),  # >= interference distance
+    dict(radios=0),
+    dict(channels=0),
+    dict(rate_lo=0.0),
+    dict(gateway_count=0),
+    dict(master_seed=-1),
+]
+
+
 def bfs_reaches_all(t):
     seen = {0}
     stack = [0]
@@ -84,16 +96,7 @@ class TestGenerateTopology:
         with pytest.raises(ConnectivityUnreachable):
             generate_topology(cfg, seed=0)
 
-    @pytest.mark.parametrize("bad", [
-        dict(node_count=1),
-        dict(area_w=0.0),
-        dict(comm_range=600.0),  # >= interference distance
-        dict(radios=0),
-        dict(channels=0),
-        dict(rate_lo=0.0),
-        dict(gateway_count=0),
-        dict(master_seed=-1),
-    ])
+    @pytest.mark.parametrize("bad", BAD_SCENARIO_FIELDS)
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(InvalidConfig):
             generate_topology(ScenarioConfig(**bad), seed=0)
@@ -336,13 +339,14 @@ class TestLoadTopologyValidation:
         (lambda d: d.update(seed="7"), ParseError),
         (lambda d: d.update(seed=-7), ParseError),
         (lambda d: d.update(nodes=d["nodes"][:1], links=[]), ParseError),
+        (lambda d: [nd.update(gateway=False) for nd in d["nodes"]], ParseError),
     ], ids=["zero_rate", "negative_rate", "link_id_999", "link_ids_out_of_order",
             "endpoint_past_last_node", "negative_endpoint", "self_loop",
             "repeated_pair", "node_id_gap", "node_without_radios",
             "invalid_params", "nan_x", "infinite_y", "string_x", "huge_x",
             "fractional_radios", "bool_radios", "infinite_rate", "nan_rate",
             "float_endpoint", "string_gateway", "string_seed",
-            "negative_seed", "one_node"])
+            "negative_seed", "one_node", "no_gateway"])
     def test_malformed_document_rejected(self, tmp_path, small_random_topology,
                                          edit, error):
         doc = small_random_topology.to_dict()
