@@ -111,6 +111,12 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
     products, numpy's summation order and the graded results are
     unchanged, bit for bit.
 
+    The one-hot, the counts and the graded weights live in ``cg``'s
+    scratch buffers, which grow to the largest batch and are reused, so
+    a warm call maps no fresh pages. This makes one graph unsafe to score
+    from two threads at once. The result is always a fresh array and
+    never aliases the scratch, so callers may keep it.
+
     Raises
     ------
     InvalidAssignment
@@ -124,14 +130,26 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
             f"genes must lie in [0, {k}), got {g.min()}..{g.max()}"
         )
     p, n_links = g.shape
+    size = n_links * p * k
+    if cg.scratch_onehot.size < size:
+        cg.scratch_onehot = np.empty(size, dtype=np.float32)
+        cg.scratch_counts = np.empty(size, dtype=np.float32)
+    onehot = cg.scratch_onehot[:size]
+    onehot.fill(0.0)
     own = np.arange(n_links * p) * k + g.T.ravel()
-    onehot = np.zeros(n_links * p * k, dtype=np.float32)
     onehot[own] = 1.0
-    counts = cg.adjacency @ onehot.reshape(n_links, p * k)
+    counts = cg.scratch_counts[:size].reshape(n_links, p * k)
+    np.matmul(cg.adjacency, onehot.reshape(n_links, p * k), out=counts)
     if m.identity:
         out = counts.reshape(-1)[own].astype(float).reshape(n_links, p)
     else:
-        out = (counts.reshape(n_links, p, k) * m.ratio[g.T]).sum(axis=2)
+        if cg.scratch_weights.size < size:
+            cg.scratch_weights = np.empty(size)
+        w = cg.scratch_weights[:size].reshape(n_links, p, k)
+        # the genes are in range, so "clip" gathers exactly what "raise"
+        # would, without numpy's buffered copy of ``out``
+        np.take(m.ratio, g.T, axis=0, out=w, mode="clip")
+        out = np.multiply(counts.reshape(n_links, p, k), w, out=w).sum(axis=2)
     out = np.ascontiguousarray(out.T)
     return out[0] if genes.ndim == 1 else out
 

@@ -86,7 +86,10 @@ class Topology:
 
 class ConflictGraph:
     """Link-conflict structure: vertices are link ids, edges join links
-    whose closest endpoints are within the interference distance."""
+    whose closest endpoints are within the interference distance. It owns
+    the scratch buffers that :func:`~meshca.assignment.interference_matrix`
+    reuses across calls, so one graph must not be scored from two threads
+    at once (the sweep's pool uses processes)."""
 
     def __init__(self, link_count: int, edges: np.ndarray):
         self.link_count = link_count
@@ -97,6 +100,10 @@ class ConflictGraph:
         self.adjacency[edges[:, 0], edges[:, 1]] = 1.0
         self.adjacency[edges[:, 1], edges[:, 0]] = 1.0
         self.neighbors = [np.flatnonzero(row) for row in self.adjacency]
+        # interference_matrix's flat one-hot, counts and graded weights
+        self.scratch_onehot = np.empty(0, dtype=np.float32)
+        self.scratch_counts = np.empty(0, dtype=np.float32)
+        self.scratch_weights = np.empty(0)
 
     @property
     def edge_count(self) -> int:

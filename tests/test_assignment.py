@@ -17,6 +17,7 @@ from meshca.assignment import (
     interference_matrix,
     load_assignment,
     mclr_assign,
+    overlap_for_config,
     repair_radio_constraint,
     save_assignment,
     within_budget,
@@ -28,6 +29,7 @@ from meshca.topology import (
     ConflictGraph,
     Topology,
     build_conflict_graph,
+    generate_topology,
 )
 from conftest import (
     assert_valid,
@@ -219,6 +221,74 @@ class TestInterferenceKernel:
             interference_matrix(genes, cg, m)
         with pytest.raises(InvalidAssignment):
             interference_matrix(np.stack([genes * 0, genes]), cg, m)
+
+
+class TestKernelScratch:
+    """``interference_matrix`` reuses its graph's scratch buffers across
+    calls of every shape; no call may see what an earlier one left."""
+
+    @given(kernel_cases(), st.lists(
+        st.tuples(st.integers(1, 12),
+                  st.sampled_from([None, 1, 3, 40, 300]),
+                  st.integers(1, 6),
+                  st.sampled_from([None, "below", "above"]),
+                  st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_calls_in_a_row_match_a_fresh_graph(self, case, steps):
+        """Each step is (channels, rows, span, bad gene, seed): span 1 is
+        the identity overlap, and a gene put below or above the channel
+        range must raise. The steps run forwards then backwards, so the
+        batch grows and shrinks on one graph. Every result must equal the
+        result on a fresh graph, never alias the scratch, and stay as it
+        was returned through all later calls."""
+        cg, k, genes = case
+        calls = [(genes, OverlapMatrix.graded(k, 5), None)]
+        for channels, rows, span, bad, seed in steps + steps[::-1]:
+            shape = (cg.link_count,) if rows is None else (rows, cg.link_count)
+            g = np.random.default_rng(seed).integers(0, channels, shape)
+            if bad is not None and g.size:
+                g.flat[seed % g.size] = -1 if bad == "below" else channels
+            else:
+                bad = None
+            calls.append((g, OverlapMatrix.graded(channels, span), bad))
+        kept = []
+        for g, m, bad in calls:
+            if bad is not None:
+                with pytest.raises(InvalidAssignment):
+                    interference_matrix(g, cg, m)
+                continue
+            got = interference_matrix(g, cg, m)
+            want = interference_matrix(g, ConflictGraph(cg.link_count, cg.edges), m)
+            assert np.array_equal(got, want)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            for buf in (cg.scratch_onehot, cg.scratch_counts, cg.scratch_weights):
+                assert not np.shares_memory(got, buf)
+            kept.append((got, want))
+        for got, want in kept:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("channels, overlap_kind", [
+        (12, "orthogonal"), (11, "graded")])
+    def test_warm_calls_take_no_page_faults(self, channels, overlap_kind):
+        """A (40, L) population on a 94-node topology: once the scratch
+        has grown, a call maps no fresh memory. A kernel that allocates
+        its one-hot and counts per call takes 85-211 minor faults a call
+        here."""
+        resource = pytest.importorskip("resource")
+        cfg = ScenarioConfig(node_count=94, channels=channels,
+                             overlap_kind=overlap_kind)
+        t = generate_topology(cfg, 1)
+        cg, m = build_conflict_graph(t), overlap_for_config(cfg)
+        batches = np.random.default_rng(0).integers(
+            0, channels, (8, 40, t.link_count))
+        for genes in batches:
+            interference_matrix(genes, cg, m)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for i in range(200):
+            interference_matrix(batches[i % 8], cg, m)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 200 < 5
 
 
 class TestLeastInterferingChannel:

@@ -33,6 +33,8 @@ def test_every_hook_fires_once_per_layer(tmp_path, monkeypatch):
     assert tracer.calls["ranking.rank_links"] == topologies
     assert metrics["ranking.score_nodes_calls_per_topology"] == 1
     assert metrics["topology.conflict_edges"] > 0
+    assert metrics["fitness.interference_ms"] > 0
+    assert metrics["fitness.evaluations"] > 0
     for algorithm in ALGORITHMS:
         assert metrics[f"ga.run_ms.{algorithm}"] > 0
 
