@@ -135,7 +135,7 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
         cg.scratch_onehot = np.empty(size, dtype=np.float32)
         cg.scratch_counts = np.empty(size, dtype=np.float32)
     onehot = cg.scratch_onehot[:size]
-    onehot.fill(0.0)
+    onehot.view(np.uint8).fill(0)  # a memset: float32 0.0 is all zero bits
     own = np.arange(n_links * p) * k + g.T.ravel()
     onehot[own] = 1.0
     counts = cg.scratch_counts[:size].reshape(n_links, p * k)
@@ -154,12 +154,15 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
     return out[0] if genes.ndim == 1 else out
 
 
-def _channel_interference_all(l: int, genes: np.ndarray,
-                              problem: Problem) -> np.ndarray:
-    """Interference index of link ``l`` for every candidate channel,
-    against its assigned conflict neighbors (unassigned ones add 0)."""
-    nbr_genes = genes[problem.cg.neighbors[l]]
-    return problem.m.ratio[:, nbr_genes[nbr_genes >= 0]].sum(axis=1)
+def _least_interfering(rows: np.ndarray, nbrs: np.ndarray,
+                       allowed: np.ndarray, problem: Problem):
+    """The channel choice of MCLR, repair and stuck merges: per row of
+    the (L,) row or (n, L) batch ``rows``, the channel allowed by the (K,)
+    or (n, K) mask ``allowed`` whose overlap ratios against the genes of
+    the links ``nbrs`` sum least, ties to the lower channel. ``nbrs``
+    must hold assigned links only, and each row must allow a channel."""
+    cost = problem.m.ratio[:, rows.take(nbrs, -1)].sum(-1)
+    return np.where(allowed.T, cost, np.inf).argmin(0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +205,24 @@ def feasible_channels(lid: int, genes: np.ndarray,
     return allowed if np.ndim(genes) == 2 else allowed[0]
 
 
-def _assign_stuck(lid: int, genes: np.ndarray, problem: Problem) -> None:
+def _assign_stuck(lid: int, genes: np.ndarray, nbrs: np.ndarray,
+                  problem: Problem) -> None:
     """Both endpoints are at budget with disjoint palettes: merge them in
     the (L,) row ``genes``, in place (``UNASSIGNED`` marks links not yet
-    placed). The link takes the least-interfering channel already used
-    at either endpoint, and every endpoint pushed over budget has all its
-    assigned links collapsed onto it, cascading. Reachable only under
-    tight radio budgets; at worst a region shares one channel, which is
-    always valid."""
+    placed). The link takes the channel used at either endpoint least
+    interfering with its placed conflict neighbours ``nbrs``, and every
+    endpoint pushed over budget has all its assigned links collapsed onto
+    it, cascading. Reachable only under tight radio budgets; at worst a
+    region shares one channel, which is always valid."""
     t = problem.t
 
     def held(v):
         return set(genes[t.incident_links[v]].tolist()) - {UNASSIGNED}
 
     u, v = int(t.link_a[lid]), int(t.link_b[lid])
-    per_channel = _channel_interference_all(lid, genes, problem)
-    c = min(held(u) | held(v), key=lambda ch: (per_channel[ch], ch))
+    pool = np.zeros(problem.channels, dtype=bool)
+    pool[list(held(u) | held(v))] = True
+    c = int(_least_interfering(genes, nbrs, pool, problem))
     genes[lid] = c
     queue = [u, v]
     while queue:
@@ -258,14 +263,12 @@ def repair_radio_constraint(genes: np.ndarray,
         stuck = ~allowed.any(axis=1)
         pick = np.flatnonzero(~keep & ~stuck)
         nbrs = problem.cg.neighbors[lid]
-        per_channel = problem.m.ratio[:, sub[np.ix_(pick, nbrs[nbrs < lid])]]
-        sub[pick, lid] = np.where(allowed[pick].T, per_channel.sum(axis=-1),
-                                  np.inf).argmin(axis=0)
+        nbrs = nbrs[nbrs < lid]  # the links the rebuild has placed
+        sub[pick, lid] = _least_interfering(sub[pick], nbrs, allowed[pick],
+                                            problem)
+        # a merge only rewrites bound links, which are unset above ``lid``
         for i in np.flatnonzero(stuck).tolist():
-            row = sub[i].copy()
-            row[lid + 1:] = UNASSIGNED  # links the rebuild has not placed
-            _assign_stuck(lid, row, problem)
-            sub[i, :lid + 1] = row[:lid + 1]
+            _assign_stuck(lid, sub[i], nbrs, problem)
     rows[~ok] = sub
     return out
 
@@ -278,26 +281,25 @@ def mclr_assign(problem: Problem, rt: LinkRankTable) -> ChannelAssignment:
     """Greedy rank-ordered channel assignment (the primary chromosome).
 
     Links are visited in descending rank order. Each link takes the
-    lowest-index channel that is non-overlapping with every assigned
-    conflict neighbor when one is feasible; otherwise it takes the
-    least-interfering feasible channel, falling back to the common
-    channel 0 when even that interferes more than the link's conflict
-    degree, the interference it would suffer in a single-channel network;
-    so the fallback never makes a link worse than the common channel would.
+    feasible channel least interfering with its assigned conflict
+    neighbours, ties to the lower channel, so the lowest-index channel
+    that overlaps none of them when one is feasible; a link with no
+    feasible channel is a stuck merge. The interference is a sum of
+    ratios of at most 1 over those neighbours, so no link is placed worse
+    than its conflict degree, the interference it would suffer in a
+    single-channel network.
     """
     genes = np.full(problem.t.link_count, UNASSIGNED, dtype=np.int64)
+    neighbors, every = problem.cg.neighbors, np.ones(problem.channels, bool)
     for lid in rt.schedule.tolist():
-        cand = range(problem.channels)
+        nbrs = neighbors[lid][genes[neighbors[lid]] >= 0]
+        allowed = every
         if lid in problem.bound_walk:
-            cand = np.flatnonzero(feasible_channels(lid, genes, problem)).tolist()
-            if not cand:
-                _assign_stuck(lid, genes, problem)
+            allowed = feasible_channels(lid, genes, problem)
+            if not allowed.any():
+                _assign_stuck(lid, genes, nbrs, problem)
                 continue
-        per_channel = _channel_interference_all(lid, genes, problem)
-        c = min(cand, key=lambda ch: (per_channel[ch], ch))
-        if per_channel[c] > len(problem.cg.neighbors[lid]) and 0 in cand:
-            c = 0
-        genes[lid] = c
+        genes[lid] = _least_interfering(genes, nbrs, allowed, problem)
     return ChannelAssignment(genes, problem.channels)
 
 

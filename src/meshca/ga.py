@@ -162,14 +162,6 @@ def _evaluate_batch(genes: np.ndarray, problem: Problem,
     return fairness, -interference.sum(axis=1)
 
 
-def _individual(genes: np.ndarray, problem: Problem,
-                fairness_fitness: bool) -> Individual:
-    report = evaluate(problem, genes)
-    return Individual(ChannelAssignment(genes.copy(), problem.channels),
-                      report, report.fairness_index if fairness_fitness
-                      else -report.total_interference)
-
-
 def _redraw(genes: np.ndarray, hit: np.ndarray, u: np.ndarray,
             problem: Problem) -> np.ndarray:
     """Give each hit gene of the (n, L) rows ``genes``, in place, the
@@ -191,8 +183,9 @@ def _redraw(genes: np.ndarray, hit: np.ndarray, u: np.ndarray,
         pick = (u[rows, lid] * count).astype(np.int64)
         drawn = (allowed.cumsum(axis=1) > pick[:, None]).argmax(axis=1)
         genes[rows[count > 0], lid] = drawn[count > 0]
+        nbrs = problem.cg.neighbors[lid]
         for i in rows[count == 0].tolist():
-            _assign_stuck(lid, genes[i], problem)
+            _assign_stuck(lid, genes[i], nbrs[genes[i, nbrs] >= 0], problem)
     return genes
 
 
@@ -331,7 +324,8 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
     return GaResult(
         algorithm=algorithm,
         seed=seed,
-        best=_individual(best_genes, problem, fair),
+        best=Individual(ChannelAssignment(best_genes, problem.channels),
+                        evaluate(problem, best_genes), float(best_fitness)),
         history=history,
         iterations=iterations,
         stop_reason=stop_reason,
@@ -353,7 +347,10 @@ def run(algorithm: str, problem: Problem, cfg: GaConfig | None = None,
     cfg = cfg or GaConfig()
     if algorithm != "mclr":
         return run_ga(algorithm, problem, cfg, seed)
-    best = _individual(problem.primary.genes, problem, True)
+    genes = problem.primary.genes.copy()
+    report = evaluate(problem, genes)
+    best = Individual(ChannelAssignment(genes, problem.channels), report,
+                      report.fairness_index)
     return GaResult(
         algorithm="mclr",
         seed=seed,

@@ -34,8 +34,8 @@ from .assignment import (
 )
 from .config import GaConfig, RadioModel, ScenarioConfig
 from .errors import InconsistentInputs, InvalidConfig, SearchSpaceTooLarge
-from .fitness import FitnessReport, _batch_link_fairness, evaluate, jain_index
-from .ga import ALGORITHMS, GaResult, Problem, run
+from .fitness import FitnessReport, evaluate
+from .ga import ALGORITHMS, GaResult, Problem, _evaluate_batch, run
 from .topology import ConflictGraph, Topology, build_conflict_graph, load_topology
 
 GA_SEED_OFFSET = 1
@@ -402,11 +402,10 @@ def brute_force_optimum(t: Topology, cg: ConflictGraph, m: OverlapMatrix,
             if not len(genes):
                 continue
         feasible_total += len(genes)
-        interference, _, _, fairness = _batch_link_fairness(genes, problem)
-        if fitness_kind == "fairness":
-            values = jain_index(fairness)
-        else:
-            values = -interference.sum(axis=1)
+        # bind both: the block's arrays then live until the next block's
+        # exist, and are not unmapped and re-mapped by malloc every block
+        fairness, values = _evaluate_batch(genes, problem,
+                                           fitness_kind == "fairness")
         i = int(np.argmax(values))
         if values[i] > best_fitness:
             best_fitness = float(values[i])

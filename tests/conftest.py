@@ -192,6 +192,23 @@ def reference_repair(genes, problem):
     return out
 
 
+def reference_mclr(problem, schedule):
+    """MCLR link by link through a radio book: in ``schedule`` order,
+    each link takes the feasible channel least interfering with its
+    assigned conflict neighbours (ties to the lower channel), else a
+    stuck merge."""
+    out = np.full(problem.t.link_count, UNASSIGNED, dtype=np.int64)
+    book = ReferenceRadioBook(problem, out)
+    for lid in schedule:
+        cand = reference_book_feasible(lid, book)
+        if not cand:
+            reference_assign_stuck(lid, book)
+            continue
+        per_channel = reference_channel_interference(lid, out, problem)
+        book.set(lid, min(cand, key=lambda ch: (per_channel[ch], ch)))
+    return out
+
+
 def reference_brute_force(t, cg, m, rm, channels, fitness_kind="fairness"):
     """The oracle by full enumeration: every one of the ``channels **
     link_count`` assignments in lexicographic order, in chunks, keeping

@@ -11,7 +11,7 @@ from meshca.assignment import (
     ChannelAssignment,
     OverlapMatrix,
     _assign_stuck,
-    _channel_interference_all,
+    _least_interfering,
     channels_in_use,
     feasible_channels,
     interference_matrix,
@@ -24,7 +24,7 @@ from meshca.assignment import (
 )
 from meshca.config import RadioModel
 from meshca.ga import Problem
-from meshca.ranking import rank_links, score_nodes
+from meshca.ranking import LinkRankTable, rank_links, score_nodes
 from meshca.topology import (
     ConflictGraph,
     Topology,
@@ -36,6 +36,7 @@ from conftest import (
     line_topology,
     make_problem,
     make_topology,
+    reference_mclr,
     reference_radio_violations,
     reference_repair,
 )
@@ -292,27 +293,44 @@ class TestKernelScratch:
 
 
 class TestLeastInterferingChannel:
-    """The candidate rule of MCLR and repair: the feasible channels of a
-    link and its interference on every channel against the assigned
-    conflict neighbours, least first, ties to the lower channel."""
+    """The channel choice of MCLR, repair and stuck merges: the allowed
+    channel least interfering with the given conflict neighbours, ties to
+    the lower channel. Narrowing ``allowed`` reads the order of the
+    per-channel interference off the choice."""
 
     @staticmethod
-    def least_interfering(lid, genes, problem):
-        cand = np.flatnonzero(feasible_channels(lid, genes, problem)).tolist()
-        per_channel = _channel_interference_all(lid, genes, problem)
-        return min(cand, key=lambda ch: (per_channel[ch], ch))
+    def least_interfering(lid, genes, problem, allowed=None):
+        """The choice against ``lid``'s assigned neighbours, by default
+        among its feasible channels."""
+        if allowed is None:
+            allowed = feasible_channels(lid, genes, problem)
+        nbrs = problem.cg.neighbors[lid]
+        return int(_least_interfering(genes, nbrs[genes[nbrs] >= 0],
+                                      np.asarray(allowed), problem))
+
+    @staticmethod
+    def masks(k):
+        """Every non-empty (K,) allowed mask."""
+        return [np.array(bits, dtype=bool)
+                for bits in product((False, True), repeat=k) if any(bits)]
 
     def test_no_assigned_neighbors_gives_channel_zero(self):
         problem = make_problem(clique_topology(3))
         genes = np.full(3, -1)
-        assert _channel_interference_all(0, genes, problem).tolist() == [0.0] * 3
         assert self.least_interfering(0, genes, problem) == 0
+        # every channel costs the same, so any mask picks its lowest
+        for allowed in self.masks(3):
+            assert (self.least_interfering(0, genes, problem, allowed)
+                    == np.flatnonzero(allowed)[0])
 
     def test_picks_the_free_channel(self):
         problem = make_problem(clique_topology(3))
         genes = np.array([0, -1, 1])
-        assert _channel_interference_all(1, genes, problem).tolist() == [1, 1, 0]
         assert self.least_interfering(1, genes, problem) == 2
+        # costs [1, 1, 0]: channel 2 wins wherever allowed, and 0 ties 1
+        assert self.least_interfering(1, genes, problem, [True, True, False]) == 0
+        assert self.least_interfering(1, genes, problem, [False, True, True]) == 2
+        assert self.least_interfering(1, genes, problem, [True, False, True]) == 2
 
     def test_matches_exhaustive_per_channel_evaluation(self):
         m = OverlapMatrix.graded(3)
@@ -322,16 +340,14 @@ class TestLeastInterferingChannel:
         for _ in range(25):
             genes = rng.integers(-1, 3, size=6)
             lid = int(rng.integers(6))
-            got = _channel_interference_all(lid, genes, problem)
-            scores = []
-            for c in range(3):
-                trial = sum(
-                    m.ratio[c, genes[n]]
-                    for n in cg.neighbors[lid] if genes[n] >= 0
-                )
-                assert got[c] == pytest.approx(trial, rel=1e-12, abs=0)
-                scores.append((trial, c))
+            scores = [(sum(m.ratio[c, genes[n]]
+                           for n in cg.neighbors[lid] if genes[n] >= 0), c)
+                      for c in range(3)]
             assert self.least_interfering(lid, genes, problem) == min(scores)[1]
+            for allowed in self.masks(3):
+                want = min(scores[c] for c in np.flatnonzero(allowed))[1]
+                assert self.least_interfering(lid, genes, problem,
+                                              allowed) == want
 
     def test_radio_budget_restricts_candidates(self):
         # node 1 has one radio already busy on channel 2
@@ -391,10 +407,13 @@ class TestMclrAssign:
         a = mclr_assign(make_problem(t), self._table(t))
         assert_valid(a.genes, t, 6)
 
-    def test_never_worse_than_common_channel(self, small_random_topology):
+    @pytest.mark.parametrize("overlap", [OverlapMatrix.orthogonal,
+                                         OverlapMatrix.graded])
+    def test_never_worse_than_common_channel(self, small_random_topology,
+                                             overlap):
         t = small_random_topology
         cg = build_conflict_graph(t)
-        m = OverlapMatrix.orthogonal(t.params.channels)
+        m = overlap(t.params.channels)
         a = mclr_assign(Problem(t, cg, m, RM), self._table(t))
         degrees = np.array([len(n) for n in cg.neighbors])
         assert (interference_matrix(a.genes, cg, m) <= degrees).all()
@@ -610,9 +629,9 @@ class TestBatchedRepair:
         assert problem.bound_links.tolist() == [True] * 4 + [False]
         merges = []
 
-        def counted(lid, genes, problem):
+        def counted(lid, genes, nbrs, problem):
             merges.append(lid)
-            _assign_stuck(lid, genes, problem)
+            _assign_stuck(lid, genes, nbrs, problem)
 
         monkeypatch.setattr("meshca.assignment._assign_stuck", counted)
         genes = np.array([[0, 1, 2, 3, 0], [3, 2, 2, 1, 1], [2, 2, 3, 2, 3]])
@@ -637,6 +656,23 @@ class TestBatchedRepair:
         out = repair_radio_constraint(over, problem)
         assert out is not over and out.shape == over.shape
         assert over.tolist() == [0, 1, 2, 3, 4, 0]  # the input is kept
+
+
+class TestMclrReference:
+    """MCLR on the repair topologies, whose tight budgets reach its stuck
+    merges (no benchmark workload does reliably), must equal the
+    link-by-link reference for any schedule."""
+
+    @given(repair_cases(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_mclr_equals_per_link_reference(self, case, data):
+        problem, _ = case
+        L = problem.t.link_count
+        schedule = data.draw(st.permutations(range(L)))
+        table = LinkRankTable(np.zeros(L), np.array(schedule, dtype=np.int64))
+        got = mclr_assign(problem, table).genes
+        assert np.array_equal(got, reference_mclr(problem, schedule))
+        assert_valid(got, problem.t, problem.channels)
 
 
 class TestAssignmentFile:

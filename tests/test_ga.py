@@ -470,9 +470,9 @@ class TestRedrawProperties:
                           OverlapMatrix.orthogonal(5), RM)
         merges = []
 
-        def counted(*args):
-            merges.append(args[0])
-            _assign_stuck(*args)
+        def counted(lid, genes, nbrs, problem):
+            merges.append(lid)
+            _assign_stuck(lid, genes, nbrs, problem)
 
         monkeypatch.setattr("meshca.ga._assign_stuck", counted)
         pop = init_population_random(problem, GaConfig(population_size=20),
