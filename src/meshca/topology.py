@@ -89,7 +89,10 @@ class ConflictGraph:
     whose closest endpoints are within the interference distance. It owns
     the scratch buffers that :func:`~meshca.assignment.interference_matrix`
     reuses across calls, so one graph must not be scored from two threads
-    at once (the sweep's pool uses processes)."""
+    at once (the sweep's pool uses processes).
+
+    ``adjacency`` is the one quadratic array it keeps: an (L, L) float32
+    matrix, the interference kernel's operand (4 bytes per link pair)."""
 
     def __init__(self, link_count: int, edges: np.ndarray):
         self.link_count = link_count
@@ -117,19 +120,37 @@ def _euclid(positions: np.ndarray, a, b) -> np.ndarray:
     return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
 
 
-def _pairwise_link_distances(positions: np.ndarray, link_a: np.ndarray,
-                             link_b: np.ndarray) -> np.ndarray:
-    """(L, L) matrix of minimum endpoint distances between links."""
-    node_dist = np.linalg.norm(
-        positions[:, None, :] - positions[None, :, :], axis=-1
-    )
-    d = np.minimum(
-        np.minimum(node_dist[np.ix_(link_a, link_a)],
-                   node_dist[np.ix_(link_a, link_b)]),
-        np.minimum(node_dist[np.ix_(link_b, link_a)],
-                   node_dist[np.ix_(link_b, link_b)]),
-    )
-    return d
+_BLOCK_BYTES = 1 << 18  # about the working set of one block of rows
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block when each row takes ``row_bytes`` bytes: about
+    ``_BLOCK_BYTES`` a block, and at least one row."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+def _node_distance_rows(positions: np.ndarray):
+    """Yield ``(i0, d)`` where ``d[r, j]`` is the distance from node
+    ``i0 + r`` to node ``j``, a block of rows at a time: each block's
+    (rows, n, 2) difference array stays near ``_BLOCK_BYTES``, and every
+    distance has the bits of the dense (n, n) ``norm``."""
+    n = len(positions)
+    step = _block_rows(16 * n)
+    for i0 in range(0, n, step):
+        yield i0, np.linalg.norm(
+            positions[i0:i0 + step, None, :] - positions[None, :, :], axis=-1)
+
+
+def _placement_pairs(positions: np.ndarray,
+                     comm_range: float) -> tuple[np.ndarray, np.ndarray]:
+    """Node pairs ``i < j`` at most ``comm_range`` apart, as index arrays
+    in row-major order."""
+    ia, ib = [], []
+    for i0, d in _node_distance_rows(positions):
+        rows, cols = np.nonzero(np.triu(d <= comm_range, k=i0 + 1))
+        ia.append(rows + i0)
+        ib.append(cols)
+    return np.concatenate(ia), np.concatenate(ib)
 
 
 def build_conflict_graph(t: Topology) -> ConflictGraph:
@@ -137,17 +158,30 @@ def build_conflict_graph(t: Topology) -> ConflictGraph:
     is strictly below the interference distance.
 
     Links sharing a node are always in conflict (distance zero). The
-    result is symmetric and irreflexive.
+    result is symmetric and irreflexive, with edges in row-major
+    ``a < b`` order.
+
+    Only an (n, n) bool ``near`` (node distance below the interference
+    distance, true on the diagonal) and the graph's (L, L) float32
+    ``adjacency`` grow with the square of the size: distances are taken
+    a block of node rows at a time, and edges a block of link rows at a
+    time, each block near ``_BLOCK_BYTES``. Two links conflict iff one
+    of their four endpoint pairs is ``near``, which for finite distances
+    is the same test as their minimum being below the distance.
     """
-    L = t.link_count
-    if L == 0:
-        return ConflictGraph(0, np.empty((0, 2), dtype=np.int64))
-    d = _pairwise_link_distances(t.positions, t.link_a, t.link_b)
-    mask = d < t.params.interference_distance
-    np.fill_diagonal(mask, False)
-    ia, ib = np.nonzero(np.triu(mask, k=1))
-    edges = np.stack([ia, ib], axis=1).astype(np.int64)
-    return ConflictGraph(L, edges)
+    L, n = t.link_count, t.node_count
+    near = np.empty((n, n), dtype=bool)
+    for i0, d in _node_distance_rows(t.positions):
+        np.less(d, t.params.interference_distance, out=near[i0:i0 + len(d)])
+    a, b = t.link_a, t.link_b
+    step = _block_rows(4 * L + n)
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for l0 in range(0, L, step):
+        # nodes near either endpoint of each link in the block
+        hit = near[a[l0:l0 + step]] | near[b[l0:l0 + step]]
+        ia, ib = np.nonzero(np.triu(hit[:, a] | hit[:, b], k=l0 + 1))
+        edges.append(np.stack([ia + l0, ib], axis=1))
+    return ConflictGraph(L, np.concatenate(edges))
 
 
 def _adjacency(n: int, pairs: list[tuple[int, int]]) -> list[set[int]]:
@@ -220,6 +254,10 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
     required rate drawn uniformly from ``[rate_lo, rate_hi]`` times its
     zero-interference rate.
 
+    Node distances are taken a block of rows at a time, so no draw holds
+    an (n, n) array: what grows with the size is the adjacency sets and
+    the pruning's length table, linear in the link count.
+
     Deterministic for a given ``(config, seed)`` pair.
 
     Raises
@@ -237,9 +275,7 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
         xs = rng.uniform(0.0, config.area_w, size=n)
         ys = rng.uniform(0.0, config.area_h, size=n)
         positions = np.stack([xs, ys], axis=1)
-        dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :],
-                              axis=-1)
-        ia, ib = np.nonzero(np.triu(dist <= config.comm_range, k=1))
+        ia, ib = _placement_pairs(positions, config.comm_range)
         pairs = list(zip(ia.tolist(), ib.tolist()))
         adj = _adjacency(n, pairs)
         if len(_search(adj, 0)) == n:
@@ -288,15 +324,17 @@ def load_topology(path: str | Path) -> Topology:
     ------
     ParseError
         If the file is unreadable or malformed: fewer than two nodes,
-        node or link ids not ``0..n-1`` in order, a seed that is not an
-        int >= 0, a coordinate that is not a finite number, a radio count
-        that is not a positive int, a gateway flag that is not a bool, no
-        gateway, an endpoint that is not a node id, a self-loop, a repeated
-        node pair, or links that do not connect every node.
+        node or link ids that are not the ints ``0..n-1`` in order, a seed
+        that is not an int >= 0, a coordinate that is not a finite number,
+        a radio count that is not a positive int, a gateway flag that is
+        not a bool, no gateway, an endpoint that is not a node id, a
+        self-loop, a repeated node pair, a required rate that is not a
+        number (a bool is not one), or links that do not connect every
+        node.
     InvalidConfig
         If the scenario parameters are invalid (see :mod:`meshca.config`).
     InvalidRequiredRate
-        If a link's required rate is not positive and finite.
+        If a link's required rate is a number but not positive and finite.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -312,7 +350,8 @@ def load_topology(path: str | Path) -> Topology:
         if n < 2:
             raise ParseError(f"{path}: a topology needs at least two nodes, "
                              f"got {n}")
-        if [nd["id"] for nd in nodes] != list(range(n)):
+        if any(type(nd["id"]) is not int or nd["id"] != v
+               for v, nd in enumerate(nodes)):
             raise ParseError(f"{path}: node ids must be 0..{n - 1} in order")
         positions = [(nd["x"], nd["y"]) for nd in nodes]
         if not all(_finite(x) and _finite(y) for x, y in positions):
@@ -331,7 +370,7 @@ def load_topology(path: str | Path) -> Topology:
         pairs = set()
         for lid, ld in enumerate(doc["links"]):
             a, b, rate = ld["a"], ld["b"], ld["required_rate"]
-            if ld["id"] != lid:
+            if type(ld["id"]) is not int or ld["id"] != lid:
                 raise ParseError(f"{path}: link {lid} has id {ld['id']!r}; "
                                  f"link ids must be 0..L-1 in order")
             if not (type(a) is int and type(b) is int
@@ -341,6 +380,9 @@ def load_topology(path: str | Path) -> Topology:
             if (min(a, b), max(a, b)) in pairs:
                 raise ParseError(f"{path}: link {lid} repeats node pair {a}-{b}")
             pairs.add((min(a, b), max(a, b)))
+            if type(rate) not in (int, float):
+                raise ParseError(f"{path}: link {lid} has required_rate "
+                                 f"{rate!r}, which is not a number")
             if not (rate > 0 and math.isfinite(rate)):
                 raise InvalidRequiredRate(
                     f"{path}: link {lid} has required_rate {rate!r}, "

@@ -191,10 +191,11 @@ class TestInputErrors:
         (lambda d: d["links"][0].update(required_rate=math.inf), 2),
         (lambda d: d.update(seed=-7), 3),
         (lambda d: [nd.update(gateway=False) for nd in d["nodes"]], 3),
+        (lambda d: d["links"][0].update(required_rate=True), 3),
     ], ids=["zero_rate", "negative_rate", "link_id_999",
             "endpoint_out_of_range", "self_loop", "node_without_radios",
             "zero_channels", "nan_x", "fractional_radios", "infinite_rate",
-            "negative_seed", "no_gateway"])
+            "negative_seed", "no_gateway", "bool_rate"])
     def test_bad_topology_file(self, tmp_path, topology_path, capsys, edit,
                                code):
         _break_topology(topology_path, edit)

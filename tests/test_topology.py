@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from meshca import (
     ScenarioConfig,
 )
 from meshca.topology import (
+    _BLOCK_BYTES,
     _adjacency,
-    _pairwise_link_distances,
+    _block_rows,
+    _node_distance_rows,
+    _placement_pairs,
     _prune_to_degree_cap,
     build_conflict_graph,
     generate_topology,
@@ -213,35 +217,145 @@ def min_link_distance(a, b, t):
     return min(math.dist(p[i[a]], p[j[b]]) for i in ends for j in ends)
 
 
-def link_distance(t, i, j):
-    """The minimum endpoint distance of links ``i`` and ``j`` as the
-    conflict graph computes it."""
-    return _pairwise_link_distances(t.positions, t.link_a, t.link_b)[i, j]
+def conflicts(t, i, j):
+    """Whether the conflict graph joins links ``i`` and ``j``."""
+    return bool(build_conflict_graph(t).adjacency[i, j])
+
+
+def two_link_topology(positions, interference):
+    """Links (0, 1) and (2, 3) with the given interference distance."""
+    return make_topology(positions, link_pairs=[(0, 1), (2, 3)],
+                         comm_range=interference / 2,
+                         interference=interference, area=1000.0)
 
 
 class TestMinLinkDistance:
     def test_shared_endpoint_gives_zero(self):
-        t = make_topology([(0, 0), (100, 0), (200, 0)],
-                          link_pairs=[(0, 1), (1, 2)])
-        assert link_distance(t, 0, 1) == 0.0
+        # a shared node is at distance zero, below any interference distance
+        for d in (1e-9, 1.0, 514.0):
+            t = make_topology([(0, 0), (100, 0), (200, 0)],
+                              link_pairs=[(0, 1), (1, 2)],
+                              comm_range=d / 2, interference=d)
+            assert min_link_distance(0, 1, t) == 0.0
+            assert conflicts(t, 0, 1)
 
     def test_axis_aligned_parallel_links(self):
-        t = make_topology([(0, 0), (100, 0), (0, 300), (100, 300)],
-                          link_pairs=[(0, 1), (2, 3)])
-        assert link_distance(t, 0, 1) == 300.0
+        pos = [(0, 0), (100, 0), (0, 300), (100, 300)]
+        assert min_link_distance(0, 1, two_link_topology(pos, 300.0)) == 300.0
+        # the rule is strict: 300 m apart conflict only beyond 300 m
+        assert conflicts(two_link_topology(pos, 300.0001), 0, 1)
+        assert not conflicts(two_link_topology(pos, 300.0), 0, 1)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_matches_endpoint_pair_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 500, size=(4, 2))
-        t = make_topology(pos, link_pairs=[(0, 1), (2, 3)], comm_range=1e9,
-                          interference=2e9, area=1000.0)
         expected = min(math.dist(pos[i], pos[j]) for i in (0, 1)
                        for j in (2, 3))
-        assert link_distance(t, 0, 1) == pytest.approx(expected, rel=1e-12)
-        assert link_distance(t, 0, 1) == link_distance(t, 1, 0)
+        for d, joined in ((expected * (1 + 1e-9), True),
+                          (expected * (1 - 1e-9), False)):
+            t = two_link_topology(pos, d)
+            assert conflicts(t, 0, 1) == conflicts(t, 1, 0) == joined
+        t = two_link_topology(pos, 2e3)
         assert min_link_distance(0, 1, t) == pytest.approx(expected, rel=1e-12)
+
+
+def dense_node_distances(positions):
+    """The (n, n) distance matrix the dense code built in one piece."""
+    return np.linalg.norm(positions[:, None, :] - positions[None, :, :],
+                          axis=-1)
+
+
+def dense_placement_pairs(positions, comm_range):
+    """Placement pairs as the dense code found them: every ``i < j`` pair
+    of the (n, n) matrix within the range, in row-major order."""
+    return np.nonzero(np.triu(dense_node_distances(positions) <= comm_range,
+                              k=1))
+
+
+def dense_conflict_edges(t):
+    """Conflict edges as the dense code found them: the minimum of the
+    four (L, L) endpoint-distance gathers below the interference
+    distance, upper triangle in row-major order."""
+    nd, a, b = dense_node_distances(t.positions), t.link_a, t.link_b
+    d = np.minimum(np.minimum(nd[np.ix_(a, a)], nd[np.ix_(a, b)]),
+                   np.minimum(nd[np.ix_(b, a)], nd[np.ix_(b, b)]))
+    ia, ib = np.nonzero(np.triu(d < t.params.interference_distance, k=1))
+    return np.stack([ia, ib], axis=1)
+
+
+@st.composite
+def grid_layouts(draw):
+    """Nodes on a 10 m grid with ranges that are whole multiples of 10 m,
+    so some node distances equal the communication range or the
+    interference distance exactly (axis-aligned and 3-4-5 offsets are
+    exact under ``norm``), plus random distinct node pairs as links. The
+    sizes span several node-row and link-row blocks."""
+    n = draw(st.integers(130, 260))
+    comm = 10.0 * draw(st.integers(1, 12))
+    interference = comm + 10.0 * draw(st.integers(1, 12))
+    side = draw(st.integers(int(interference) // 10 + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pos = rng.integers(0, side, size=(n, 2)) * 10.0
+    L = draw(st.integers(520, 800))
+    a = rng.integers(0, n, size=4 * L)
+    b = rng.integers(0, n, size=4 * L)
+    pairs = sorted({(min(i, j), max(i, j))
+                    for i, j in zip(a.tolist(), b.tolist()) if i != j})
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))[:L]]
+    return pos, comm, interference, pairs
+
+
+class TestBlockedDistances:
+    @given(grid_layouts())
+    @settings(max_examples=30, deadline=None)
+    def test_blocked_paths_match_dense_reference(self, layout):
+        pos, comm, interference, pairs = layout
+        n, L = len(pos), len(pairs)
+        assert len(list(_node_distance_rows(pos))) > 1
+        assert _block_rows(4 * L + n) < L  # the conflict graph's link rows
+        got = _placement_pairs(pos, comm)
+        want = dense_placement_pairs(pos, comm)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        t = make_topology(pos, link_pairs=pairs, comm_range=comm,
+                          interference=interference)
+        assert np.array_equal(build_conflict_graph(t).edges,
+                              dense_conflict_edges(t))
+
+    def test_grid_layouts_hit_both_thresholds_exactly(self):
+        # the ties the property test relies on do occur on such a grid
+        pos = np.array([(0, 0), (30, 40), (30, 140), (90, 220)], dtype=float)
+        d = dense_node_distances(pos)
+        assert d[0, 1] == 50.0 and d[1, 2] == 100.0 and d[2, 3] == 100.0
+        ia, ib = _placement_pairs(pos, 50.0)
+        assert list(zip(ia.tolist(), ib.tolist())) == [(0, 1)]
+        t = make_topology(pos, link_pairs=[(0, 1), (2, 3)], comm_range=50.0,
+                          interference=100.0)
+        # the closest endpoints of the two links are exactly 100 m apart
+        assert min_link_distance(0, 1, t) == 100.0
+        edges = build_conflict_graph(t).edges
+        assert len(edges) == 0
+        assert np.array_equal(edges, dense_conflict_edges(t))
+
+
+class TestMemory:
+    def test_800_node_generation_and_conflict_graph_peaks(self):
+        # paper density, seed 1: the dense code peaked at 29.3 MB and
+        # 36.2 MB; blocked distances and a bool ``near`` stay well under
+        side = round(1000 * math.sqrt(800 / 94), 1)
+        cfg = ScenarioConfig(node_count=800, area_w=side, area_h=side)
+        tracemalloc.start()
+        try:
+            t = generate_topology(cfg, 1)
+            generate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            build_conflict_graph(t)
+            conflict_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert generate_peak < 12 * 2 ** 20
+        assert conflict_peak < 12 * 2 ** 20
 
 
 class TestConflictGraph:
@@ -340,13 +454,18 @@ class TestLoadTopologyValidation:
         (lambda d: d.update(seed=-7), ParseError),
         (lambda d: d.update(nodes=d["nodes"][:1], links=[]), ParseError),
         (lambda d: [nd.update(gateway=False) for nd in d["nodes"]], ParseError),
+        (lambda d: d["links"][0].update(required_rate=True), ParseError),
+        (lambda d: d["nodes"][1].update(id=1.0), ParseError),
+        (lambda d: d["nodes"][1].update(id=True), ParseError),
+        (lambda d: d["links"][1].update(id=1.0), ParseError),
     ], ids=["zero_rate", "negative_rate", "link_id_999", "link_ids_out_of_order",
             "endpoint_past_last_node", "negative_endpoint", "self_loop",
             "repeated_pair", "node_id_gap", "node_without_radios",
             "invalid_params", "nan_x", "infinite_y", "string_x", "huge_x",
             "fractional_radios", "bool_radios", "infinite_rate", "nan_rate",
             "float_endpoint", "string_gateway", "string_seed",
-            "negative_seed", "one_node", "no_gateway"])
+            "negative_seed", "one_node", "no_gateway", "bool_rate",
+            "float_node_id", "bool_node_id", "float_link_id"])
     def test_malformed_document_rejected(self, tmp_path, small_random_topology,
                                          edit, error):
         doc = small_random_topology.to_dict()
