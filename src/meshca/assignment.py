@@ -310,13 +310,15 @@ _HEADER_RE = re.compile(r"^#\s*(\w+)\s*:\s*(.+?)\s*$")
 
 
 def save_assignment(a: ChannelAssignment, path: str | Path,
-                    algorithm: str = "unknown", seed: int = 0) -> None:
-    """Write the ``link_id,channel`` table with algorithm/seed/channel
-    metadata in comment headers."""
+                    algorithm: str = "unknown", seed: int = 0,
+                    iterations: int = 0) -> None:
+    """Write the ``link_id,channel`` table with algorithm, seed,
+    iterations and channel metadata in comment headers."""
     lines = [
         "# meshca assignment",
         f"# algorithm: {algorithm}",
         f"# seed: {seed}",
+        f"# iterations: {iterations}",
         f"# channels: {a.channel_count}",
         "link_id,channel",
     ]
@@ -327,11 +329,11 @@ def save_assignment(a: ChannelAssignment, path: str | Path,
 def load_assignment(path: str | Path) -> tuple[ChannelAssignment, dict]:
     """Parse an assignment file into (assignment, metadata).
 
-    Metadata holds the ``algorithm`` header and, when the file has one,
-    the ``seed`` header. Channels out of range, duplicate or missing link
-    ids, malformed rows, a ``channels`` or ``seed`` header that is not
-    an integer and a negative ``seed`` header (no topology can be
-    generated from it) raise ``ParseError`` naming the offending entry.
+    Metadata holds the ``algorithm`` header and any ``seed`` and
+    ``iterations`` headers. Channels out of range, duplicate or missing
+    link ids, malformed rows, and a ``channels``, ``seed`` or
+    ``iterations`` header that is not an integer, or (but ``channels``)
+    is negative, raise ``ParseError`` naming the offending entry.
     """
     try:
         text = Path(path).read_text()
@@ -349,14 +351,14 @@ def load_assignment(path: str | Path) -> tuple[ChannelAssignment, dict]:
                 key, value = match.groups()
                 if key == "algorithm":
                     meta["algorithm"] = value
-                elif key in ("channels", "seed"):
+                elif key in ("channels", "seed", "iterations"):
                     try:
                         meta[key] = int(value)
                     except ValueError as exc:
                         raise ParseError(f"{path}:{lineno}: '# {key}:' header "
                                          f"{value!r} is not an integer") from exc
-                    if key == "seed" and meta[key] < 0:
-                        raise ParseError(f"{path}:{lineno}: '# seed:' header "
+                    if key != "channels" and meta[key] < 0:
+                        raise ParseError(f"{path}:{lineno}: '# {key}:' header "
                                          f"{value!r} is negative")
             continue
         if line == "link_id,channel":

@@ -99,7 +99,8 @@ def _cmd_assign(args) -> int:
     stem = f"{args.algo}-seed{seed}"
     assignment_path = out / f"assignment-{stem}.csv"
     save_assignment(result.best.assignment, assignment_path,
-                    algorithm=args.algo, seed=seed)
+                    algorithm=args.algo, seed=seed,
+                    iterations=result.iterations)
     write_history_csv(result, out / f"history-{stem}.csv")
     print(f"wrote {assignment_path}")
     _print_record(record)

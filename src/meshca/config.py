@@ -19,6 +19,9 @@ from typing import Any
 from .errors import InvalidConfig
 
 OVERLAP_KINDS = ("orthogonal", "graded")
+# more than any 802.11 band has; the (K, K) overlap matrix and the
+# interference kernel's (L, P, K) one-hot grow with the channel count K
+MAX_CHANNELS = 64
 
 
 def _checked_fields(cls, d: Any) -> dict[str, Any]:
@@ -141,6 +144,9 @@ class ScenarioConfig:
             raise InvalidConfig(f"radios must be >= 1, got {self.radios}")
         if self.channels < 1:
             raise InvalidConfig(f"channels must be >= 1, got {self.channels}")
+        if self.channels > MAX_CHANNELS:
+            raise InvalidConfig(f"channels must be <= {MAX_CHANNELS}, "
+                                f"got {self.channels}")
         if self.gateway_count < 1 or self.gateway_count > self.node_count:
             raise InvalidConfig(
                 f"gateway_count must be in [1, node_count], got {self.gateway_count}"

@@ -8,9 +8,9 @@ fraction of the required rate clamped to 1. The fitness of the whole
 chromosome is Jain's index over the link fairness values, which is 1
 exactly when every link is equally (un)satisfied. Every step also takes
 a (P, L) batch of chromosomes, scored row by row with the same result
-as one chromosome at a time. :func:`evaluate` reports one chromosome:
-those per-link values, the fairness index, and the capacity and
-residual-conflict metrics, all from one interference pass.
+as one chromosome at a time. :func:`evaluate` reports one chromosome's
+link interference, fairness and capacity, and its network metrics, all
+from one interference pass.
 
 The ``(1 + interference)`` factor keeps the SNR finite for
 interference-free links while preserving monotonicity: doubling the
@@ -39,21 +39,17 @@ if TYPE_CHECKING:
 class FitnessReport:
     """Every reported quantity of one chromosome.
 
-    Per link: the interference index, SNR, achieved rate, clamped
-    fairness and ``link_capacity`` = ``1 / (1 + interference)``. For the
-    network: Jain's index over the link fairness, the total interference
-    (for the interference-minimizing variants), ``nc_raw`` (the capacity
-    sum), ``nc_norm`` (that sum over the link count) and ``fni``, the
-    fraction of conflict-graph edges whose two links still overlap (the
+    Per link: the interference index, clamped fairness and
+    ``link_capacity`` = ``1 / (1 + interference)``. For the network:
+    Jain's index over the link fairness, ``nc_raw`` (the capacity sum),
+    ``nc_norm`` (that sum over the link count) and ``fni``, the fraction
+    of conflict-graph edges whose two links still overlap (the
     residual-conflict ratio relative to a single-channel network).
     """
 
     interference: np.ndarray
-    snr: np.ndarray
-    actual_rate: np.ndarray
     link_fairness: np.ndarray
     fairness_index: float
-    total_interference: float
     link_capacity: np.ndarray
     nc_raw: float
     nc_norm: float
@@ -104,13 +100,12 @@ def jain_index(values):
 
 
 def _batch_link_fairness(genes: np.ndarray, problem: Problem):
-    """Interference, SNR, rate, and clamped fairness for (P, L) or (L,)
-    gene arrays, vectorized across the population."""
+    """Interference and clamped fairness for (P, L) or (L,) gene arrays,
+    vectorized across the population."""
     interference = interference_matrix(genes, problem.cg, problem.m)
     snr = _snr_values(problem.t.lengths, interference, problem.rm)
     rate = actual_link_rate(snr, problem.rm)
-    fairness = np.minimum(1.0, rate / problem.t.required_rates)
-    return interference, snr, rate, fairness
+    return interference, np.minimum(1.0, rate / problem.t.required_rates)
 
 
 def evaluate(problem: Problem, genes: np.ndarray) -> FitnessReport:
@@ -126,7 +121,7 @@ def evaluate(problem: Problem, genes: np.ndarray) -> FitnessReport:
     """
     genes = np.asarray(genes)
     cg = problem.cg
-    interference, snr, rate, fairness = _batch_link_fairness(genes, problem)
+    interference, fairness = _batch_link_fairness(genes, problem)
     capacity = 1.0 / (1.0 + interference)
     nc_raw = float(capacity.sum())
     if cg.edge_count:
@@ -137,11 +132,8 @@ def evaluate(problem: Problem, genes: np.ndarray) -> FitnessReport:
         fni = 0.0
     return FitnessReport(
         interference=interference,
-        snr=snr,
-        actual_rate=rate,
         link_fairness=fairness,
         fairness_index=jain_index(fairness),
-        total_interference=float(interference.sum()),
         link_capacity=capacity,
         nc_raw=nc_raw,
         nc_norm=nc_raw / len(genes) if len(genes) else 0.0,

@@ -10,8 +10,10 @@ elitist and stops on the fairness target, a stall, or the iteration cap.
 
 The population is held as arrays: (P, L) genes, (P, L) link fairness
 and (P,) fitness, evaluated a generation at a time; the operators take
-and return such arrays. Only the final best individual becomes an
-:class:`Individual` with a full :class:`~meshca.fitness.FitnessReport`.
+and return such arrays. A generation's mean and std are taken once, for
+its :class:`GenerationStats` record. Only the final best individual
+becomes an :class:`Individual` with a full
+:class:`~meshca.fitness.FitnessReport`.
 
 Each initialisation draws one (P, L) uniform array, and each generation
 one (n, L) array for the mutation mask and one for the new channels.
@@ -131,7 +133,6 @@ class Problem:
 class Individual:
     assignment: ChannelAssignment
     report: FitnessReport
-    fitness: float
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,6 @@ class GenerationStats:
 
 @dataclass
 class GaResult:
-    algorithm: str
-    seed: int
     best: Individual
     history: list[GenerationStats]
     iterations: int
@@ -156,7 +155,7 @@ def _evaluate_batch(genes: np.ndarray, problem: Problem,
                     fairness_fitness: bool) -> tuple[np.ndarray, np.ndarray]:
     """Link fairness (P, L) and fitness (P,) of a (P, L) gene array: each
     row's Jain index, or minus its total interference."""
-    interference, _, _, fairness = _batch_link_fairness(genes, problem)
+    interference, fairness = _batch_link_fairness(genes, problem)
     if fairness_fitness:
         return fairness, jain_index(fairness)
     return fairness, -interference.sum(axis=1)
@@ -212,13 +211,12 @@ def init_population_random(problem: Problem, cfg: GaConfig,
     return _redraw(genes, np.ones(shape, dtype=bool), u, problem)
 
 
-def select_parents(fitness: np.ndarray) -> np.ndarray:
+def select_parents(fitness: np.ndarray, stats: GenerationStats) -> np.ndarray:
     """Indices of the individuals whose fitness reaches the population
-    mean plus one population standard deviation, in population order;
-    if fewer than two qualify, the top two by fitness (ties toward the
-    lower index)."""
-    fitness = np.asarray(fitness, dtype=float)
-    selected = np.flatnonzero(fitness >= fitness.mean() + fitness.std())
+    mean plus one population standard deviation (from ``stats``), in
+    population order; if fewer than two qualify, the top two by fitness
+    (ties toward the lower index)."""
+    selected = np.flatnonzero(fitness >= stats.mean + stats.sigma)
     if len(selected) >= 2:
         return selected
     return np.argsort(-fitness, kind="stable")[:2]
@@ -291,9 +289,9 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
         if fitness[i] > best_fitness:
             best_genes, best_fitness = genes[i].copy(), fitness[i]
             last_improvement = iterations
-        history.append(GenerationStats(iterations, float(best_fitness),
-                                       float(fitness.mean()),
-                                       float(fitness.std())))
+        stats = GenerationStats(iterations, float(best_fitness),
+                                float(fitness.mean()), float(fitness.std()))
+        history.append(stats)
         if fair and best_fitness >= cfg.target_fairness:
             stop_reason = "target"
             break
@@ -307,13 +305,13 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
             stop_reason = "max_iterations"
             break
 
-        parents = select_parents(fitness)
+        parents = select_parents(fitness, stats)
         n = cfg.population_size
         a = parents[rng.integers(len(parents), size=n)]
         b = parents[rng.integers(len(parents), size=n)]
         children = crossover(genes[a], fairness[a], genes[b], fairness[b],
                              problem)
-        child_fairness = _batch_link_fairness(children, problem)[3]
+        child_fairness = _batch_link_fairness(children, problem)[1]
         # child 0 is replaced by the elite, so it is not mutated
         children[1:] = mutate(children[1:], child_fairness[1:], cfg, problem,
                               rng)
@@ -322,10 +320,8 @@ def run_ga(algorithm: str, problem: Problem, cfg: GaConfig,
         fairness, fitness = _evaluate_batch(genes, problem, fair)
         iterations += 1
     return GaResult(
-        algorithm=algorithm,
-        seed=seed,
         best=Individual(ChannelAssignment(best_genes, problem.channels),
-                        evaluate(problem, best_genes), float(best_fitness)),
+                        evaluate(problem, best_genes)),
         history=history,
         iterations=iterations,
         stop_reason=stop_reason,
@@ -349,13 +345,10 @@ def run(algorithm: str, problem: Problem, cfg: GaConfig | None = None,
         return run_ga(algorithm, problem, cfg, seed)
     genes = problem.primary.genes.copy()
     report = evaluate(problem, genes)
-    best = Individual(ChannelAssignment(genes, problem.channels), report,
-                      report.fairness_index)
+    fi = report.fairness_index
     return GaResult(
-        algorithm="mclr",
-        seed=seed,
-        best=best,
-        history=[GenerationStats(0, best.fitness, best.fitness, 0.0)],
+        best=Individual(ChannelAssignment(genes, problem.channels), report),
+        history=[GenerationStats(0, fi, fi, 0.0)],
         iterations=0,
         stop_reason="heuristic",
     )

@@ -20,7 +20,6 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -63,13 +62,7 @@ class MetricsRecord:
     def to_csv_row(self) -> list[str]:
         return [str(getattr(self, name)) for name in RESULTS_HEADER]
 
-    @classmethod
-    def from_csv_row(cls, row: list[str]) -> "MetricsRecord":
-        return cls(*(_FIELD_TYPES[name](value)
-                     for name, value in zip(RESULTS_HEADER, row)))
 
-
-_FIELD_TYPES = get_type_hints(MetricsRecord)
 RESULTS_HEADER = [f.name for f in fields(MetricsRecord)]
 # per-replicate metrics that aggregates.csv averages
 _AVERAGED = [name for name in RESULTS_HEADER
@@ -149,15 +142,6 @@ def run_replicate(config: ScenarioConfig, seed: int, algorithms: list[str],
 def _sweep_job(args) -> list[MetricsRecord]:
     config, seed, algorithms, ga = args
     return [rec for rec, _ in run_replicate(config, seed, algorithms, ga)]
-
-
-def read_results_csv(path: str | Path) -> list[MetricsRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != RESULTS_HEADER:
-            raise InconsistentInputs(f"unexpected results header in {path}")
-        return [MetricsRecord.from_csv_row(row) for row in reader]
 
 
 def aggregate_records(records: list[MetricsRecord]) -> list[dict]:
@@ -431,7 +415,8 @@ def evaluate_file(topology_path: str | Path,
     The assignment must cover exactly the topology's link ids with the
     topology's channel count, and keep every node within its radio
     budget. It is scored on the topology's :func:`problem_for`, as in
-    :func:`run_replicate`.
+    :func:`run_replicate`. Seed, algorithm and iterations come from the
+    assignment's headers (default: the topology's seed, unknown, 0).
 
     Raises
     ------
@@ -465,9 +450,9 @@ def evaluate_file(topology_path: str | Path,
         )
     report = evaluate(problem, a.genes)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return build_record(t.params.name, int(meta.get("seed", t.seed)),
-                        meta.get("algorithm", "unknown"), report,
-                        iterations=0, wall_ms=wall_ms)
+    return build_record(t.params.name, meta.get("seed", t.seed),
+                        meta["algorithm"], report,
+                        iterations=meta.get("iterations", 0), wall_ms=wall_ms)
 
 
 # ---------------------------------------------------------------------------

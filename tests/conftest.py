@@ -228,7 +228,7 @@ def reference_brute_force(t, cg, m, rm, channels, fitness_kind="fairness"):
             if not len(genes):
                 continue
         feasible_total += len(genes)
-        interference, _, _, fairness = _batch_link_fairness(genes, problem)
+        interference, fairness = _batch_link_fairness(genes, problem)
         if fitness_kind == "fairness":
             values = jain_index(fairness)
         else:

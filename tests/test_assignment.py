@@ -679,11 +679,10 @@ class TestAssignmentFile:
     def test_round_trip(self, tmp_path):
         a = ChannelAssignment(np.array([0, 2, 1, 1]), 3)
         path = tmp_path / "a.csv"
-        save_assignment(a, path, algorithm="fa_scga", seed=99)
+        save_assignment(a, path, algorithm="fa_scga", seed=99, iterations=17)
         loaded, meta = load_assignment(path)
         assert loaded == a
-        assert meta["algorithm"] == "fa_scga"
-        assert meta["seed"] == 99
+        assert meta == {"algorithm": "fa_scga", "seed": 99, "iterations": 17}
 
     def test_out_of_range_channel_names_link(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -704,10 +703,12 @@ class TestAssignmentFile:
             load_assignment(path)
 
     @pytest.mark.parametrize("header", ["# channels: three", "# seed: x",
-                                        "# seed: -3"])
+                                        "# seed: -3", "# iterations: 2.5",
+                                        "# iterations: -1"])
     def test_non_integer_header_rejected(self, tmp_path, header):
-        """A header that is not an integer, or a negative seed, which no
-        topology can be generated from, is rejected at its line."""
+        """A header that is not an integer, or a negative seed (no
+        topology can be generated from it) or iteration count, is
+        rejected at its line."""
         path = tmp_path / "a.csv"
         path.write_text(f"# channels: 3\n{header}\nlink_id,channel\n0,0\n")
         with pytest.raises(ParseError,

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from meshca import GaConfig, InvalidConfig, ScenarioConfig
-from meshca.config import RadioModel
+from meshca.config import MAX_CHANNELS, RadioModel
 from test_ga import BAD_GA_FIELDS
 from test_topology import BAD_SCENARIO_FIELDS
 
@@ -43,3 +43,19 @@ def test_non_finite_float_field_rejected(cls, name, value):
     with pytest.raises(InvalidConfig,
                        match=rf"^{cls.__name__}\.{name} must be a finite number"):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("channels", [MAX_CHANNELS + 1, 2 ** 63, 10 ** 30])
+def test_channel_count_above_the_bound_rejected(channels):
+    # 10**30 channels once reached np.eye in the overlap matrix
+    message = rf"^channels must be <= {MAX_CHANNELS}, got {channels}$"
+    with pytest.raises(InvalidConfig, match=message):
+        ScenarioConfig(channels=channels)
+    with pytest.raises(InvalidConfig, match=message):
+        ScenarioConfig.from_dict({"channels": channels})
+
+
+def test_channel_counts_in_use_are_admitted():
+    # 12 is the most any test, workload or CI step uses
+    for channels in (1, 12, MAX_CHANNELS):
+        assert ScenarioConfig(channels=channels).channels == channels

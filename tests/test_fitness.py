@@ -24,7 +24,9 @@ class TestLinkSnr:
         assert link_snr(100.0, 0.0, rm) == pytest.approx(0.5, abs=0)
         # the same value comes out of a whole-chromosome evaluation
         problem = make_problem(line_topology(n=2), rm=rm)
-        assert evaluate(problem, np.array([0])).snr[0] == link_snr(100.0, 0.0, rm)
+        report = evaluate(problem, np.array([0]))
+        snr = _snr_values(problem.t.lengths, report.interference, rm)
+        assert snr[0] == link_snr(100.0, 0.0, rm)
 
     def test_interference_halves_snr(self):
         rm = RadioModel()
@@ -73,7 +75,12 @@ class TestLinkFairness:
         return evaluate(make_problem(t), np.array([0]))
 
     def rate(self):
-        return self.single_link_report(1.0).actual_rate[0]
+        """The link's achieved rate, from its evaluated interference."""
+        t = line_topology(n=2, required=1.0)
+        report = evaluate(make_problem(t), np.array([0]))
+        rm = RadioModel()
+        snr = _snr_values(t.lengths, report.interference, rm)
+        return actual_link_rate(snr, rm)[0]
 
     def test_exact_satisfaction(self):
         rate = self.rate()
@@ -167,7 +174,7 @@ class TestFairnessFitness:
     def test_zero_interference_generous_rates_give_one(self):
         t, cg, m, a = self._setup([0, 1, 0, 1], required=0.001)
         report = evaluate(Problem(t, cg, m, RadioModel()), a.genes)
-        if report.total_interference == 0.0:
+        if report.interference.sum() == 0.0:
             assert report.fairness_index == 1.0
         assert np.all(report.link_fairness == 1.0)
         assert report.fairness_index == 1.0
@@ -192,6 +199,9 @@ class TestFairnessFitness:
         genes = a.genes.tolist()
         conflict_pairs = {tuple(e) for e in cg.edges}
         fair = []
+        total_interference = 0.0
+        snrs = _snr_values(t.lengths, report.interference, rm)
+        rates = actual_link_rate(snrs, rm)
         for lid, length in enumerate(t.lengths):
             interference = 0.0
             for other in range(4):
@@ -201,18 +211,17 @@ class TestFairnessFitness:
                     if genes[other] == genes[lid]:
                         interference += 1.0
             assert report.interference[lid] == pytest.approx(interference)
+            total_interference += interference
             snr = 20.0 / (10.0 * 2.0 * (1.0 + interference)
                           * math.log10(max(length, 10.0)))
-            assert report.snr[lid] == pytest.approx(snr, rel=1e-12)
+            assert snrs[lid] == pytest.approx(snr, rel=1e-12)
             rate = 20.0 * math.log2(1.0 + snr)
-            assert report.actual_rate[lid] == pytest.approx(rate, rel=1e-12)
+            assert rates[lid] == pytest.approx(rate, rel=1e-12)
             fair.append(min(1.0, rate / required[lid]))
         assert np.allclose(report.link_fairness, fair)
         expected_jain = (sum(fair) ** 2) / (4 * sum(f * f for f in fair))
         assert report.fairness_index == pytest.approx(expected_jain, rel=1e-12)
-        assert report.total_interference == pytest.approx(
-            float(np.sum(report.interference))
-        )
+        assert report.interference.sum() == pytest.approx(total_interference)
 
     def test_fairness_drops_when_one_link_interferes_more(self):
         rm = RadioModel()

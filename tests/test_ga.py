@@ -26,6 +26,7 @@ from meshca.assignment import (
 from meshca.config import RadioModel
 from meshca.fitness import evaluate
 from meshca.ga import (
+    GenerationStats,
     Problem,
     _check_population,
     _evaluate_batch,
@@ -208,6 +209,14 @@ class TestRandomInit:
             assert_valid(row, t, 6)
 
 
+def select(pop):
+    """``select_parents`` on ``pop`` with its generation record, as
+    ``run_ga`` builds it."""
+    stats = GenerationStats(0, float(pop.max()), float(pop.mean()),
+                            float(pop.std()))
+    return select_parents(pop, stats)
+
+
 class TestSelectParents:
     def test_hand_computed_cutoff_with_fallback(self):
         # mean 0.525, population sigma ~0.2586, cutoff ~0.7836: only 0.9
@@ -217,25 +226,25 @@ class TestSelectParents:
         sigma = np.std([0.2, 0.4, 0.6, 0.9])
         assert mu == pytest.approx(0.525)
         assert sigma == pytest.approx(0.2586, abs=1e-4)
-        selected = select_parents(pop)
+        selected = select(pop)
         assert sorted(pop[selected].tolist()) == [0.6, 0.9]
 
     def test_all_equal_selects_everyone(self):
         pop = np.array([0.5, 0.5, 0.5])
-        assert len(select_parents(pop)) == 3
+        assert len(select(pop)) == 3
 
     def test_population_of_two_always_selected(self):
         pop = np.array([0.1, 0.9])
-        assert len(select_parents(pop)) == 2
+        assert len(select(pop)) == 2
 
     def test_ties_prefer_lower_index(self):
         pop = np.array([0.5, 0.9, 0.9, 0.1])
-        selected = select_parents(pop)
+        selected = select(pop)
         assert selected[0] == 1 or 1 in selected
 
     def test_works_for_negative_interference_fitness(self):
         pop = np.array([-10.0, -2.0, -8.0, -1.0])
-        selected = select_parents(pop)
+        selected = select(pop)
         assert all(pop[i] >= -2.0 for i in selected)
 
 
@@ -513,7 +522,7 @@ class TestRedrawProperties:
                     cfg, seed)
         assert np.array_equal(r1.best.assignment.genes,
                               r2.best.assignment.genes)
-        assert r1.best.fitness == r2.best.fitness
+        assert r1.history[-1].best == r2.history[-1].best
         assert r1.history == r2.history
         assert (r1.iterations, r1.stop_reason) == (r2.iterations,
                                                    r2.stop_reason)
@@ -539,7 +548,7 @@ class TestRun:
         )
         cfg = GaConfig(population_size=20, max_iterations=100)
         result = run("fa_scga", Problem(t, cg, m, RM), cfg, seed=3)
-        assert result.best.fitness == 1.0
+        assert result.history[-1].best == 1.0
         assert result.iterations < cfg.max_iterations
         assert result.stop_reason == "target"
 
@@ -550,7 +559,7 @@ class TestRun:
         r2 = run("fa_scga", Problem(t, cg, m, RM), cfg, seed=17)
         assert np.array_equal(r1.best.assignment.genes,
                               r2.best.assignment.genes)
-        assert r1.best.fitness == r2.best.fitness
+        assert r1.history[-1].best == r2.history[-1].best
         assert [
             (h.generation, h.best, h.mean, h.sigma) for h in r1.history
         ] == [
@@ -591,7 +600,7 @@ class TestRun:
         t, cg, m = setup_instance(2, channels=3)
         cfg = GaConfig(population_size=8, max_iterations=50)
         result = run("scga", Problem(t, cg, m, RM), cfg, seed=4)
-        assert result.best.report.total_interference == 0.0
+        assert result.best.report.interference.sum() == 0.0
         assert result.stop_reason == "optimum"
 
     def test_best_individual_matches_history(self):
@@ -601,7 +610,11 @@ class TestRun:
         for algorithm in ALGORITHMS:
             result = run(algorithm, Problem(t, cg, m, cfg.radio_model),
                          GaConfig(max_iterations=5), seed=4)
-            assert result.best.fitness == result.history[-1].best
+            report = result.best.report
+            fitness = (-report.interference.sum()
+                       if algorithm in ("ia_ga", "scga")
+                       else report.fairness_index)
+            assert fitness == result.history[-1].best
 
 
 def star_instance():

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import os
@@ -35,13 +36,13 @@ from meshca.config import RadioModel
 from meshca.fitness import evaluate
 from meshca.ga import Problem, run
 from meshca.harness import (
+    RESULTS_HEADER,
     MetricsRecord,
     _one_blas_thread,
     aggregate_records,
     brute_force_optimum,
     evaluate_file,
     problem_for,
-    read_results_csv,
     replicate_seed,
     run_replicate,
     run_row,
@@ -61,6 +62,17 @@ def tiny_scenario(name="tiny", replicates=1, master_seed=0, nodes=8):
         topologies_per_scenario=replicates,
         master_seed=master_seed,
     )
+
+
+def results_rows(path):
+    """``path/results.csv`` as lists of strings, header first."""
+    with open(path / "results.csv", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def csv_rows(records):
+    """The results.csv rows, header first, that ``records`` write."""
+    return [RESULTS_HEADER] + [r.to_csv_row() for r in records]
 
 
 def rows_but_wall_ms(path):
@@ -306,8 +318,9 @@ class TestSweep:
         ga = GaConfig(population_size=6, max_iterations=3)
         records = run_sweep(scenarios, ["mclr", "fa_scga"], tmp_path, ga=ga)
         assert len(records) == 3 * 2 * 2
-        rows = read_results_csv(tmp_path / "results.csv")
-        assert len(rows) == 12
+        rows = results_rows(tmp_path)
+        assert len(rows) == 1 + 12
+        assert rows == csv_rows(records)
 
     def test_rerun_is_bit_identical_except_wall_time(self, tmp_path):
         scenarios = [tiny_scenario("s", replicates=2, master_seed=3)]
@@ -393,7 +406,7 @@ class TestSweep:
                             ga=GaConfig(population_size=6, max_iterations=2),
                             workers=workers)
         assert [r.seed for r in records] == [x for x in want for _ in "ab"]
-        assert read_results_csv(tmp_path / "results.csv") == records
+        assert results_rows(tmp_path) == csv_rows(records)
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
     def test_bad_worker_count_rejected(self, tmp_path, workers):
@@ -403,8 +416,7 @@ class TestSweep:
 
     def test_rows_reparse_to_equal_records(self, tmp_path):
         records = run_sweep([tiny_scenario(replicates=2)], ["mclr"], tmp_path)
-        reparsed = read_results_csv(tmp_path / "results.csv")
-        assert reparsed == records
+        assert results_rows(tmp_path) == csv_rows(records)
 
     def test_aggregates_are_replicate_means(self, tmp_path):
         records = run_sweep([tiny_scenario(replicates=3)], ["mclr"], tmp_path)
@@ -559,12 +571,11 @@ class TestEntryPointsAgree:
         evaluated = evaluate_file(topo_path, assign_path)
         assert main(["assign", "--algo", "mclr", "--topology", str(topo_path),
                      "--out", str(tmp_path)]) == 0
-        assigned = MetricsRecord.from_csv_row(
-            capsys.readouterr().out.splitlines()[-1].split(","))
-        for other in (evaluated, assigned):
-            assert other.fairness_index == record.fairness_index
-            assert other.fni == record.fni
-            assert other.nc_raw == record.nc_raw
+        assigned = dict(zip(RESULTS_HEADER,
+                            capsys.readouterr().out.splitlines()[-1].split(",")))
+        for name in ("fairness_index", "fni", "nc_raw"):
+            assert getattr(evaluated, name) == getattr(record, name)
+            assert assigned[name] == str(getattr(record, name))
         # the case is sensitive: orthogonal scoring disagrees here
         orthogonal = evaluate(Problem(t, build_conflict_graph(t),
                                       OverlapMatrix.orthogonal(11),
@@ -605,12 +616,11 @@ class TestEntryPointProperties:
                 assert 0.0 < record.fairness_index <= 1.0
                 path = Path(tmp) / f"{record.algorithm}.csv"
                 save_assignment(result.best.assignment, path,
-                                algorithm=record.algorithm, seed=seed)
+                                algorithm=record.algorithm, seed=seed,
+                                iterations=result.iterations)
                 evaluated = evaluate_file(topo_path, path)
-                for name in ("fairness_index", "fni", "nc_raw",
-                             "mean_link_intf"):
-                    assert getattr(evaluated, name) == pytest.approx(
-                        getattr(record, name), rel=0, abs=1e-12)
+                # every column but the last, wall_ms
+                assert evaluated.to_csv_row()[:-1] == record.to_csv_row()[:-1]
                 fi[record.algorithm] = record.fairness_index
         assert fi["fa_scga"] >= fi["mclr"]
 
@@ -633,6 +643,7 @@ class TestMetricsRecordCsv:
         assert hashlib.sha256(text).hexdigest()[:16] == "f8b1095f63f9f7e1"
 
     def test_row_round_trip_is_exact(self):
+        # each column's string parses back to the field's value
         rec = MetricsRecord(
             scenario="s", seed=1234567890123, algorithm="fa_scga", links=17,
             nc_raw=3.141592653589793, nc_norm=0.1847995678582231,
@@ -640,4 +651,7 @@ class TestMetricsRecordCsv:
             mean_link_fair=0.9999999999999999, fairness_index=0.87,
             iterations=42, wall_ms=12.5,
         )
-        assert MetricsRecord.from_csv_row(rec.to_csv_row()) == rec
+        row = dict(zip(RESULTS_HEADER, rec.to_csv_row()))
+        for name in RESULTS_HEADER:
+            value = getattr(rec, name)
+            assert type(value)(row[name]) == value
