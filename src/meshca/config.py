@@ -19,9 +19,12 @@ from typing import Any
 from .errors import InvalidConfig
 
 OVERLAP_KINDS = ("orthogonal", "graded")
-# more than any 802.11 band has; the (K, K) overlap matrix and the
-# interference kernel's (L, P, K) one-hot grow with the channel count K
-MAX_CHANNELS = 64
+# Upper bounds of the size fields, each well above every size in use:
+# past them numpy is asked for arrays it cannot index or hold.
+MAX_CHANNELS = 64  # more than any 802.11 band has
+MAX_NODES = 5000  # 2.5 times the largest mesh in use, 2,000 nodes
+MAX_POPULATION = 10000  # 250 times the default GA population
+MAX_TOPOLOGIES = 10000  # replicates per scenario, each a sweep job
 
 
 def _checked_fields(cls, d: Any) -> dict[str, Any]:
@@ -129,6 +132,9 @@ class ScenarioConfig:
         _check_finite(self)
         if self.node_count < 2:
             raise InvalidConfig(f"node_count must be >= 2, got {self.node_count}")
+        if self.node_count > MAX_NODES:
+            raise InvalidConfig(f"node_count must be <= {MAX_NODES}, "
+                                f"got {self.node_count}")
         if self.area_w <= 0 or self.area_h <= 0:
             raise InvalidConfig(
                 f"area must be positive, got {self.area_w}x{self.area_h}"
@@ -169,6 +175,10 @@ class ScenarioConfig:
                 f"topologies_per_scenario must be >= 1, got "
                 f"{self.topologies_per_scenario}"
             )
+        if self.topologies_per_scenario > MAX_TOPOLOGIES:
+            raise InvalidConfig(f"topologies_per_scenario must be <= "
+                                f"{MAX_TOPOLOGIES}, got "
+                                f"{self.topologies_per_scenario}")
         if self.master_seed < 0:
             raise InvalidConfig(
                 f"master_seed must be >= 0, got {self.master_seed}"
@@ -213,6 +223,9 @@ class GaConfig:
             raise InvalidConfig(
                 f"population_size must be >= 2, got {self.population_size}"
             )
+        if self.population_size > MAX_POPULATION:
+            raise InvalidConfig(f"population_size must be <= {MAX_POPULATION}"
+                                f", got {self.population_size}")
         if self.max_iterations < 0:
             raise InvalidConfig(
                 f"max_iterations must be >= 0, got {self.max_iterations}"

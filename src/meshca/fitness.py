@@ -39,18 +39,17 @@ if TYPE_CHECKING:
 class FitnessReport:
     """Every reported quantity of one chromosome.
 
-    Per link: the interference index, clamped fairness and
-    ``link_capacity`` = ``1 / (1 + interference)``. For the network:
-    Jain's index over the link fairness, ``nc_raw`` (the capacity sum),
-    ``nc_norm`` (that sum over the link count) and ``fni``, the fraction
-    of conflict-graph edges whose two links still overlap (the
+    Per link: the interference index and clamped fairness. For the
+    network: Jain's index over the link fairness, ``nc_raw`` (the sum of
+    the link capacities ``1 / (1 + interference)``), ``nc_norm`` (that
+    sum over the link count, the mean link capacity) and ``fni``, the
+    fraction of conflict-graph edges whose two links still overlap (the
     residual-conflict ratio relative to a single-channel network).
     """
 
     interference: np.ndarray
     link_fairness: np.ndarray
     fairness_index: float
-    link_capacity: np.ndarray
     nc_raw: float
     nc_norm: float
     fni: float
@@ -77,8 +76,10 @@ def jain_index(values):
     Scale-free and bounded in (0, 1]; equals 1 iff all values are equal.
     Values are normalized by their maximum before accumulating, which is
     algebraically a no-op but makes equal allocations evaluate to 1.0
-    exactly. A (L,) vector gives a float; a (P, L) batch gives the (P,)
-    indices of its rows, each bit-identical to the 1-d call on that row.
+    exactly; the result is clamped at 1.0, which rounding can pass by an
+    ulp for values equal but for their last bits. A (L,) vector gives a
+    float; a (P, L) batch gives the (P,) indices of its rows, each
+    bit-identical to the 1-d call on that row.
 
     Raises
     ------
@@ -95,7 +96,7 @@ def jain_index(values):
     x = x / peak
     s1 = x.sum(axis=-1)
     s2 = (x * x).sum(axis=-1)
-    out = s1 * s1 / (x.shape[-1] * s2)
+    out = np.minimum(s1 * s1 / (x.shape[-1] * s2), 1.0)
     return float(out) if x.ndim == 1 else out
 
 
@@ -122,8 +123,7 @@ def evaluate(problem: Problem, genes: np.ndarray) -> FitnessReport:
     genes = np.asarray(genes)
     cg = problem.cg
     interference, fairness = _batch_link_fairness(genes, problem)
-    capacity = 1.0 / (1.0 + interference)
-    nc_raw = float(capacity.sum())
+    nc_raw = float((1.0 / (1.0 + interference)).sum())
     if cg.edge_count:
         ea, eb = cg.edges[:, 0], cg.edges[:, 1]
         conflicted = problem.m.ratio[genes[ea], genes[eb]] > 0.0
@@ -134,7 +134,6 @@ def evaluate(problem: Problem, genes: np.ndarray) -> FitnessReport:
         interference=interference,
         link_fairness=fairness,
         fairness_index=jain_index(fairness),
-        link_capacity=capacity,
         nc_raw=nc_raw,
         nc_norm=nc_raw / len(genes) if len(genes) else 0.0,
         fni=fni,

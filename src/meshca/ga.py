@@ -87,7 +87,7 @@ class Problem:
 
     @cached_property
     def rank_table(self) -> LinkRankTable:
-        return rank_links(self.t, score_nodes(self.t).score)
+        return rank_links(self.t, score_nodes(self.t))
 
     @cached_property
     def primary(self) -> ChannelAssignment:

@@ -81,7 +81,7 @@ def build_record(scenario: str, seed: int, algorithm: str,
         nc_raw=report.nc_raw,
         nc_norm=report.nc_norm,
         fni=report.fni,
-        mean_link_cap=float(report.link_capacity.mean()),
+        mean_link_cap=report.nc_norm,  # nc_norm is the mean link capacity
         mean_link_intf=float(report.interference.mean()),
         mean_link_fair=float(report.link_fairness.mean()),
         fairness_index=report.fairness_index,

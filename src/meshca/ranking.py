@@ -8,10 +8,10 @@ smaller is better, and averaged. A link's rank is the sum of its
 endpoint scores; the schedule orders links by descending rank and drives
 the greedy channel assignment.
 
-Every result is an array indexed by node or link id. Hop levels come
-from one breadth-first search from the gateways over the topology's
-``incident_links``, and usage from one sweep back over that search
-order (see ``score_nodes``).
+Every result is an array indexed by node or link id; ``score_nodes``
+returns the scores alone. Hop levels come from one breadth-first search
+from the gateways over the topology's ``incident_links``, and usage
+from one sweep back over that search order (see ``score_nodes``).
 """
 
 from __future__ import annotations
@@ -21,23 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoGateway
-from .topology import Topology
-
-CRITERIA = ("hops", "proximity", "usage", "capacity")
-
-
-@dataclass(frozen=True)
-class NodeScores:
-    """Per-node criteria, each an (n,) array indexed by node id:
-    ``normalized`` maps each of :data:`CRITERIA` to its [0, 1] scaling,
-    and ``score`` is their mean."""
-
-    hops: np.ndarray
-    proximity: np.ndarray
-    usage: np.ndarray
-    capacity: np.ndarray
-    normalized: dict[str, np.ndarray]
-    score: np.ndarray
+from .topology import Topology, _euclid
 
 
 @dataclass(frozen=True)
@@ -63,8 +47,9 @@ def _minmax(values: np.ndarray, invert: bool) -> np.ndarray:
     return 1.0 - scaled if invert else scaled
 
 
-def score_nodes(t: Topology) -> NodeScores:
-    """Score every node on the four ranking criteria, equally weighted.
+def score_nodes(t: Topology) -> np.ndarray:
+    """Score every node on the four ranking criteria, equally weighted,
+    and return the (n,) scores indexed by node id.
 
     Hops and proximity are computed against the nearest gateway; usage
     frequency counts, for each node v, how many nodes u have v on at
@@ -107,29 +92,19 @@ def score_nodes(t: Topology) -> NodeScores:
         for w in nbrs[v]:
             if level[w] == level[v] - 1:
                 upstream[w] |= upstream[v]
-    hops = np.array(level, dtype=np.int64)
-    usage = np.array([u.bit_count() for u in upstream], dtype=np.int64)
-    gw_pos = t.positions[list(t.gateways)]
-    proximity = np.min(
-        np.linalg.norm(t.positions[:, None, :] - gw_pos[None, :, :], axis=-1),
-        axis=1,
-    )
-
-    capacity = t.radios.copy()
-    norm = {
-        "hops": _minmax(hops, invert=True),
-        "proximity": _minmax(proximity, invert=True),
-        "usage": _minmax(usage, invert=False),
-        "capacity": _minmax(capacity, invert=False),
-    }
-    score = sum(norm[c] for c in CRITERIA) / len(CRITERIA)
-    return NodeScores(hops, proximity, usage, capacity, norm, score)
+    usage = [u.bit_count() for u in upstream]
+    proximity = _euclid(t.positions[:, None],
+                        t.positions[None, list(t.gateways)]).min(axis=1)
+    # the pinned rank tables hold the rounding of this order of the sum
+    return (_minmax(level, invert=True) + _minmax(proximity, invert=True)
+            + _minmax(usage, invert=False)
+            + _minmax(t.radios, invert=False)) / 4
 
 
 def rank_links(t: Topology, score: np.ndarray) -> LinkRankTable:
     """Rank links by the sum of their endpoint scores (``score`` indexed
-    by node id, as :attr:`NodeScores.score`) and order the schedule by
-    descending rank, lower link id first on ties."""
+    by node id, as :func:`score_nodes` returns it) and order the schedule
+    by descending rank, lower link id first on ties."""
     ranks = score[t.link_a] + score[t.link_b]
     return LinkRankTable(ranks=ranks,
                          schedule=np.argsort(-ranks, kind="stable"))

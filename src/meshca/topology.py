@@ -48,7 +48,8 @@ class Topology:
         self.gateways = tuple(int(v) for v in gateways)
         self.link_a = np.array(link_a, dtype=np.int64)
         self.link_b = np.array(link_b, dtype=np.int64)
-        self.lengths = _euclid(self.positions, self.link_a, self.link_b)
+        self.lengths = _euclid(self.positions[self.link_a],
+                               self.positions[self.link_b])
         self.required_rates = np.array(required_rates, dtype=float)
         n = len(self.positions)
         self.incident_links: list[list[int]] = [[] for _ in range(n)]
@@ -113,11 +114,13 @@ class ConflictGraph:
         return len(self.edges)
 
 
-def _euclid(positions: np.ndarray, a, b) -> np.ndarray:
-    """Distances between nodes ``a`` and ``b`` (index arrays): the one
-    length formula, so generator and loader agree bit-for-bit."""
-    d = positions[a] - positions[b]
-    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
+def _euclid(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distances between the points of ``p`` and ``q``, broadcasting
+    (..., 2) arrays: the one distance formula, so every distance in the
+    package agrees bit-for-bit with every other."""
+    dx = p[..., 0] - q[..., 0]
+    dy = p[..., 1] - q[..., 1]
+    return np.sqrt(dx ** 2 + dy ** 2)
 
 
 _BLOCK_BYTES = 1 << 18  # about the working set of one block of rows
@@ -131,14 +134,13 @@ def _block_rows(row_bytes: int) -> int:
 
 def _node_distance_rows(positions: np.ndarray):
     """Yield ``(i0, d)`` where ``d[r, j]`` is the distance from node
-    ``i0 + r`` to node ``j``, a block of rows at a time: each block's
-    (rows, n, 2) difference array stays near ``_BLOCK_BYTES``, and every
-    distance has the bits of the dense (n, n) ``norm``."""
+    ``i0 + r`` to node ``j``, a block of rows at a time: each block's two
+    (rows, n) coordinate differences stay near ``_BLOCK_BYTES``, and
+    every distance is :func:`_euclid`'s, as in one dense (n, n) pass."""
     n = len(positions)
     step = _block_rows(16 * n)
     for i0 in range(0, n, step):
-        yield i0, np.linalg.norm(
-            positions[i0:i0 + step, None, :] - positions[None, :, :], axis=-1)
+        yield i0, _euclid(positions[i0:i0 + step, None], positions[None])
 
 
 def _placement_pairs(positions: np.ndarray,
@@ -287,11 +289,11 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
             f"after {PLACEMENT_ATTEMPTS} attempts"
         )
 
-    lengths = dict(zip(pairs, _euclid(positions, ia, ib).tolist()))
+    lengths = dict(zip(pairs, _euclid(positions[ia], positions[ib]).tolist()))
     pairs = _prune_to_degree_cap(adj, lengths, config.degree_cap)
 
-    center = np.array([config.area_w / 2.0, config.area_h / 2.0])
-    center_dist = np.linalg.norm(positions - center, axis=1)
+    center_dist = _euclid(positions,
+                          np.array([config.area_w / 2.0, config.area_h / 2.0]))
     gateways = sorted(np.argsort(center_dist, kind="stable")
                       [: config.gateway_count].tolist())
 

@@ -1,3 +1,6 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,45 @@ def make_problem(t, m=None, rm=None):
     default radio model."""
     m = m or OverlapMatrix.orthogonal(t.params.channels)
     return Problem(t, build_conflict_graph(t), m, rm or RadioModel())
+
+
+def reference_score(t, usage):
+    """Node scores from criteria computed apart from the library: hop
+    levels by a breadth-first search from the gateways, proximity as the
+    Python-float distance ``sqrt(dx*dx + dy*dy)`` to the nearest gateway
+    (``math.dist`` is correctly rounded, so for some points it differs
+    in the last bit), the given per-node ``usage`` counts and the radios.
+    Each is min-max scaled to [0, 1], inverted for hops and proximity,
+    all-equal values scaling to 1.0, and the four are summed in that
+    order and divided by 4."""
+    n = t.node_count
+    nbrs = [[int(t.link_a[l] + t.link_b[l]) - v for l in t.incident_links[v]]
+            for v in range(n)]
+    hops = {g: 0 for g in t.gateways}
+    queue = deque(t.gateways)
+    while queue:
+        v = queue.popleft()
+        for w in nbrs[v]:
+            if w not in hops:
+                hops[w] = hops[v] + 1
+                queue.append(w)
+    pos = t.positions.tolist()
+    proximity = [min(math.sqrt((x - gx) * (x - gx) + (y - gy) * (y - gy))
+                     for gx, gy in (pos[g] for g in t.gateways))
+                 for x, y in pos]
+
+    def scaled(values, invert):
+        lo, hi = min(values), max(values)
+        if lo == hi:
+            return [1.0] * len(values)
+        return [1.0 - (v - lo) / (hi - lo) if invert else (v - lo) / (hi - lo)
+                for v in values]
+
+    criteria = zip(scaled([hops[v] for v in range(n)], True),
+                   scaled(proximity, True),
+                   scaled([int(u) for u in usage], False),
+                   scaled(t.radios.tolist(), False))
+    return np.array([(h + p + u + c) / 4 for h, p, u, c in criteria])
 
 
 def reference_radio_violations(genes, t):

@@ -368,7 +368,7 @@ class TestLeastInterferingChannel:
 
 class TestMclrAssign:
     def _table(self, t):
-        return rank_links(t, score_nodes(t).score)
+        return rank_links(t, score_nodes(t))
 
     def test_three_link_path_two_channels_alternates(self):
         # all three links mutually conflict; gateway at node 0 makes the

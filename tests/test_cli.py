@@ -226,9 +226,11 @@ class TestInputErrors:
         {"node_count": 20, "interference_distance": math.inf},
         {"node_count": 20, "area_h": 10 ** 400},
         {"node_count": 20, "channels": 10 ** 30},
+        {"node_count": 10 ** 30},
     ], ids=["unknown_key", "wrong_type", "wrong_radio_type",
             "negative_master_seed", "nan_tss", "infinite_area",
-            "infinite_interference", "huge_int_area", "huge_channels"])
+            "infinite_interference", "huge_int_area", "huge_channels",
+            "huge_node_count"])
     def test_bad_gen_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps(doc))
@@ -241,8 +243,9 @@ class TestInputErrors:
         {"fitness_kind": "interference"},
         {"init_kind": "random"},
         {"validate_every_generation": True},
+        {"population_size": 10 ** 30},
     ], ids=["wrong_type", "unknown_key", "fitness_kind", "init_kind",
-            "validate_every_generation"])
+            "validate_every_generation", "huge_population"])
     def test_bad_ga_config_exits_2(self, tmp_path, topology_path, capsys, doc):
         ga = tmp_path / "ga.json"
         ga.write_text(json.dumps(doc))

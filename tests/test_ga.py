@@ -352,7 +352,7 @@ class TestMutate:
     def test_keeps_radio_constraint(self):
         t, cg, m = hub_instance()
         primary = mclr_assign(Problem(t, cg, m, RM),
-                              rank_links(t, score_nodes(t).score))
+                              rank_links(t, score_nodes(t)))
         fair = link_fairness_of(primary.genes, 6, t, cg, m)
         cfg = GaConfig(mutation_prob=1.0, strong_gene_threshold=1.0)
         out = mutate(np.tile(primary.genes, (50, 1)), np.tile(fair, (50, 1)),
@@ -570,7 +570,7 @@ class TestRun:
         t, cg, m = setup_instance(5, channels=3)
         result = run("mclr", Problem(t, cg, m, RM), seed=1)
         direct = mclr_assign(Problem(t, cg, m, RM),
-                             rank_links(t, score_nodes(t).score))
+                             rank_links(t, score_nodes(t)))
         assert np.array_equal(result.best.assignment.genes, direct.genes)
         assert result.iterations == 0
 
@@ -718,6 +718,25 @@ PINNED_DIGESTS = {
     ("graded", "scga"): "33b41789c850d00b",
     ("graded", "fa_scga"): "1a8dca91bc776324",
 }
+# Where numpy runs its baseline float64 log2/log10 loops, which round like
+# libm, in place of its AVX-512 (X86_V4) ones, two histories differ in
+# the last bits of their mean and sigma; the best genes are the same.
+BASELINE_LOOP_DIGESTS = {
+    ("orthogonal", "fa_scga"): "06ad2284542930c5",
+    ("graded", "fa_scga"): "05329657987c28f6",
+}
+
+
+def baseline_log_loop():
+    """Whether numpy's float64 ``log2`` runs its baseline loop, as
+    ``opt_func_info`` reports it; numpy before 2.0 cannot say, and is
+    taken to run the loop the main pins hold."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return False
+    info = opt_func_info(func_name="^log2$", signature="float64")
+    return info["log2"]["dd"]["current"].startswith("baseline")
 
 
 def outcome_digest(result):
@@ -736,4 +755,7 @@ def test_pinned_outcomes(instance, algorithm):
     cg, m = build_conflict_graph(t), overlap_for_config(cfg)
     result = run(algorithm, Problem(t, cg, m, cfg.radio_model),
                  GaConfig(max_iterations=15), seed=4)
-    assert outcome_digest(result) == PINNED_DIGESTS[instance, algorithm]
+    want = PINNED_DIGESTS[instance, algorithm]
+    if baseline_log_loop():
+        want = BASELINE_LOOP_DIGESTS.get((instance, algorithm), want)
+    assert outcome_digest(result) == want

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from meshca import NoGateway, ScenarioConfig
 from meshca.ranking import rank_links, score_nodes
-from meshca.topology import generate_topology
-from conftest import line_topology, make_topology
+from meshca.topology import Topology, generate_topology
+from conftest import line_topology, make_topology, reference_score
 
 
 def enumerate_shortest_path_nodes(t):
@@ -101,12 +101,12 @@ def connected_topologies(draw):
 
 class TestScoreNodes:
     def test_gateway_normalizes_to_one(self, small_random_topology):
-        scores = score_nodes(small_random_topology)
-        gw = small_random_topology.gateways[0]
-        assert scores.hops[gw] == 0
-        assert scores.proximity[gw] == 0.0
-        assert scores.normalized["hops"][gw] == 1.0
-        assert scores.normalized["proximity"][gw] == 1.0
+        t = small_random_topology
+        scores = score_nodes(t)
+        assert scores.tolist() == reference_score(t, bfs_usage(t)).tolist()
+        # the one gateway leads on all four criteria: it is at hop 0 and
+        # distance 0 from a gateway, and every node routes through it
+        assert scores[t.gateways[0]] == 1.0
 
     def test_star_leaves_score_equal(self):
         # gateway at the center, four symmetric leaves
@@ -116,16 +116,17 @@ class TestScoreNodes:
             gateways=(0,),
         )
         scores = score_nodes(t)
-        leaf_scores = {scores.score[i] for i in range(1, 5)}
+        leaf_scores = {scores[i] for i in range(1, 5)}
         assert len(leaf_scores) == 1
 
     def test_line_usage_strictly_decreasing_and_matches_enumeration(self):
         t = line_topology(n=6, gateways=(0,))
-        scores = score_nodes(t)
-        usage = scores.usage.tolist()
-        assert all(usage[i] > usage[i + 1] for i in range(5))
         oracle = enumerate_shortest_path_nodes(t)
-        assert usage == oracle.tolist()
+        assert all(oracle[i] > oracle[i + 1] for i in range(5))
+        scores = score_nodes(t).tolist()
+        assert scores == reference_score(t, oracle).tolist()
+        # farther out on every criterion, so strictly lower
+        assert all(scores[i] > scores[i + 1] for i in range(5))
 
     def test_diamond_usage_matches_enumeration(self):
         # two equal-length shortest paths from node 3 to the gateway
@@ -134,36 +135,25 @@ class TestScoreNodes:
             link_pairs=[(0, 1), (0, 2), (1, 3), (2, 3)],
             gateways=(0,),
         )
-        scores = score_nodes(t)
         oracle = enumerate_shortest_path_nodes(t)
-        assert scores.usage.tolist() == oracle.tolist()
+        assert (score_nodes(t).tolist()
+                == reference_score(t, oracle).tolist())
 
     def test_all_equal_criterion_maps_to_one(self):
         # two nodes, symmetric in every criterion
         t = make_topology([(0, 0), (100, 0)], link_pairs=[(0, 1)],
                           gateways=(0, 1))
-        scores = score_nodes(t)
-        for i in range(t.node_count):
-            assert ({c: v[i] for c, v in scores.normalized.items()}
-                    == {c: 1.0 for c in scores.normalized})
-            assert scores.score[i] == 1.0
+        assert score_nodes(t).tolist() == [1.0, 1.0]
 
     def test_normalization_attains_bounds(self, small_random_topology):
-        scores = score_nodes(small_random_topology)
-        for criterion in ("hops", "proximity", "usage", "capacity"):
-            values = scores.normalized[criterion].tolist()
-            raw = {
-                "hops": scores.hops.tolist(),
-                "proximity": scores.proximity.tolist(),
-                "usage": scores.usage.tolist(),
-                "capacity": scores.capacity.tolist(),
-            }[criterion]
-            if len(set(raw)) > 1:
-                assert min(values) == 0.0
-                assert max(values) == 1.0
-            else:
-                assert set(values) == {1.0}
-            assert all(0.0 <= v <= 1.0 for v in values)
+        # radios of 1 to 3, so all four criteria vary
+        s = small_random_topology
+        t = Topology(s.positions, np.arange(s.node_count) % 3 + 1,
+                     s.gateways, s.link_a, s.link_b, s.required_rates,
+                     s.params, s.seed)
+        scores = score_nodes(t)
+        assert scores.tolist() == reference_score(t, bfs_usage(t)).tolist()
+        assert ((0.0 <= scores) & (scores <= 1.0)).all()
 
     def test_no_gateway_raises(self):
         t = make_topology([(0, 0), (100, 0)], link_pairs=[(0, 1)],
@@ -180,10 +170,10 @@ class TestScoreNodes:
     @given(connected_topologies())
     @settings(max_examples=150, deadline=None)
     def test_usage_matches_per_node_bfs(self, t):
-        usage = score_nodes(t).usage.tolist()
-        assert usage == bfs_usage(t).tolist()
+        usage = bfs_usage(t)
+        assert score_nodes(t).tolist() == reference_score(t, usage).tolist()
         if t.node_count <= 12:
-            assert usage == enumerate_shortest_path_nodes(t).tolist()
+            assert usage.tolist() == enumerate_shortest_path_nodes(t).tolist()
 
 
 class TestRankLinks:
@@ -192,21 +182,21 @@ class TestRankLinks:
         t = make_topology([(0, 0), (100, 0), (50, 87)],
                           link_pairs=[(0, 1), (1, 2), (0, 2)],
                           gateways=(0, 1, 2))
-        table = rank_links(t, score_nodes(t).score)
+        table = rank_links(t, score_nodes(t))
         assert table.schedule.tolist() == [0, 1, 2]
 
     def test_gateway_link_scheduled_first(self):
         # link 1 touches the gateway and dominates on every criterion
         t = line_topology(n=4, gateways=(0,))
-        table = rank_links(t, score_nodes(t).score)
+        table = rank_links(t, score_nodes(t))
         assert table.schedule[0] == 0
         assert table.schedule[-1] == 2
 
     def test_matches_independent_sort(self, small_random_topology):
         t = small_random_topology
         scores = score_nodes(t)
-        table = rank_links(t, scores.score)
-        by_id = dict(enumerate(scores.score.tolist()))
+        table = rank_links(t, scores)
+        by_id = dict(enumerate(scores.tolist()))
         expected_ranks = [by_id[a] + by_id[b]
                           for a, b in zip(t.link_a.tolist(), t.link_b.tolist())]
         assert np.allclose(table.ranks, expected_ranks)
@@ -218,7 +208,7 @@ class TestRankLinks:
 
     def test_schedule_is_permutation(self, small_random_topology):
         table = rank_links(small_random_topology,
-                           score_nodes(small_random_topology).score)
+                           score_nodes(small_random_topology))
         assert sorted(table.schedule.tolist()) == list(
             range(small_random_topology.link_count)
         )
@@ -226,8 +216,8 @@ class TestRankLinks:
     def test_raising_endpoint_score_never_demotes_link(self):
         t = line_topology(n=4, gateways=(0,))
         scores = score_nodes(t)
-        table = rank_links(t, scores.score)
-        boosted = scores.score.copy()
+        table = rank_links(t, scores)
+        boosted = scores.copy()
         boosted[0] += 0.5
         table2 = rank_links(t, boosted)
         # link 0 touches node 0; its position must not get worse
@@ -246,6 +236,6 @@ class TestRankLinks:
         side = round(1000 * math.sqrt(n / 94), 1)
         t = generate_topology(ScenarioConfig(node_count=n, area_w=side,
                                              area_h=side), seed)
-        table = rank_links(t, score_nodes(t).score)
+        table = rank_links(t, score_nodes(t))
         data = table.ranks.tobytes() + table.schedule.tobytes()
         assert hashlib.sha256(data).hexdigest()[:16] == digest
