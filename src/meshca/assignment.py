@@ -14,6 +14,7 @@ count and the one rule for which nodes' budgets can bind
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,6 +96,68 @@ def overlap_for_config(cfg) -> OverlapMatrix:
 # ---------------------------------------------------------------------------
 # interference
 
+# Below this many multiply-adds (links**2 * batch * channels) the kernel's
+# product runs on one OpenBLAS thread. Measured on a 2-vCPU VM, 300 warm
+# calls at (40, L), K = 3, per process. With one CPU-bound contender, the
+# default two threads stalled (calls over 5x the median) in 3 of 3
+# processes at L = 379 and at L = 572, losing 140-783 ms each, where one
+# thread lost at most one 8 ms call; at L = 758 (6.9e7) they lost 15-32
+# ms and at L = 1,012 none. On a quiet VM two threads' median call is
+# faster from L = 185 on (1.1-1.5x over 6 processes): below the constant
+# that is given up for the stalls, and 800 nodes and up (1.2e8) keep the
+# default. Every benchmark shape (up to 1.7e7) is below.
+ONE_THREAD_BELOW = 2 ** 26
+
+# where the user set either variable, the kernel leaves the thread count
+# alone, and the sweep's pool sets only the unset ones for its workers
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+# (get, set) of numpy's OpenBLAS thread count, () for none, None until
+# looked up: one per process, as the library's count is
+_thread_api = None
+
+
+def _openblas_threads():
+    """The thread-count functions ``(get, set)`` of numpy's bundled
+    OpenBLAS, or ``()`` where a variable of ``BLAS_THREAD_VARS`` is set
+    or the library or its symbols are missing (another BLAS build). Looked
+    up on the first call, not at import."""
+    global _thread_api
+    if _thread_api is None:
+        _thread_api = ()
+        if not any(name in os.environ for name in BLAS_THREAD_VARS):
+            import ctypes
+
+            libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+            for path in sorted(libs.glob("libscipy_openblas*")):
+                try:
+                    lib = ctypes.CDLL(str(path))
+                    get = lib.scipy_openblas_get_num_threads64_
+                    set_ = lib.scipy_openblas_set_num_threads64_
+                except (OSError, AttributeError):
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                _thread_api = (get, set_)
+                break
+    return _thread_api
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``a @ b`` into ``out``: on one OpenBLAS thread below
+    ``ONE_THREAD_BELOW`` multiply-adds, on the process's count above it.
+    The prior count is restored on the way out, so no process-wide state
+    is left changed."""
+    api = _openblas_threads() if a.shape[0] * b.size < ONE_THREAD_BELOW else ()
+    prior = api[0]() if api else 1
+    if prior != 1:
+        api[1](1)
+    try:
+        np.matmul(a, b, out=out)
+    finally:
+        if prior != 1:
+            api[1](prior)
+
 
 def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
                         m: OverlapMatrix) -> np.ndarray:
@@ -104,7 +167,8 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
     C-ordered). Each link's index sums ``ratio[gene(l), gene(n)]`` over
     its conflict neighbors n. One put at the flat indices ``own`` builds
     an (L, P, K) float32 one-hot; the float32 adjacency times it counts
-    each link's neighbours per channel, exactly while L < 2**24. Under an
+    each link's neighbours per channel, exactly while L < 2**24, on one
+    BLAS thread while ``L**2 * P * K < ONE_THREAD_BELOW``. Under an
     identity overlap the index is the count read off at ``own``; otherwise
     the counts are weighted by the link's overlap row and summed over K,
     as with a float64 one-hot: float32 integers widen exactly, so the
@@ -139,7 +203,7 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
     own = np.arange(n_links * p) * k + g.T.ravel()
     onehot[own] = 1.0
     counts = cg.scratch_counts[:size].reshape(n_links, p * k)
-    np.matmul(cg.adjacency, onehot.reshape(n_links, p * k), out=counts)
+    _product(cg.adjacency, onehot.reshape(n_links, p * k), counts)
     if m.identity:
         out = counts.reshape(-1)[own].astype(float).reshape(n_links, p)
     else:

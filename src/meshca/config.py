@@ -22,6 +22,7 @@ OVERLAP_KINDS = ("orthogonal", "graded")
 # Upper bounds of the size fields, each well above every size in use:
 # past them numpy is asked for arrays it cannot index or hold.
 MAX_CHANNELS = 64  # more than any 802.11 band has
+MAX_RADIOS = MAX_CHANNELS  # a node cannot use more radios than channels
 MAX_NODES = 5000  # 2.5 times the largest mesh in use, 2,000 nodes
 MAX_POPULATION = 10000  # 250 times the default GA population
 MAX_TOPOLOGIES = 10000  # replicates per scenario, each a sweep job
@@ -148,6 +149,9 @@ class ScenarioConfig:
             )
         if self.radios < 1:
             raise InvalidConfig(f"radios must be >= 1, got {self.radios}")
+        if self.radios > MAX_RADIOS:
+            raise InvalidConfig(f"radios must be <= {MAX_RADIOS}, "
+                                f"got {self.radios}")
         if self.channels < 1:
             raise InvalidConfig(f"channels must be >= 1, got {self.channels}")
         if self.channels > MAX_CHANNELS:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import (
+    BLAS_THREAD_VARS,
     ChannelAssignment,
     OverlapMatrix,
     channels_in_use,
@@ -173,8 +174,7 @@ def _one_blas_thread():
     """Set ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``, where unset,
     to 1 for the block: processes spawned in it run one BLAS thread, as
     threaded OpenBLAS in several processes on few cores stalls."""
-    added = [name for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-             if name not in os.environ]
+    added = [name for name in BLAS_THREAD_VARS if name not in os.environ]
     os.environ.update(dict.fromkeys(added, "1"))
     try:
         yield

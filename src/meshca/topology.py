@@ -268,6 +268,10 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
         If the seed is negative (``config`` was checked when built).
     ConnectivityUnreachable
         If no connected placement is found within the attempt budget.
+    InvalidRequiredRate
+        If the radio model gives a link a required rate that is not
+        positive and finite (say, a path-loss exponent so large that
+        every rate rounds to 0).
     """
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
@@ -302,6 +306,12 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
               * _zero_interference_rate(lengths[pair], config))
         for pair in pairs
     ]
+    for pair, rate in zip(pairs, required):
+        if not (rate > 0 and math.isfinite(rate)):
+            raise InvalidRequiredRate(
+                f"the radio model gives link {pair[0]}-{pair[1]} (length "
+                f"{lengths[pair]!r}) a required rate of {rate!r}; rates "
+                f"must be positive and finite")
     link_a, link_b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return Topology(positions, np.full(n, config.radios), gateways,
                     link_a, link_b, required, config, seed)

@@ -1,3 +1,4 @@
+import ctypes
 import math
 from itertools import product
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshca import InvalidAssignment, InvalidConfig, ParseError, ScenarioConfig
+from meshca import (InvalidAssignment, InvalidConfig, ParseError, ScenarioConfig,
+                    assignment)
 from meshca.assignment import (
     UNASSIGNED,
     ChannelAssignment,
@@ -290,6 +292,170 @@ class TestKernelScratch:
             interference_matrix(batches[i % 8], cg, m)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / 200 < 5
+
+
+def random_conflict_graph(n_links, seed, density=0.05):
+    rng = np.random.default_rng(seed)
+    a, b = np.triu_indices(n_links, 1)
+    keep = rng.random(a.size) < density
+    return ConflictGraph(n_links, np.stack([a[keep], b[keep]], axis=1))
+
+
+class FakeOpenBlas:
+    """Stands in for numpy's OpenBLAS: a thread count, and every count
+    set, in order."""
+
+    def __init__(self, count):
+        self.count, self.sets = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+@pytest.fixture
+def no_thread_vars(monkeypatch):
+    """Neither BLAS thread variable set, and the OpenBLAS lookup undone,
+    so the next kernel call looks it up again."""
+    for name in assignment.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(assignment, "_thread_api", None)
+
+
+@pytest.fixture
+def fake_blas(monkeypatch, no_thread_vars):
+    blas = FakeOpenBlas(4)
+    monkeypatch.setattr(assignment, "_thread_api", (blas.get, blas.set))
+    return blas
+
+
+class TestBlasThreadRule:
+    """The kernel's product runs on one OpenBLAS thread below
+    ``ONE_THREAD_BELOW`` multiply-adds, and every call leaves the count
+    as it found it."""
+
+    def case(self, n_links=30, rows=40, channels=3):
+        cg = random_conflict_graph(n_links, 0)
+        genes = np.random.default_rng(1).integers(0, channels, (rows, n_links))
+        return genes, cg, OverlapMatrix.orthogonal(channels)
+
+    def spy_matmul(self, monkeypatch, get_threads):
+        """Record the thread count each product runs with."""
+        seen, matmul = [], np.matmul
+
+        def spy(*args, **kwargs):
+            seen.append(get_threads())
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(assignment.np, "matmul", spy)
+        return seen
+
+    def test_small_product_runs_on_one_thread_then_restores(self, fake_blas,
+                                                            monkeypatch):
+        seen = self.spy_matmul(monkeypatch, fake_blas.get)
+        genes, cg, m = self.case()
+        got = interference_matrix(genes, cg, m)
+        assert np.array_equal(got, reference_count_kernel(genes, cg, m))
+        assert seen == [1]
+        assert fake_blas.sets == [1, 4] and fake_blas.count == 4
+
+    def test_threshold_is_exclusive(self, fake_blas, monkeypatch):
+        genes, cg, m = self.case()
+        size = 30 * 30 * 40 * 3
+        monkeypatch.setattr(assignment, "ONE_THREAD_BELOW", size)
+        interference_matrix(genes, cg, m)
+        assert fake_blas.sets == []
+        monkeypatch.setattr(assignment, "ONE_THREAD_BELOW", size + 1)
+        interference_matrix(genes, cg, m)
+        assert fake_blas.sets == [1, 4]
+
+    def test_one_thread_already_sets_nothing(self, fake_blas):
+        fake_blas.count = 1
+        interference_matrix(*self.case())
+        assert fake_blas.sets == []
+
+    def test_count_restored_when_the_product_raises(self, fake_blas,
+                                                    monkeypatch):
+        def failing(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(assignment.np, "matmul", failing)
+        with pytest.raises(MemoryError):
+            interference_matrix(*self.case())
+        assert fake_blas.sets == [1, 4] and fake_blas.count == 4
+
+    def test_count_unchanged_when_genes_are_out_of_range(self, fake_blas):
+        genes, cg, m = self.case()
+        genes[3, 5] = 3
+        with pytest.raises(InvalidAssignment):
+            interference_matrix(genes, cg, m)
+        assert fake_blas.sets == [] and fake_blas.count == 4
+
+    @pytest.mark.parametrize("missing", ["library", "symbol"])
+    def test_noop_without_the_openblas_symbols(self, no_thread_vars,
+                                               monkeypatch, missing):
+        def cdll(path):
+            if missing == "library":
+                raise OSError(f"cannot load {path}")
+            return object()  # no scipy_openblas_* attribute
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        genes, cg, m = self.case()
+        assert np.array_equal(interference_matrix(genes, cg, m),
+                              reference_count_kernel(genes, cg, m))
+        assert assignment._thread_api == ()
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_noop_when_the_user_sets_the_threads(self, no_thread_vars,
+                                                 monkeypatch, name):
+        def cdll(path):
+            raise AssertionError("looked up OpenBLAS despite " + name)
+
+        monkeypatch.setenv(name, "2")
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        genes, cg, m = self.case()
+        assert np.array_equal(interference_matrix(genes, cg, m),
+                              reference_count_kernel(genes, cg, m))
+        assert assignment._thread_api == ()
+
+    def test_numpys_openblas_count_is_restored(self, no_thread_vars,
+                                               monkeypatch):
+        api = assignment._openblas_threads()
+        if not api:
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        get = api[0]
+        before = get()
+        seen = self.spy_matmul(monkeypatch, get)
+        genes, cg, m = self.case()
+        interference_matrix(genes, cg, m)
+        monkeypatch.setattr(assignment, "ONE_THREAD_BELOW", 0)
+        interference_matrix(genes, cg, m)
+        assert seen == [1, before]
+        assert get() == before
+
+
+class TestThreadCountIndependence:
+    """The same arrays on one BLAS thread and on the default count."""
+
+    @pytest.mark.parametrize("n_links", [60, 760])  # 4.3e5 and 6.9e7 at (40, L, 3)
+    @pytest.mark.parametrize("overlap", ["identity", "graded"])
+    def test_same_arrays_either_side_of_the_threshold(self, no_thread_vars,
+                                                       monkeypatch, n_links,
+                                                       overlap):
+        cg = random_conflict_graph(n_links, n_links)
+        m = (OverlapMatrix.orthogonal(3) if overlap == "identity"
+             else OverlapMatrix.graded(3, 2))
+        genes = np.random.default_rng(2).integers(0, 3, (40, n_links))
+        got = [interference_matrix(genes, cg, m)]
+        for below in (0, 2 ** 62):
+            monkeypatch.setattr(assignment, "ONE_THREAD_BELOW", below)
+            got.append(interference_matrix(genes, cg, m))
+        want = reference_count_kernel(genes, cg, m)
+        for g in got:
+            assert np.array_equal(g, want)
 
 
 class TestLeastInterferingChannel:

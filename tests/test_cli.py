@@ -1,10 +1,16 @@
+import functools
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from meshca import ScenarioConfig
 from meshca.assignment import OverlapMatrix
@@ -463,3 +469,183 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert "topology-clitest-seed1.json" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents: no malformed input escapes as a traceback
+
+# replacement values: every JSON type, the edge numbers, and sizes that
+# are either tiny or past every upper bound, so no draw allocates much
+FUZZ_VALUES = st.sampled_from([
+    None, True, False, -1, 0, 1, 2, 7, 2 ** 63, 10 ** 30, -0.5, 0.0, 0.5,
+    1e308, math.nan, math.inf, -math.inf, "", "x", "3", [], {}, [0],
+    {"a": 1}])
+
+
+def _paths(doc, path=()):
+    """Every path from the root of a JSON document to one of its values,
+    the root included."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _retyped(value):
+    """``value`` as other JSON types holding the same content."""
+    if isinstance(value, bool):
+        return [int(value), str(value).lower()]
+    if isinstance(value, (int, float)):
+        return [str(value), [value], float(value) if isinstance(value, int)
+                else int(value) if math.isfinite(value) else None]
+    if isinstance(value, str):
+        return [[value], {value: value}]
+    if isinstance(value, list):
+        return [{str(i): v for i, v in enumerate(value)}, len(value)]
+    if isinstance(value, dict):
+        return [list(value.values()), list(value)]
+    return [0, ""]
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """``doc`` (left intact) with one value replaced by a drawn value,
+    deleted, or retyped. Deleting the root leaves an empty file; the
+    result is JSON text, NaN and infinities as Python's ``json`` writes
+    them."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    op = draw(st.sampled_from(["replace", "delete", "retype"]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]] if path else doc
+    new = (draw(FUZZ_VALUES) if op == "replace"
+           else draw(st.sampled_from(_retyped(old))) if op == "retype"
+           else None)
+    if not path:
+        return "" if op == "delete" else json.dumps(new)
+    if op == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_lines(draw, text):
+    """``text``, an assignment file, with one line deleted or replaced, or
+    one comma-separated cell of a line replaced or retyped."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["delete", "line", "cell", "retype"]))
+    if op == "delete":
+        del lines[i]
+    elif op == "line":
+        lines[i] = str(draw(FUZZ_VALUES))
+    else:
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        cells[j] = (f"{cells[j]}.0" if op == "retype"
+                    else str(draw(FUZZ_VALUES)))
+        lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+
+FUZZ_SCENARIO = ScenarioConfig(name="fz", node_count=5, area_w=350.0,
+                               area_h=350.0, channels=3, radios=2,
+                               topologies_per_scenario=1).to_dict()
+FUZZ_GA = {"population_size": 4, "max_iterations": 3, "stall_window": 2}
+FUZZ_SWEEP = {"scenarios": [FUZZ_SCENARIO], "algorithms": ["mclr", "fa_scga"],
+              "ga": FUZZ_GA}
+ALGOS = st.sampled_from(["mclr", "ia_ga", "scga", "fa_scga"])
+
+
+@functools.cache
+def fuzz_base():
+    """A valid topology document and an assignment file for it."""
+    with tempfile.TemporaryDirectory() as d:
+        with redirect_stdout(io.StringIO()):
+            Path(d, "s.json").write_text(json.dumps(FUZZ_SCENARIO))
+            assert main(["gen", "--config", f"{d}/s.json", "--seed", "4",
+                         "--out", d]) == 0
+            topology = Path(d, "topology-fz-seed4.json")
+            assert main(["assign", "--algo", "mclr", "--topology",
+                         str(topology), "--out", d]) == 0
+        return (json.loads(topology.read_text()),
+                Path(d, "assignment-mclr-seed4.csv").read_text())
+
+
+TOPOLOGIES = st.deferred(lambda: mutated_json(fuzz_base()[0]))
+ASSIGNMENTS = st.deferred(lambda: mutated_lines(fuzz_base()[1]))
+
+
+def run_fuzzed(files, argv):
+    """Write ``files`` (name to text) into a fresh directory and run
+    ``main`` on ``argv``, each ``{d}`` there naming the directory."""
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files.items():
+            Path(d, name).write_text(text)
+        argv = [arg.format(d=d) for arg in argv] + ["--out", f"{d}/out"]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+
+
+class TestFuzzedDocuments:
+    """Valid documents with one value replaced, deleted or retyped, run
+    through ``main`` in-process: each run exits 0, 2, 3 or 4, and no
+    exception escapes."""
+
+    @given(mutated_json(FUZZ_SCENARIO))
+    # numpy cannot hold so many radios in an int64: an OverflowError
+    @example(json.dumps({**FUZZ_SCENARIO, "radios": 10 ** 30}))
+    @settings(max_examples=40, deadline=None)
+    def test_gen_config(self, scenario):
+        run_fuzzed({"s.json": scenario},
+                   ["gen", "--config", "{d}/s.json", "--dump-ranks"])
+
+    @given(mutated_json(FUZZ_SWEEP))
+    # a path-loss exponent this large rounds every link rate to 0: the
+    # GA's fitness was NaN and it ended in a TypeError
+    @example(json.dumps({**FUZZ_SWEEP, "scenarios": [{
+        **FUZZ_SCENARIO, "radio_model": {**FUZZ_SCENARIO["radio_model"],
+                                         "path_loss_exp": 2 ** 63}}]}))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_config(self, sweep):
+        run_fuzzed({"s.json": sweep}, ["sweep", "--config", "{d}/s.json"])
+
+    @given(TOPOLOGIES, ALGOS)
+    @settings(max_examples=40, deadline=None)
+    def test_assign_topology(self, topology, algo):
+        run_fuzzed({"t.json": topology, "g.json": json.dumps(FUZZ_GA)},
+                   ["assign", "--algo", algo, "--topology", "{d}/t.json",
+                    "--ga", "{d}/g.json"])
+
+    @given(mutated_json(FUZZ_GA), ALGOS)
+    @settings(max_examples=40, deadline=None)
+    def test_assign_ga(self, ga, algo):
+        run_fuzzed({"t.json": json.dumps(fuzz_base()[0]), "g.json": ga},
+                   ["assign", "--algo", algo, "--topology", "{d}/t.json",
+                    "--ga", "{d}/g.json"])
+
+    @given(TOPOLOGIES)
+    @settings(max_examples=40, deadline=None)
+    def test_eval_topology(self, topology):
+        run_fuzzed({"t.json": topology, "a.csv": fuzz_base()[1]},
+                   ["eval", "--topology", "{d}/t.json",
+                    "--assignment", "{d}/a.csv"])
+
+    @given(ASSIGNMENTS)
+    @settings(max_examples=40, deadline=None)
+    def test_eval_assignment(self, assignment):
+        run_fuzzed({"t.json": json.dumps(fuzz_base()[0]), "a.csv": assignment},
+                   ["eval", "--topology", "{d}/t.json",
+                    "--assignment", "{d}/a.csv"])
+
+    @given(TOPOLOGIES)
+    @settings(max_examples=40, deadline=None)
+    def test_oracle_topology(self, topology):
+        run_fuzzed({"t.json": topology}, ["oracle", "--topology", "{d}/t.json"])

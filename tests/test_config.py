@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from meshca import GaConfig, InvalidConfig, ScenarioConfig
-from meshca.config import (MAX_CHANNELS, MAX_NODES, MAX_POPULATION,
+from meshca.config import (MAX_CHANNELS, MAX_NODES, MAX_POPULATION, MAX_RADIOS,
                            MAX_TOPOLOGIES, RadioModel)
 from test_ga import BAD_GA_FIELDS
 from test_topology import BAD_SCENARIO_FIELDS
@@ -63,6 +63,7 @@ def test_channel_counts_in_use_are_admitted():
 
 
 SIZE_BOUNDS = [(ScenarioConfig, "node_count", MAX_NODES),
+               (ScenarioConfig, "radios", MAX_RADIOS),
                (ScenarioConfig, "topologies_per_scenario", MAX_TOPOLOGIES),
                (GaConfig, "population_size", MAX_POPULATION)]
 
@@ -72,7 +73,8 @@ SIZE_BOUNDS = [(ScenarioConfig, "node_count", MAX_NODES),
 def test_size_above_its_bound_rejected(cls, name, bound):
     # node_count = 10**30 reached numpy's dimension check in placement,
     # population_size = 10**30 an OverflowError in the GA, and a sweep
-    # listed topologies_per_scenario jobs per scenario without a limit
+    # listed topologies_per_scenario jobs per scenario without a limit;
+    # radios = 10**30 overflowed the topology's int64 radio array
     for value in (bound + 1, 2 ** 63, 10 ** 30):
         message = rf"^{name} must be <= {bound}, got {value}$"
         with pytest.raises(InvalidConfig, match=message):
@@ -83,9 +85,10 @@ def test_size_above_its_bound_rejected(cls, name, bound):
 
 @pytest.mark.parametrize("cls, name, in_use", [
     (ScenarioConfig, "node_count", (2, 300, 2000)),  # 2,000 is CI's mesh
+    (ScenarioConfig, "radios", (1, 2, 3)),
     (ScenarioConfig, "topologies_per_scenario", (1, 3)),
     (GaConfig, "population_size", (2, 40, 1001)),
-], ids=["node_count", "topologies_per_scenario", "population_size"])
+], ids=["node_count", "radios", "topologies_per_scenario", "population_size"])
 def test_sizes_in_use_are_admitted(cls, name, in_use):
     bound = {name: b for _, name, b in SIZE_BOUNDS}[name]
     for value in (*in_use, bound):
