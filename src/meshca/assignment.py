@@ -96,18 +96,6 @@ def overlap_for_config(cfg) -> OverlapMatrix:
 # ---------------------------------------------------------------------------
 # interference
 
-# Below this many multiply-adds (links**2 * batch * channels) the kernel's
-# product runs on one OpenBLAS thread. Measured on a 2-vCPU VM, 300 warm
-# calls at (40, L), K = 3, per process. With one CPU-bound contender, the
-# default two threads stalled (calls over 5x the median) in 3 of 3
-# processes at L = 379 and at L = 572, losing 140-783 ms each, where one
-# thread lost at most one 8 ms call; at L = 758 (6.9e7) they lost 15-32
-# ms and at L = 1,012 none. On a quiet VM two threads' median call is
-# faster from L = 185 on (1.1-1.5x over 6 processes): below the constant
-# that is given up for the stalls, and 800 nodes and up (1.2e8) keep the
-# default. Every benchmark shape (up to 1.7e7) is below.
-ONE_THREAD_BELOW = 2 ** 26
-
 # where the user set either variable, the kernel leaves the thread count
 # alone, and the sweep's pool sets only the unset ones for its workers
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -143,12 +131,20 @@ def _openblas_threads():
     return _thread_api
 
 
+# The kernel's product runs on one OpenBLAS thread. Measured on a 2-vCPU
+# VM, 300 warm calls at (40, L), K = 3, per process: with one CPU-bound
+# contender, the default two threads stalled (calls over 5x the median)
+# in 3 of 3 processes at L = 379 and at L = 572, losing 140-783 ms each,
+# where one thread lost at most one 8 ms call. On a quiet VM two threads'
+# median call is faster from L = 185 on (1.1-1.5x over 6 processes),
+# which is given up for the stalls. That holds at every benchmark shape;
+# at 2,000 nodes (L = 2,503) a 20-generation fa_scga took 1.5x longer
+# on one thread than on two when quiet, and 1.3x less with a contender.
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """``a @ b`` into ``out``: on one OpenBLAS thread below
-    ``ONE_THREAD_BELOW`` multiply-adds, on the process's count above it.
-    The prior count is restored on the way out, so no process-wide state
-    is left changed."""
-    api = _openblas_threads() if a.shape[0] * b.size < ONE_THREAD_BELOW else ()
+    """``a @ b`` into ``out`` on one OpenBLAS thread. The count is
+    process-wide: it is changed for the product's duration and the prior
+    count restored on the way out, also when the product raises."""
+    api = _openblas_threads()
     prior = api[0]() if api else 1
     if prior != 1:
         api[1](1)
@@ -168,18 +164,19 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
     its conflict neighbors n. One put at the flat indices ``own`` builds
     an (L, P, K) float32 one-hot; the float32 adjacency times it counts
     each link's neighbours per channel, exactly while L < 2**24, on one
-    BLAS thread while ``L**2 * P * K < ONE_THREAD_BELOW``. Under an
-    identity overlap the index is the count read off at ``own``; otherwise
-    the counts are weighted by the link's overlap row and summed over K,
-    as with a float64 one-hot: float32 integers widen exactly, so the
-    products, numpy's summation order and the graded results are
-    unchanged, bit for bit.
+    BLAS thread (``_product``). Under an identity overlap the index is the
+    count read off at ``own``; otherwise the counts are weighted by the
+    link's overlap row and summed over K, as with a float64 one-hot:
+    float32 integers widen exactly, so the products, numpy's summation
+    order and the graded results are unchanged, bit for bit.
 
     The one-hot, the counts and the graded weights live in ``cg``'s
     scratch buffers, which grow to the largest batch and are reused, so
     a warm call maps no fresh pages. This makes one graph unsafe to score
-    from two threads at once. The result is always a fresh array and
-    never aliases the scratch, so callers may keep it.
+    from two threads at once; and as the BLAS thread count is
+    process-wide, no two threads may call this at once at all. The
+    result is always a fresh array and never aliases the scratch, so
+    callers may keep it.
 
     Raises
     ------

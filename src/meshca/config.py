@@ -22,7 +22,7 @@ OVERLAP_KINDS = ("orthogonal", "graded")
 # Upper bounds of the size fields, each well above every size in use:
 # past them numpy is asked for arrays it cannot index or hold.
 MAX_CHANNELS = 64  # more than any 802.11 band has
-MAX_RADIOS = MAX_CHANNELS  # a node cannot use more radios than channels
+MAX_RADIOS = 64  # per node, far above the 2-3 in use; 10**30 overflowed int64
 MAX_NODES = 5000  # 2.5 times the largest mesh in use, 2,000 nodes
 MAX_POPULATION = 10000  # 250 times the default GA population
 MAX_TOPOLOGIES = 10000  # replicates per scenario, each a sweep job

@@ -333,9 +333,8 @@ def fake_blas(monkeypatch, no_thread_vars):
 
 
 class TestBlasThreadRule:
-    """The kernel's product runs on one OpenBLAS thread below
-    ``ONE_THREAD_BELOW`` multiply-adds, and every call leaves the count
-    as it found it."""
+    """The kernel's product runs on one OpenBLAS thread, and every call
+    leaves the count as it found it."""
 
     def case(self, n_links=30, rows=40, channels=3):
         cg = random_conflict_graph(n_links, 0)
@@ -353,24 +352,14 @@ class TestBlasThreadRule:
         monkeypatch.setattr(assignment.np, "matmul", spy)
         return seen
 
-    def test_small_product_runs_on_one_thread_then_restores(self, fake_blas,
-                                                            monkeypatch):
+    def test_product_runs_on_one_thread_then_restores(self, fake_blas,
+                                                      monkeypatch):
         seen = self.spy_matmul(monkeypatch, fake_blas.get)
         genes, cg, m = self.case()
         got = interference_matrix(genes, cg, m)
         assert np.array_equal(got, reference_count_kernel(genes, cg, m))
         assert seen == [1]
         assert fake_blas.sets == [1, 4] and fake_blas.count == 4
-
-    def test_threshold_is_exclusive(self, fake_blas, monkeypatch):
-        genes, cg, m = self.case()
-        size = 30 * 30 * 40 * 3
-        monkeypatch.setattr(assignment, "ONE_THREAD_BELOW", size)
-        interference_matrix(genes, cg, m)
-        assert fake_blas.sets == []
-        monkeypatch.setattr(assignment, "ONE_THREAD_BELOW", size + 1)
-        interference_matrix(genes, cg, m)
-        assert fake_blas.sets == [1, 4]
 
     def test_one_thread_already_sets_nothing(self, fake_blas):
         fake_blas.count = 1
@@ -429,11 +418,8 @@ class TestBlasThreadRule:
         get = api[0]
         before = get()
         seen = self.spy_matmul(monkeypatch, get)
-        genes, cg, m = self.case()
-        interference_matrix(genes, cg, m)
-        monkeypatch.setattr(assignment, "ONE_THREAD_BELOW", 0)
-        interference_matrix(genes, cg, m)
-        assert seen == [1, before]
+        interference_matrix(*self.case())
+        assert seen == [1]
         assert get() == before
 
 
@@ -442,17 +428,16 @@ class TestThreadCountIndependence:
 
     @pytest.mark.parametrize("n_links", [60, 760])  # 4.3e5 and 6.9e7 at (40, L, 3)
     @pytest.mark.parametrize("overlap", ["identity", "graded"])
-    def test_same_arrays_either_side_of_the_threshold(self, no_thread_vars,
-                                                       monkeypatch, n_links,
-                                                       overlap):
+    def test_same_arrays_with_and_without_the_rule(self, no_thread_vars,
+                                                    monkeypatch, n_links,
+                                                    overlap):
         cg = random_conflict_graph(n_links, n_links)
         m = (OverlapMatrix.orthogonal(3) if overlap == "identity"
              else OverlapMatrix.graded(3, 2))
         genes = np.random.default_rng(2).integers(0, 3, (40, n_links))
         got = [interference_matrix(genes, cg, m)]
-        for below in (0, 2 ** 62):
-            monkeypatch.setattr(assignment, "ONE_THREAD_BELOW", below)
-            got.append(interference_matrix(genes, cg, m))
+        monkeypatch.setattr(assignment, "_thread_api", ())  # the default count
+        got.append(interference_matrix(genes, cg, m))
         want = reference_count_kernel(genes, cg, m)
         for g in got:
             assert np.array_equal(g, want)
