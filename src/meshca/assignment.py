@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import MAX_CHANNELS
 from .errors import InvalidAssignment, InvalidConfig, ParseError
 from .topology import ConflictGraph
 from .ranking import LinkRankTable
@@ -54,13 +55,15 @@ class ChannelAssignment:
 
 
 class OverlapMatrix:
-    """Symmetric channel-overlap ratios in [0, 1] with unit diagonal;
-    ``identity`` marks exactly orthogonal channels (the identity matrix)."""
+    """Symmetric overlap ratios in [0, 1] with unit diagonal, for at most
+    ``MAX_CHANNELS`` (64) channels; ``identity`` marks orthogonal ones."""
 
     def __init__(self, ratio: np.ndarray):
         ratio = np.asarray(ratio, dtype=float)
         if ratio.ndim != 2 or ratio.shape[0] != ratio.shape[1]:
             raise InvalidConfig("overlap matrix must be square")
+        if len(ratio) > MAX_CHANNELS:
+            raise InvalidConfig(f"overlap matrix has over {MAX_CHANNELS} channels")
         if not np.allclose(ratio, ratio.T):
             raise InvalidConfig("overlap matrix must be symmetric")
         if not np.allclose(np.diag(ratio), 1.0):
@@ -231,14 +234,13 @@ def _least_interfering(rows: np.ndarray, nbrs: np.ndarray,
 
 
 def channels_in_use(genes: np.ndarray, problem: Problem) -> np.ndarray:
-    """Distinct assigned channels at each of ``problem.binding``'s nodes,
-    for an (L,) row or a (P, L) batch of genes (shape (B,) or (P, B));
-    ``UNASSIGNED`` genes are not counted. No other node can exceed its
-    radio budget: its distinct channels are at most its link count and
-    at most the channel count."""
-    sub = np.sort(np.asarray(genes)[..., problem.binding_links], axis=-1)
-    distinct = 1 + np.count_nonzero(np.diff(sub, axis=-1), axis=-1)
-    return distinct - (sub[..., 0] == UNASSIGNED)
+    """Distinct assigned channels at each of ``problem.binding``'s nodes
+    (no other can exceed its radio budget), for an (L,) row or a (P, L)
+    batch of genes (shape (B,) or (P, B)): the set bits of the OR of
+    ``1 << gene`` over the node's links, ``UNASSIGNED`` shifting 0."""
+    sub = np.asarray(genes, dtype=np.int64)[..., problem.binding_links]
+    np.left_shift(sub != UNASSIGNED, sub, out=sub)
+    return np.bitwise_count(np.bitwise_or.reduce(sub, axis=-1).view(np.uint64))
 
 
 def within_budget(genes: np.ndarray, problem: Problem) -> np.ndarray:
@@ -351,9 +353,9 @@ def mclr_assign(problem: Problem, rt: LinkRankTable) -> ChannelAssignment:
     single-channel network.
     """
     genes = np.full(problem.t.link_count, UNASSIGNED, dtype=np.int64)
-    neighbors, every = problem.cg.neighbors, np.ones(problem.channels, bool)
+    adjacency, every = problem.cg.adjacency, np.ones(problem.channels, bool)
     for lid in rt.schedule.tolist():
-        nbrs = neighbors[lid][genes[neighbors[lid]] >= 0]
+        nbrs = np.flatnonzero(adjacency[lid] * (genes >= 0))
         allowed = every
         if lid in problem.bound_walk:
             allowed = feasible_channels(lid, genes, problem)

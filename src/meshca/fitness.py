@@ -6,9 +6,9 @@ dimensionless free-space SNR surrogate ``tss / (10 * path_loss_exp *
 ``bandwidth * log2(1 + SNR)``, then link fairness as the achieved
 fraction of the required rate clamped to 1. The fitness of the whole
 chromosome is Jain's index over the link fairness values, which is 1
-exactly when every link is equally (un)satisfied. Every step also takes
-a (P, L) batch of chromosomes, scored row by row with the same result
-as one chromosome at a time. :func:`evaluate` reports one chromosome's
+exactly when every link is equally (un)satisfied. A (P, L) batch gives
+each row the one-chromosome result; orthogonal batches read a per-link
+table of the chain's values. :func:`evaluate` reports one chromosome's
 link interference, fairness and capacity, and its network metrics, all
 from one interference pass.
 
@@ -100,13 +100,21 @@ def jain_index(values):
     return float(out) if x.ndim == 1 else out
 
 
+def _link_fairness(interference, problem: Problem, links=...):
+    """The fairness formula: rate over required rate, clamped to 1."""
+    t, rm = problem.t, problem.rm
+    rate = actual_link_rate(_snr_values(t.lengths[links], interference, rm), rm)
+    return np.minimum(1.0, rate / t.required_rates[links])
+
+
 def _batch_link_fairness(genes: np.ndarray, problem: Problem):
-    """Interference and clamped fairness for (P, L) or (L,) gene arrays,
-    vectorized across the population."""
+    """Interference and clamped fairness for (P, L) or (L,) gene arrays;
+    orthogonal ones read it off ``problem.fairness_table``."""
     interference = interference_matrix(genes, problem.cg, problem.m)
-    snr = _snr_values(problem.t.lengths, interference, problem.rm)
-    rate = actual_link_rate(snr, problem.rm)
-    return interference, np.minimum(1.0, rate / problem.t.required_rates)
+    if not problem.m.identity:
+        return interference, _link_fairness(interference, problem)
+    table, start = problem.fairness_table
+    return interference, table.take(interference.astype(np.intp) + start)
 
 
 def evaluate(problem: Problem, genes: np.ndarray) -> FitnessReport:

@@ -58,9 +58,10 @@ from .assignment import (
 )
 from .config import GaConfig, RadioModel
 from .errors import InvalidAssignment, InvalidConfig
-from .fitness import FitnessReport, _batch_link_fairness, evaluate, jain_index
+from .fitness import (FitnessReport, _batch_link_fairness, _link_fairness,
+                      evaluate, jain_index)
 from .ranking import LinkRankTable, rank_links, score_nodes
-from .topology import ConflictGraph, Topology
+from .topology import ConflictGraph, Topology, _block_rows
 
 ALGORITHMS = ("mclr", "ia_ga", "scga", "fa_scga")
 # per GA variant: (semi-chaotic init from the primary chromosome,
@@ -72,9 +73,9 @@ _GA_KINDS = {"ia_ga": (False, False), "scga": (True, False),
 @dataclass(eq=False)
 class Problem:
     """One topology's channel-assignment instance: its conflict graph,
-    channel overlap and radio model; the link-rank table and the MCLR
-    primary chromosome; and the radio-budget rule (:attr:`binding`). Each
-    derived value is built once, on first use."""
+    channel overlap and radio model; the link-rank table, the MCLR primary
+    chromosome and the fairness table; and the radio-budget rule
+    (:attr:`binding`). Each derived value is built once, on first use."""
 
     t: Topology
     cg: ConflictGraph
@@ -92,6 +93,20 @@ class Problem:
     @cached_property
     def primary(self) -> ChannelAssignment:
         return mclr_assign(self, self.rank_table)
+
+    @cached_property
+    def fairness_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``table[start[l] + c]`` is link ``l``'s fairness at ``c``
+        same-channel neighbours, ``c`` up to its degree (L + 2E floats)."""
+        L = self.t.link_count
+        size = 1 + np.bincount(self.cg.edges.ravel(), minlength=L)
+        start, table = np.cumsum(size) - size, np.empty(size.sum())
+        step = _block_rows(8 * int(size.max(initial=1)))
+        for l0 in range(0, L, step):
+            ids = np.repeat(np.arange(L)[l0:l0 + step], size[l0:l0 + step])
+            at = start[l0] + np.arange(len(ids))
+            table[at] = _link_fairness(at - start[ids], self, ids)
+        return table, start
 
     @cached_property
     def binding(self) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +93,8 @@ class ConflictGraph:
     reuses across calls, so one graph must not be scored from two threads
     at once (the sweep's pool uses processes).
 
-    ``adjacency`` is the one quadratic array it keeps: an (L, L) float32
-    matrix, the interference kernel's operand (4 bytes per link pair)."""
+    ``adjacency``, the interference kernel's (L, L) float32 operand, is
+    the one quadratic array it keeps; ``neighbors`` is read off it lazily."""
 
     def __init__(self, link_count: int, edges: np.ndarray):
         self.link_count = link_count
@@ -103,11 +104,14 @@ class ConflictGraph:
         self.adjacency = np.zeros((link_count, link_count), dtype=np.float32)
         self.adjacency[edges[:, 0], edges[:, 1]] = 1.0
         self.adjacency[edges[:, 1], edges[:, 0]] = 1.0
-        self.neighbors = [np.flatnonzero(row) for row in self.adjacency]
         # interference_matrix's flat one-hot, counts and graded weights
         self.scratch_onehot = np.empty(0, dtype=np.float32)
         self.scratch_counts = np.empty(0, dtype=np.float32)
         self.scratch_weights = np.empty(0)
+
+    @cached_property
+    def neighbors(self) -> list[np.ndarray]:
+        return [np.flatnonzero(row) for row in self.adjacency]
 
     @property
     def edge_count(self) -> int:
@@ -321,11 +325,6 @@ def save_topology(t: Topology, path: str | Path) -> None:
     Path(path).write_text(json.dumps(t.to_dict(), indent=1) + "\n")
 
 
-def _finite(value) -> bool:
-    """A JSON number (not a bool) that is neither infinite nor NaN."""
-    return type(value) in (int, float) and math.isfinite(value)
-
-
 def load_topology(path: str | Path) -> Topology:
     """Load a topology document written by :func:`save_topology`.
 
@@ -337,8 +336,9 @@ def load_topology(path: str | Path) -> Topology:
     ParseError
         If the file is unreadable or malformed: fewer than two nodes,
         node or link ids that are not the ints ``0..n-1`` in order, a seed
-        that is not an int >= 0, a coordinate that is not a finite number,
-        a radio count that is not a positive int, a gateway flag that is
+        that is not an int >= 0, a coordinate that is not a finite number
+        or so far from another that a link length overflows, a radio
+        count that is not a positive int, a gateway flag that is
         not a bool, no gateway, an endpoint that is not a node id, a
         self-loop, a repeated node pair, a required rate that is not a
         number (a bool is not one), or links that do not connect every
@@ -366,8 +366,13 @@ def load_topology(path: str | Path) -> Topology:
                for v, nd in enumerate(nodes)):
             raise ParseError(f"{path}: node ids must be 0..{n - 1} in order")
         positions = [(nd["x"], nd["y"]) for nd in nodes]
-        if not all(_finite(x) and _finite(y) for x, y in positions):
-            raise ParseError(f"{path}: node coordinates must be finite numbers")
+        if not all(type(c) in (int, float) for p in positions for c in p):
+            raise ParseError(f"{path}: node coordinates must be numbers")
+        with np.errstate(over="ignore", invalid="ignore"):
+            xy = np.array(positions, dtype=float)
+            span = _euclid(xy.max(axis=0), xy.min(axis=0))  # no link is longer
+        if not math.isfinite(span):
+            raise ParseError(f"{path}: a node coordinate or distance is not finite")
         radios = [nd["radios"] for nd in nodes]
         if not all(type(r) is int and r >= 1 for r in radios):
             raise ParseError(f"{path}: every node needs a whole number of "

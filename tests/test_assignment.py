@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meshca import (InvalidAssignment, InvalidConfig, ParseError, ScenarioConfig,
                     assignment)
@@ -24,7 +24,7 @@ from meshca.assignment import (
     save_assignment,
     within_budget,
 )
-from meshca.config import RadioModel
+from meshca.config import MAX_CHANNELS, RadioModel
 from meshca.ga import Problem
 from meshca.ranking import LinkRankTable, rank_links, score_nodes
 from meshca.topology import (
@@ -80,6 +80,16 @@ class TestOverlapMatrix:
     def test_invalid_matrices_rejected(self, ratio):
         with pytest.raises(InvalidConfig):
             OverlapMatrix(np.array(ratio))
+
+    def test_channel_count_bounded(self):
+        # a radio budget holds a node's channels in one 64-bit mask
+        assert OverlapMatrix.orthogonal(MAX_CHANNELS).channel_count == 64
+        assert OverlapMatrix.graded(MAX_CHANNELS).channel_count == 64
+        message = rf"^overlap matrix has over {MAX_CHANNELS} channels$"
+        with pytest.raises(InvalidConfig, match=message):
+            OverlapMatrix.orthogonal(MAX_CHANNELS + 1)
+        with pytest.raises(InvalidConfig, match=message):
+            OverlapMatrix.graded(MAX_CHANNELS + 1)
 
 
 class TestLinkInterferenceIndex:
@@ -655,27 +665,33 @@ def reference_feasible_channels(lid, genes, t, channel_count):
 
 @st.composite
 def budget_cases(draw):
-    """A small topology with 1-3 radios per node, 1-6 channels and a
-    (P, L) batch of genes in [-1, K): valid, over budget, partial."""
+    """A small topology with 1-3 radios per node, 1-6 or 64 channels and
+    a (P, L) batch of genes in [-1, K), weighted to -1 and K - 1: valid,
+    over budget, partial."""
     n = draw(st.integers(2, 7))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     link_pairs = draw(st.lists(st.sampled_from(pairs), min_size=1,
                                max_size=len(pairs), unique=True))
     radios = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    k = draw(st.integers(1, 6))
+    k = draw(st.one_of(st.integers(1, 6), st.just(MAX_CHANNELS)))
     L = len(link_pairs)
     t = Topology([(40.0 * i, 0.0) for i in range(n)], radios, [0],
                  [a for a, _ in link_pairs], [b for _, b in link_pairs],
                  [1.0] * L,
                  ScenarioConfig(name="budget", node_count=n, channels=k), 0)
-    rows = draw(st.lists(st.lists(st.integers(UNASSIGNED, k - 1),
-                                  min_size=L, max_size=L),
+    gene = st.one_of(st.integers(UNASSIGNED, k - 1),
+                     st.sampled_from([UNASSIGNED, k - 1]))
+    rows = draw(st.lists(st.lists(gene, min_size=L, max_size=L),
                          min_size=1, max_size=4))
     return t, k, np.array(rows, dtype=np.int64)
 
 
 class TestRadioBudgetProperties:
     @given(budget_cases())
+    # channel 63 sets the sign bit of a node's 64-bit channel mask
+    @example((line_topology(n=4, radios=1, channels=MAX_CHANNELS),
+              MAX_CHANNELS, np.array([[63, UNASSIGNED, 63], [UNASSIGNED, 63, 0],
+                                      [UNASSIGNED] * 3])))
     @settings(max_examples=300, deadline=None)
     def test_matches_set_based_references(self, case):
         t, k, genes = case

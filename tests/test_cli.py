@@ -16,7 +16,8 @@ from meshca import ScenarioConfig
 from meshca.assignment import OverlapMatrix
 from meshca.config import MAX_CHANNELS, RadioModel
 from meshca.harness import RESULTS_HEADER, brute_force_optimum
-from meshca.topology import build_conflict_graph, load_topology
+from meshca.topology import (build_conflict_graph, generate_topology,
+                             load_topology)
 from meshca.cli import main
 from test_topology import isolate_node_zero
 
@@ -202,11 +203,12 @@ class TestInputErrors:
         (lambda d: d["links"][0].update(required_rate=True), 3),
         (lambda d: d["params"].update(channels=10 ** 30), 2),
         (lambda d: d["params"].update(channels=MAX_CHANNELS + 1), 2),
+        (lambda d: d["nodes"][0].update(x=1e308), 3),
     ], ids=["zero_rate", "negative_rate", "link_id_999",
             "endpoint_out_of_range", "self_loop", "node_without_radios",
             "zero_channels", "nan_x", "fractional_radios", "infinite_rate",
             "negative_seed", "no_gateway", "bool_rate", "huge_channels",
-            "channels_over_bound"])
+            "channels_over_bound", "far_x"])
     def test_bad_topology_file(self, tmp_path, topology_path, capsys, edit,
                                code):
         _break_topology(topology_path, edit)
@@ -561,6 +563,11 @@ FUZZ_GA = {"population_size": 4, "max_iterations": 3, "stall_window": 2}
 FUZZ_SWEEP = {"scenarios": [FUZZ_SCENARIO], "algorithms": ["mclr", "fa_scga"],
               "ga": FUZZ_GA}
 ALGOS = st.sampled_from(["mclr", "ia_ga", "scga", "fa_scga"])
+# the topology of ``fuzz_base`` with node 0 at x = 1e308: its links'
+# lengths overflowed to inf, and assign ran on with NaN node scores
+FAR_NODE = generate_topology(ScenarioConfig.from_dict(FUZZ_SCENARIO),
+                             4).to_dict()
+FAR_NODE["nodes"][0]["x"] = 1e308
 
 
 @functools.cache
@@ -618,6 +625,7 @@ class TestFuzzedDocuments:
         run_fuzzed({"s.json": sweep}, ["sweep", "--config", "{d}/s.json"])
 
     @given(TOPOLOGIES, ALGOS)
+    @example(json.dumps(FAR_NODE), "mclr")
     @settings(max_examples=40, deadline=None)
     def test_assign_topology(self, topology, algo):
         run_fuzzed({"t.json": topology, "g.json": json.dumps(FUZZ_GA)},
@@ -632,6 +640,7 @@ class TestFuzzedDocuments:
                     "--ga", "{d}/g.json"])
 
     @given(TOPOLOGIES)
+    @example(json.dumps(FAR_NODE))
     @settings(max_examples=40, deadline=None)
     def test_eval_topology(self, topology):
         run_fuzzed({"t.json": topology, "a.csv": fuzz_base()[1]},

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from meshca import AllZeroValues, InvalidRequiredRate
-from meshca.assignment import ChannelAssignment, OverlapMatrix
+from meshca.assignment import (ChannelAssignment, OverlapMatrix,
+                               interference_matrix)
 from meshca.config import RadioModel
-from meshca.fitness import _snr_values, actual_link_rate, evaluate, jain_index
+from meshca.fitness import (_batch_link_fairness, _link_fairness, _snr_values,
+                            actual_link_rate, evaluate, jain_index)
 from meshca.ga import Problem
 from meshca.topology import build_conflict_graph, load_topology, save_topology
 from conftest import line_topology, make_problem, make_topology
@@ -236,6 +238,70 @@ class TestFairnessFitness:
         worse = ChannelAssignment(np.array([0, 1, 1, 1]), 2)
         bumped = evaluate(Problem(t, cg, m, rm), worse.genes)
         assert bumped.fairness_index <= base.fairness_index
+
+
+@st.composite
+def orthogonal_cases(draw):
+    """A random problem on 1-5 orthogonal channels, with its own radio
+    model, 2-8 nodes anywhere in an 800 m square, any links and required
+    rates, and a (P, L) batch of genes whose row 0 puts every link on
+    channel 0."""
+    n = draw(st.integers(2, 8))
+    coord = st.floats(0.0, 800.0)
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=n,
+                              max_size=n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    link_pairs = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                               max_size=len(pairs), unique=True))
+    L = len(link_pairs)
+    required = draw(st.lists(st.floats(1e-3, 100.0), min_size=L, max_size=L))
+    k = draw(st.integers(1, 5))
+    t = make_topology(positions, link_pairs, channels=k, required=required,
+                      interference=draw(st.floats(253.0, 1200.0)))
+    rm = RadioModel(tss=draw(st.floats(0.1, 100.0)),
+                    path_loss_exp=draw(st.floats(1.0, 6.0)),
+                    bandwidth=draw(st.floats(0.1, 100.0)),
+                    min_distance=draw(st.floats(1.01, 50.0)))
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=L,
+                                  max_size=L), max_size=5))
+    genes = np.array([[0] * L] + rows, dtype=np.int64)
+    return Problem(t, build_conflict_graph(t), OverlapMatrix.orthogonal(k),
+                   rm), genes
+
+
+class TestFairnessTable:
+    """Orthogonal batches read their fairness off ``Problem.fairness_table``;
+    graded ones run the formula, which the table must match bit for bit."""
+
+    @given(orthogonal_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_table_equals_formula_bit_for_bit(self, case):
+        problem, genes = case
+        t = problem.t
+        interference = interference_matrix(genes, problem.cg, problem.m)
+        formula = _link_fairness(interference, problem)
+        got_interference, got = _batch_link_fairness(genes, problem)
+        assert np.array_equal(got_interference, interference)
+        assert np.array_equal(got, formula)
+        for row, want in zip(genes, formula):
+            assert np.array_equal(_batch_link_fairness(row, problem)[1], want)
+        # one channel for every link: each count is the link's conflict
+        # degree, and its fairness the last entry of its table row
+        table, start = problem.fairness_table
+        degree = np.array([len(nbrs) for nbrs in problem.cg.neighbors])
+        assert np.array_equal(interference[0], degree)
+        last = np.append(start[1:], len(table)) - 1
+        assert np.array_equal(got[0], table[last])
+        assert len(table) == t.link_count + 2 * problem.cg.edge_count
+
+    def test_graded_overlap_runs_the_formula(self):
+        t = line_topology(n=5, channels=4, required=[3.0, 5.0, 7.0, 9.0])
+        problem = make_problem(t, m=OverlapMatrix.graded(4, span=2))
+        genes = np.array([[0, 1, 2, 3], [0, 0, 1, 1], [3, 2, 2, 3]])
+        interference, fairness = _batch_link_fairness(genes, problem)
+        assert (interference % 1 != 0).any()  # counts the table cannot hold
+        assert np.array_equal(fairness, _link_fairness(interference, problem))
+        assert "fairness_table" not in vars(problem)
 
 
 class TestNetworkMetrics:

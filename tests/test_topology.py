@@ -458,6 +458,7 @@ class TestLoadTopologyValidation:
         (lambda d: d["nodes"][1].update(id=1.0), ParseError),
         (lambda d: d["nodes"][1].update(id=True), ParseError),
         (lambda d: d["links"][1].update(id=1.0), ParseError),
+        (lambda d: d["nodes"][0].update(x=1e308), ParseError),
     ], ids=["zero_rate", "negative_rate", "link_id_999", "link_ids_out_of_order",
             "endpoint_past_last_node", "negative_endpoint", "self_loop",
             "repeated_pair", "node_id_gap", "node_without_radios",
@@ -465,7 +466,7 @@ class TestLoadTopologyValidation:
             "fractional_radios", "bool_radios", "infinite_rate", "nan_rate",
             "float_endpoint", "string_gateway", "string_seed",
             "negative_seed", "one_node", "no_gateway", "bool_rate",
-            "float_node_id", "bool_node_id", "float_link_id"])
+            "float_node_id", "bool_node_id", "float_link_id", "far_x"])
     def test_malformed_document_rejected(self, tmp_path, small_random_topology,
                                          edit, error):
         doc = small_random_topology.to_dict()
@@ -486,6 +487,25 @@ class TestLoadTopologyValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="do not connect"):
             load_topology(path)
+
+    @pytest.mark.parametrize("half_span, loads", [(5e153, True),
+                                                  (1e154, False)])
+    def test_node_distances_must_be_finite(self, tmp_path, half_span, loads):
+        # a three-node chain: its two links are half the chain's span
+        # long, so at 2e154 only the distance across it overflows
+        doc = {"seed": 0, "params": ScenarioConfig().to_dict(),
+               "nodes": [{"id": v, "x": x, "y": 0.0, "radios": 2,
+                          "gateway": v == 1}
+                         for v, x in enumerate((-half_span, 0.0, half_span))],
+               "links": [{"id": 0, "a": 0, "b": 1, "required_rate": 1.0},
+                         {"id": 1, "a": 1, "b": 2, "required_rate": 1.0}]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        if loads:
+            assert load_topology(path).lengths.tolist() == [half_span] * 2
+        else:
+            with pytest.raises(ParseError, match="coordinate or distance"):
+                load_topology(path)
 
 
 def isolate_node_zero(doc):
