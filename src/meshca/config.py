@@ -1,8 +1,11 @@
 """Configuration records for scenarios, the radio model, and the GA engine.
 
 Each record checks itself when built (``from_dict`` and
-``dataclasses.replace`` build one too): a bad or non-finite field raises
-:class:`InvalidConfig`, so no caller checks a record again.
+``dataclasses.replace`` build one too), so no caller checks a record
+again. Its field bounds are one table, the class's ``BOUNDS``, that maps
+a field to its comparisons, each with a number or with another field's
+name; one loop, the shared ``__post_init__``, checks every row of it
+once every ``float`` field is found finite. A bad field raises :class:`InvalidConfig`.
 
 Defaults follow common 802.11 mesh simulation practice: a 1000m x 1000m
 area, 252m communication range, 514m interference distance, 3 radios per
@@ -13,8 +16,9 @@ experiments).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any
+from typing import Any, ClassVar
 
 from .errors import InvalidConfig
 
@@ -26,44 +30,67 @@ MAX_RADIOS = 64  # per node, far above the 2-3 in use; 10**30 overflowed int64
 MAX_NODES = 5000  # 2.5 times the largest mesh in use, 2,000 nodes
 MAX_POPULATION = 10000  # 250 times the default GA population
 MAX_TOPOLOGIES = 10000  # replicates per scenario, each a sweep job
+MAX_WORKERS = 64  # sweep processes; 10**30 overflowed the pool's C int
+
+# A row of a ``BOUNDS`` table is a field's comparisons, each an operator
+# and a bound: a number, or the name of another field of the record.
+Bounds = dict[str, tuple[tuple[str, Any], ...]]
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
-def _checked_fields(cls, d: Any) -> dict[str, Any]:
-    """``d`` as keyword arguments for ``cls``, with each key a field of
-    ``cls`` and each value of its default's type (an int passes for a
-    float; a bool passes only for a bool)."""
-    if not isinstance(d, dict):
-        raise InvalidConfig(f"{cls.__name__} must be a JSON object, got {d!r}")
-    defaults = vars(cls())
-    for key, value in d.items():
-        if key not in defaults:
-            raise InvalidConfig(f"unknown {cls.__name__} field {key!r}")
-        want = type(defaults[key])
-        allowed = (int, float) if want is float else (want,)
-        if (not isinstance(value, allowed)
-                or isinstance(value, bool) != (want is bool)):
-            raise InvalidConfig(
-                f"{cls.__name__}.{key} must be {want.__name__}, got {value!r}"
-            )
-    return d
+class _Record:
+    """What the three records share: each checks itself against its
+    ``BOUNDS`` when built, and reads from and writes to a JSON object."""
 
+    BOUNDS: ClassVar[Bounds] = {}
 
-def _check_finite(record) -> None:
-    """Raise :class:`InvalidConfig` naming a ``float`` field of ``record``
-    that is NaN, infinite, or an int too large for a float."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        try:
-            finite = f.type != "float" or math.isfinite(value)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise InvalidConfig(f"{type(record).__name__}.{f.name} must be "
-                                f"a finite number, got {value!r}")
+    def __post_init__(self) -> None:
+        """Raise :class:`InvalidConfig` naming the first ``float`` field
+        that is NaN, infinite or an int too large for a float, or else the
+        first field that breaks a row of ``BOUNDS``."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                finite = f.type != "float" or math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise InvalidConfig(f"{type(self).__name__}.{f.name} must be "
+                                    f"a finite number, got {value!r}")
+        for name, rows in self.BOUNDS.items():
+            value = getattr(self, name)
+            for op, bound in rows:
+                limit = getattr(self, bound) if isinstance(bound, str) else bound
+                if not _COMPARE[op](value, limit):
+                    raise InvalidConfig(f"{name} must be {op} {bound}, "
+                                        f"got {value}")
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: Any):
+        """The record built from ``d``, which must be a dict whose keys
+        are fields of ``cls`` and whose values each have their default's
+        type (an int passes for a float; a bool passes only for a bool)."""
+        if not isinstance(d, dict):
+            raise InvalidConfig(f"{cls.__name__} must be a JSON object, "
+                                f"got {d!r}")
+        defaults = vars(cls())
+        for key, value in d.items():
+            if key not in defaults:
+                raise InvalidConfig(f"unknown {cls.__name__} field {key!r}")
+            want = type(defaults[key])
+            allowed = (int, float) if want is float else (want,)
+            if (not isinstance(value, allowed)
+                    or isinstance(value, bool) != (want is bool)):
+                raise InvalidConfig(f"{cls.__name__}.{key} must be "
+                                    f"{want.__name__}, got {value!r}")
+        return cls(**d)
 
 
 @dataclass(frozen=True)
-class RadioModel:
+class RadioModel(_Record):
     """Analytic link-rate model parameters.
 
     The model is a dimensionless free-space surrogate: a link's SNR is
@@ -77,32 +104,16 @@ class RadioModel:
     bandwidth: float = 20.0
     min_distance: float = 10.0
 
-    def __post_init__(self) -> None:
-        _check_finite(self)
-        if self.tss <= 0:
-            raise InvalidConfig(f"tss must be positive, got {self.tss}")
-        if self.path_loss_exp < 1:
-            raise InvalidConfig(
-                f"path_loss_exp must be >= 1, got {self.path_loss_exp}"
-            )
-        if self.bandwidth <= 0:
-            raise InvalidConfig(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.min_distance <= 1:
-            raise InvalidConfig(
-                f"min_distance must be > 1 to keep log10 positive, got "
-                f"{self.min_distance}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RadioModel":
-        return cls(**_checked_fields(cls, d))
+    BOUNDS: ClassVar[Bounds] = {
+        "tss": ((">", 0),),
+        "path_loss_exp": ((">=", 1),),
+        "bandwidth": ((">", 0),),
+        "min_distance": ((">", 1),),  # keeps log10 positive
+    }
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     """Parameters describing one simulated network scenario.
 
     ``degree_cap`` is the target connectivity degree: nodes keep their
@@ -129,79 +140,47 @@ class ScenarioConfig:
     master_seed: int = 0
     radio_model: RadioModel = field(default_factory=RadioModel)
 
+    BOUNDS: ClassVar[Bounds] = {
+        "node_count": ((">=", 2), ("<=", MAX_NODES)),
+        "area_w": ((">", 0),),
+        "area_h": ((">", 0),),
+        "comm_range": ((">", 0),),
+        "radios": ((">=", 1), ("<=", MAX_RADIOS)),
+        "channels": ((">=", 1), ("<=", MAX_CHANNELS)),
+        "gateway_count": ((">=", 1), ("<=", "node_count")),
+        "degree_cap": ((">=", 1),),
+        "rate_lo": ((">", 0),),
+        "rate_hi": ((">=", "rate_lo"),),
+        "overlap_span": ((">=", 1),),
+        "topologies_per_scenario": ((">=", 1), ("<=", MAX_TOPOLOGIES)),
+        "master_seed": ((">=", 0),),
+    }
+
     def __post_init__(self) -> None:
-        _check_finite(self)
-        if self.node_count < 2:
-            raise InvalidConfig(f"node_count must be >= 2, got {self.node_count}")
-        if self.node_count > MAX_NODES:
-            raise InvalidConfig(f"node_count must be <= {MAX_NODES}, "
-                                f"got {self.node_count}")
-        if self.area_w <= 0 or self.area_h <= 0:
-            raise InvalidConfig(
-                f"area must be positive, got {self.area_w}x{self.area_h}"
-            )
-        if self.comm_range <= 0:
-            raise InvalidConfig(f"comm_range must be positive, got {self.comm_range}")
+        super().__post_init__()
         if self.comm_range >= self.interference_distance:
             raise InvalidConfig(
                 f"comm_range ({self.comm_range}) must be smaller than the "
                 f"interference distance ({self.interference_distance})"
             )
-        if self.radios < 1:
-            raise InvalidConfig(f"radios must be >= 1, got {self.radios}")
-        if self.radios > MAX_RADIOS:
-            raise InvalidConfig(f"radios must be <= {MAX_RADIOS}, "
-                                f"got {self.radios}")
-        if self.channels < 1:
-            raise InvalidConfig(f"channels must be >= 1, got {self.channels}")
-        if self.channels > MAX_CHANNELS:
-            raise InvalidConfig(f"channels must be <= {MAX_CHANNELS}, "
-                                f"got {self.channels}")
-        if self.gateway_count < 1 or self.gateway_count > self.node_count:
-            raise InvalidConfig(
-                f"gateway_count must be in [1, node_count], got {self.gateway_count}"
-            )
-        if self.degree_cap < 1:
-            raise InvalidConfig(f"degree_cap must be >= 1, got {self.degree_cap}")
-        if not (0 < self.rate_lo <= self.rate_hi):
-            raise InvalidConfig(
-                f"required-rate range must satisfy 0 < lo <= hi, got "
-                f"[{self.rate_lo}, {self.rate_hi}]"
-            )
         if self.overlap_kind not in OVERLAP_KINDS:
             raise InvalidConfig(f"unknown overlap_kind {self.overlap_kind!r}")
-        if self.overlap_span < 1:
-            raise InvalidConfig(
-                f"overlap_span must be >= 1, got {self.overlap_span}"
-            )
-        if self.topologies_per_scenario < 1:
-            raise InvalidConfig(
-                f"topologies_per_scenario must be >= 1, got "
-                f"{self.topologies_per_scenario}"
-            )
-        if self.topologies_per_scenario > MAX_TOPOLOGIES:
-            raise InvalidConfig(f"topologies_per_scenario must be <= "
-                                f"{MAX_TOPOLOGIES}, got "
-                                f"{self.topologies_per_scenario}")
-        if self.master_seed < 0:
-            raise InvalidConfig(
-                f"master_seed must be >= 0, got {self.master_seed}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d["radio_model"] = self.radio_model.to_dict()
-        return d
+        # no node distance, gateway-to-centre ones included, exceeds the
+        # area's diagonal, so its square must not overflow in float64
+        w, h = float(self.area_w), float(self.area_h)
+        if not math.isfinite(w * w + h * h):
+            raise InvalidConfig(f"area {self.area_w}x{self.area_h} is too "
+                                f"large: its diagonal overflows")
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ScenarioConfig":
+    def from_dict(cls, d: Any) -> "ScenarioConfig":
         if isinstance(d, dict) and "radio_model" in d:
             d = {**d, "radio_model": RadioModel.from_dict(d["radio_model"] or {})}
-        return cls(**_checked_fields(cls, d))
+        return super().from_dict(d)
 
 
 @dataclass(frozen=True)
-class GaConfig:
+class GaConfig(_Record):
     """Genetic engine parameters, checked when built.
 
     The defaults are repository choices, not published values: population
@@ -221,38 +200,11 @@ class GaConfig:
     stall_window: int = 20
     strong_gene_threshold: float = 1.0
 
-    def __post_init__(self) -> None:
-        _check_finite(self)
-        if self.population_size < 2:
-            raise InvalidConfig(
-                f"population_size must be >= 2, got {self.population_size}"
-            )
-        if self.population_size > MAX_POPULATION:
-            raise InvalidConfig(f"population_size must be <= {MAX_POPULATION}"
-                                f", got {self.population_size}")
-        if self.max_iterations < 0:
-            raise InvalidConfig(
-                f"max_iterations must be >= 0, got {self.max_iterations}"
-            )
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise InvalidConfig(
-                f"mutation_prob must be in [0, 1], got {self.mutation_prob}"
-            )
-        if not 0.0 <= self.target_fairness <= 1.0:
-            raise InvalidConfig(
-                f"target_fairness must be in [0, 1], got {self.target_fairness}"
-            )
-        if self.stall_window < 1:
-            raise InvalidConfig(f"stall_window must be >= 1, got {self.stall_window}")
-        if not 0.0 <= self.strong_gene_threshold <= 1.0:
-            raise InvalidConfig(
-                f"strong_gene_threshold must be in [0, 1], got "
-                f"{self.strong_gene_threshold}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "GaConfig":
-        return cls(**_checked_fields(cls, d))
+    BOUNDS: ClassVar[Bounds] = {
+        "population_size": ((">=", 2), ("<=", MAX_POPULATION)),
+        "max_iterations": ((">=", 0),),
+        "mutation_prob": ((">=", 0), ("<=", 1)),
+        "target_fairness": ((">=", 0), ("<=", 1)),
+        "stall_window": ((">=", 1),),
+        "strong_gene_threshold": ((">=", 0), ("<=", 1)),
+    }

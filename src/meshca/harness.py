@@ -32,7 +32,7 @@ from .assignment import (
     overlap_for_config,
     within_budget,
 )
-from .config import GaConfig, RadioModel, ScenarioConfig
+from .config import MAX_WORKERS, GaConfig, RadioModel, ScenarioConfig
 from .errors import InconsistentInputs, InvalidConfig, SearchSpaceTooLarge
 from .fitness import FitnessReport, evaluate
 from .ga import ALGORITHMS, GaResult, Problem, _evaluate_batch, run
@@ -208,8 +208,9 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
             raise InvalidConfig(f"unknown algorithm {algorithm!r}")
     if len(set(algorithms)) != len(algorithms):
         raise InvalidConfig(f"algorithms repeat a name: {algorithms!r}")
-    if type(workers) is not int or workers < 1:
-        raise InvalidConfig(f"workers must be an int >= 1, got {workers!r}")
+    if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
+        raise InvalidConfig(f"workers must be an int in [1, {MAX_WORKERS}], "
+                            f"got {workers!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -332,11 +332,13 @@ class TestInputErrors:
             assert self._exit_code(argv + ["--out", str(tmp_path / "o")],
                                    capsys) == 3
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
+    # 10**30 reached multiprocessing as an OverflowError, not exit 2
+    @pytest.mark.parametrize("workers", ["0", "-3", "65", str(10 ** 30)])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):
         cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"scenarios": [{"node_count": 8}],
-                                   "algorithms": ["mclr"]}))
+        cfg.write_text(json.dumps({"scenarios": [{
+            "node_count": 8, "topologies_per_scenario": 1}],
+            "algorithms": ["mclr"]}))
         assert self._exit_code(["sweep", "--config", str(cfg), "--workers",
                                 workers, "--out", str(tmp_path)], capsys) == 2
         assert not (tmp_path / "results.csv").exists()
@@ -609,6 +611,8 @@ class TestFuzzedDocuments:
     @given(mutated_json(FUZZ_SCENARIO))
     # numpy cannot hold so many radios in an int64: an OverflowError
     @example(json.dumps({**FUZZ_SCENARIO, "radios": 10 ** 30}))
+    # the squared distances of placement overflowed: a RuntimeWarning
+    @example(json.dumps({**FUZZ_SCENARIO, "area_w": 1e200, "area_h": 1e200}))
     @settings(max_examples=40, deadline=None)
     def test_gen_config(self, scenario):
         run_fuzzed({"s.json": scenario},

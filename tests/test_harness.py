@@ -408,7 +408,8 @@ class TestSweep:
         assert [r.seed for r in records] == [x for x in want for _ in "ab"]
         assert results_rows(tmp_path) == csv_rows(records)
 
-    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
+    # 10**30 overflowed the pool's C int; 65 is one past MAX_WORKERS
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2", 65, 10 ** 30])
     def test_bad_worker_count_rejected(self, tmp_path, workers):
         with pytest.raises(InvalidConfig, match="workers"):
             run_sweep([tiny_scenario()], ["mclr"], tmp_path, workers=workers)
