@@ -20,6 +20,7 @@ from .errors import (
     InvalidRequiredRate,
     MeshcaError,
     NoGateway,
+    NonFiniteMetric,
     ParseError,
     SearchSpaceTooLarge,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "MeshcaError",
     "MetricsRecord",
     "NoGateway",
+    "NonFiniteMetric",
     "OracleResult",
     "ParseError",
     "Problem",

@@ -141,8 +141,10 @@ def _openblas_threads():
 # where one thread lost at most one 8 ms call. On a quiet VM two threads'
 # median call is faster from L = 185 on (1.1-1.5x over 6 processes),
 # which is given up for the stalls. That holds at every benchmark shape;
-# at 2,000 nodes (L = 2,503) a 20-generation fa_scga took 1.5x longer
-# on one thread than on two when quiet, and 1.3x less with a contender.
+# at 2,000 nodes (L = 2,503, 3 orthogonal channels, the packed product)
+# a 20-generation fa_scga took 1.4x longer on one thread than on two
+# when quiet (medians 503 and 360 ms over 10 alternating runs), and 1.8x
+# less with a contender (461 and 833 ms over 5).
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """``a @ b`` into ``out`` on one OpenBLAS thread. The count is
     process-wide: it is changed for the product's duration and the prior
@@ -158,28 +160,42 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
             api[1](prior)
 
 
+_FLOAT32_EXACT_BITS = 24  # float32 holds every integer below 2**24
+
+
 def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
                         m: OverlapMatrix) -> np.ndarray:
     """Per-link interference indices for one chromosome or a batch.
 
     ``genes`` is (L,) or (P, L); the result has the same shape (float64,
     C-ordered). Each link's index sums ``ratio[gene(l), gene(n)]`` over
-    its conflict neighbors n. One put at the flat indices ``own`` builds
-    an (L, P, K) float32 one-hot; the float32 adjacency times it counts
-    each link's neighbours per channel, exactly while L < 2**24, on one
-    BLAS thread (``_product``). Under an identity overlap the index is the
-    count read off at ``own``; otherwise the counts are weighted by the
-    link's overlap row and summed over K, as with a float64 one-hot:
-    float32 integers widen exactly, so the products, numpy's summation
-    order and the graded results are unchanged, bit for bit.
+    its conflict neighbors n. The one matrix product takes the float32
+    adjacency on one BLAS thread (``_product``), in one of two ways.
 
-    The one-hot, the counts and the graded weights live in ``cg``'s
-    scratch buffers, which grow to the largest batch and are reused, so
-    a warm call maps no fresh pages. This makes one graph unsafe to score
-    from two threads at once; and as the BLAS thread count is
-    process-wide, no two threads may call this at once at all. The
-    result is always a fresh array and never aliases the scratch, so
-    callers may keep it.
+    *Packed*, under an identity overlap while K * b <= 24, where b is
+    ``cg.count_bits``: a neighbour on channel c weighs 2**(b * c), so one
+    (P, L) product sums every channel's count into one float32 column per
+    row, each in its own b-bit field. A count is at most the degree, below
+    2**b, so no field carries into the next, and every partial sum is an
+    integer below 2**24, which float32 holds exactly whatever the BLAS
+    blocking or thread count. The index is the field of the link's own
+    channel.
+
+    *One-hot*, otherwise: one put at the flat indices ``own`` builds an
+    (L, P, K) float32 one-hot, and the product counts each link's
+    neighbours per channel, exactly while L < 2**24. Under an identity
+    overlap the index is the count read off at ``own``; otherwise the
+    counts are weighted by the link's overlap row and summed over K, as
+    with a float64 one-hot: float32 integers widen exactly, so the
+    products, numpy's summation order and the graded results are
+    unchanged, bit for bit. The one-hot, the counts and the graded
+    weights live in ``cg``'s scratch buffers, which grow to the largest
+    batch and are reused, so a warm call maps no fresh pages.
+
+    The scratch makes one graph unsafe to score from two threads at once;
+    and as the BLAS thread count is process-wide, no two threads may call
+    this at once at all. The result is always a fresh array and never
+    aliases the scratch, so callers may keep it.
 
     Raises
     ------
@@ -194,6 +210,16 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
             f"genes must lie in [0, {k}), got {g.min()}..{g.max()}"
         )
     p, n_links = g.shape
+    bits = cg.count_bits
+    if m.identity and k * bits <= _FLOAT32_EXACT_BITS:
+        shift = bits * np.arange(k, dtype=np.int32)
+        sums = np.empty((p, n_links), dtype=np.float32)
+        _product((1 << shift).astype(np.float32).take(g), cg.adjacency, sums)
+        counts = sums.astype(np.int32)
+        counts >>= shift.take(g)
+        counts &= (1 << bits) - 1
+        out = counts.astype(float)
+        return out[0] if genes.ndim == 1 else out
     size = n_links * p * k
     if cg.scratch_onehot.size < size:
         cg.scratch_onehot = np.empty(size, dtype=np.float32)

@@ -4,8 +4,9 @@ Subcommands: ``gen`` (write a topology file), ``assign`` (run one
 algorithm on one topology), ``sweep`` (the full experiment grid),
 ``eval`` (recompute metrics for a topology/assignment file pair), and
 ``oracle`` (exhaustive search on small instances). Exit codes: 0 on
-success, 2 for configuration errors, 3 for I/O or parse errors, 4 when
-the oracle search-space guard trips.
+success, 2 for configuration errors and for a metric that computes to
+NaN or infinity (``NonFiniteMetric``, nothing is reported), 3 for I/O or
+parse errors, 4 when the oracle search-space guard trips.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .harness import (
     evaluate_file,
     paper_scale_scenarios,
     problem_for,
+    require_finite,
     run_row,
     run_sweep,
     write_history_csv,
@@ -156,6 +158,7 @@ def _cmd_oracle(args) -> int:
     p = problem_for(t, cfg)
     result = brute_force_optimum(t, p.cg, p.m, p.rm, p.channels,
                                  fitness_kind=args.fitness)
+    require_finite(fitness=result.fitness)
     print(f"optimum {args.fitness} fitness: {result.fitness!r} "
           f"({result.feasible}/{result.candidates} feasible candidates)")
     if args.out:

@@ -42,3 +42,8 @@ class InconsistentInputs(MeshcaError):
 class InvalidAssignment(MeshcaError):
     """A chromosome has a gene outside ``[0, channel_count)`` or breaks a
     node's radio budget."""
+
+
+class NonFiniteMetric(MeshcaError):
+    """A computed metric is NaN or infinite, so no row or fitness is
+    reported."""

@@ -99,7 +99,7 @@ class Problem:
         """``table[start[l] + c]`` is link ``l``'s fairness at ``c``
         same-channel neighbours, ``c`` up to its degree (L + 2E floats)."""
         L = self.t.link_count
-        size = 1 + np.bincount(self.cg.edges.ravel(), minlength=L)
+        size = 1 + self.cg.degree
         start, table = np.cumsum(size) - size, np.empty(size.sum())
         step = _block_rows(8 * int(size.max(initial=1)))
         for l0 in range(0, L, step):

@@ -14,6 +14,7 @@ algorithm) order whatever the worker count.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from contextlib import contextmanager, nullcontext
@@ -33,7 +34,8 @@ from .assignment import (
     within_budget,
 )
 from .config import MAX_WORKERS, GaConfig, RadioModel, ScenarioConfig
-from .errors import InconsistentInputs, InvalidConfig, SearchSpaceTooLarge
+from .errors import (InconsistentInputs, InvalidConfig, NonFiniteMetric,
+                     SearchSpaceTooLarge)
 from .fitness import FitnessReport, evaluate
 from .ga import ALGORITHMS, GaResult, Problem, _evaluate_batch, run
 from .topology import ConflictGraph, Topology, build_conflict_graph, load_topology
@@ -71,10 +73,26 @@ _AVERAGED = [name for name in RESULTS_HEADER
 AGGREGATES_HEADER = ["scenario", "algorithm", "replicates", *_AVERAGED]
 
 
+def require_finite(**metrics: float) -> None:
+    """Raise ``NonFiniteMetric`` naming every metric that is NaN or
+    infinite: no such number is ever reported."""
+    bad = [f"{name} = {value!r}" for name, value in metrics.items()
+           if not math.isfinite(value)]
+    if bad:
+        raise NonFiniteMetric("non-finite metric: " + ", ".join(bad))
+
+
 def build_record(scenario: str, seed: int, algorithm: str,
                  report: FitnessReport, iterations: int,
                  wall_ms: float) -> MetricsRecord:
-    return MetricsRecord(
+    """The results row of ``report``.
+
+    Raises
+    ------
+    NonFiniteMetric
+        If any metric of the row is NaN or infinite.
+    """
+    record = MetricsRecord(
         scenario=scenario,
         seed=seed,
         algorithm=algorithm,
@@ -89,6 +107,9 @@ def build_record(scenario: str, seed: int, algorithm: str,
         iterations=iterations,
         wall_ms=wall_ms,
     )
+    require_finite(**{name: value for name, value in vars(record).items()
+                      if isinstance(value, float)})
+    return record
 
 
 def problem_for(t: Topology, config: ScenarioConfig | None = None) -> Problem:

@@ -94,13 +94,19 @@ class ConflictGraph:
     at once (the sweep's pool uses processes).
 
     ``adjacency``, the interference kernel's (L, L) float32 operand, is
-    the one quadratic array it keeps; ``neighbors`` is read off it lazily."""
+    the one quadratic array it keeps; ``neighbors`` is read off it lazily.
+    ``count_bits``, the bit length of the largest conflict degree, is the
+    width of one channel's field in the kernel's packed path: under
+    orthogonal channels it packs K counts into one float32 column while
+    K * count_bits <= 24."""
 
     def __init__(self, link_count: int, edges: np.ndarray):
         self.link_count = link_count
         self.edges = edges  # (E, 2) with edges[:, 0] < edges[:, 1]
         # dense 0/1 adjacency: one float32 matrix product counts every
-        # link's neighbours per channel for a population, exact below 2**24
+        # link's neighbours for a population, per channel (a one-hot
+        # operand) or packed 2**(count_bits * c) a neighbour on channel c;
+        # exact while every partial sum stays below 2**24
         self.adjacency = np.zeros((link_count, link_count), dtype=np.float32)
         self.adjacency[edges[:, 0], edges[:, 1]] = 1.0
         self.adjacency[edges[:, 1], edges[:, 0]] = 1.0
@@ -112,6 +118,17 @@ class ConflictGraph:
     @cached_property
     def neighbors(self) -> list[np.ndarray]:
         return [np.flatnonzero(row) for row in self.adjacency]
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        """(L,) conflict degree of each link."""
+        return np.bincount(self.edges.ravel(), minlength=self.link_count)
+
+    @cached_property
+    def count_bits(self) -> int:
+        """Bits that hold any link's neighbour count on one channel: the
+        bit length of the largest degree, 0 without edges."""
+        return int(self.degree.max(initial=0)).bit_length()
 
     @property
     def edge_count(self) -> int:

@@ -218,12 +218,15 @@ class TestInterferenceKernel:
             assert np.array_equal(got, reference_count_kernel(genes, cg, m))
 
     def test_empty_conflict_graph_is_interference_free(self):
-        cg = ConflictGraph(5, np.empty((0, 2), dtype=np.int64))
-        m = OverlapMatrix.graded(4)
-        for genes in (np.zeros(5, dtype=int), np.zeros((1, 5), dtype=int),
-                      np.arange(15).reshape(3, 5) % 4):
-            assert np.array_equal(interference_matrix(genes, cg, m),
-                                  np.zeros(genes.shape))
+        # orthogonal channels take the packed path with 0-bit fields
+        for m in (OverlapMatrix.graded(4), OverlapMatrix.orthogonal(4)):
+            cg = ConflictGraph(5, np.empty((0, 2), dtype=np.int64))
+            for genes in (np.zeros(5, dtype=int), np.zeros((1, 5), dtype=int),
+                          np.arange(15).reshape(3, 5) % 4):
+                assert np.array_equal(interference_matrix(genes, cg, m),
+                                      np.zeros(genes.shape))
+            assert cg.count_bits == 0
+            assert (cg.scratch_onehot.size == 0) == m.identity
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_gene_out_of_range_raises(self, bad):
@@ -282,10 +285,12 @@ class TestKernelScratch:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("channels, overlap_kind", [
-        (12, "orthogonal"), (11, "graded")])
+        (3, "orthogonal"), (12, "orthogonal"), (11, "graded")])
     def test_warm_calls_take_no_page_faults(self, channels, overlap_kind):
         """A (40, L) population on a 94-node topology: once the scratch
-        has grown, a call maps no fresh memory. A kernel that allocates
+        has grown, a call maps no fresh memory. 3 orthogonal channels take
+        the packed path, which needs no scratch; 12 (K * count_bits > 24)
+        and graded overlap take the one-hot path. A kernel that allocates
         its one-hot and counts per call takes 85-211 minor faults a call
         here."""
         resource = pytest.importorskip("resource")
@@ -302,6 +307,85 @@ class TestKernelScratch:
             interference_matrix(batches[i % 8], cg, m)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / 200 < 5
+        assert (cg.scratch_onehot.size == 0) == (channels == 3)
+
+
+# (count_bits, channels): K * b = 24 is the widest packed product; 25
+# falls back to the one-hot path; 7 bits and 3 channels is paper density
+FIELD_WIDTHS = [(1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (7, 3), (8, 3),
+                (1, 25), (5, 5)]
+
+
+def dense_conflict_graph(bits, seed=None, density=1.0):
+    """A conflict graph on 2**bits links in which link 0 conflicts with
+    every other, so the largest degree is 2**bits - 1 and ``count_bits``
+    is ``bits``; each other edge is kept with probability ``density``
+    (complete at 1.0)."""
+    n_links = 2 ** bits
+    a, b = np.triu_indices(n_links, 1)
+    keep = (a == 0) | (np.random.default_rng(seed).random(a.size) < density)
+    return ConflictGraph(n_links, np.stack([a[keep], b[keep]], axis=1))
+
+
+@st.composite
+def packed_cases(draw):
+    """A :func:`dense_conflict_graph` with K orthogonal channels from
+    ``FIELD_WIDTHS``, and genes of shape (L,) or (P, L), P in {1, 40,
+    4096}: every gene on the top channel, or random genes with row 0 on
+    the top channel. Either way link 0's count in row 0 fills its field."""
+    bits, k = draw(st.sampled_from(FIELD_WIDTHS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cg = dense_conflict_graph(bits, seed,
+                              draw(st.sampled_from([1.0, 0.5, 0.05])))
+    rows = draw(st.sampled_from([None, 1, 40, 4096]))
+    shape = (cg.link_count,) if rows is None else (rows, cg.link_count)
+    genes = np.full(shape, k - 1)
+    if draw(st.booleans()):
+        genes = np.random.default_rng(seed).integers(0, k, shape)
+        np.atleast_2d(genes)[0] = k - 1
+    return cg, k, genes
+
+
+class TestPackedKernel:
+    """Under orthogonal channels with K * count_bits <= 24 the kernel
+    packs every channel's count into one float32 column; beyond that, and
+    under any other overlap, it keeps the one-hot path. Both give the
+    float64 reference's counts, bit for bit."""
+
+    @staticmethod
+    def check(cg, k, genes):
+        m = OverlapMatrix.orthogonal(k)
+        packed = k * cg.count_bits <= 24
+        got = interference_matrix(genes, cg, m)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == genes.shape
+        assert (cg.scratch_onehot.size == 0) == packed
+        assert not np.shares_memory(got, interference_matrix(genes, cg, m))
+        assert np.array_equal(got, reference_count_kernel(genes, cg, m))
+        assert np.atleast_2d(got)[0, 0] == 2 ** cg.count_bits - 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assignment, "_FLOAT32_EXACT_BITS", -1)  # one-hot only
+            one_hot = ConflictGraph(cg.link_count, cg.edges)
+            assert np.array_equal(got, interference_matrix(genes, one_hot, m))
+            assert one_hot.scratch_onehot.size > 0
+
+    @given(packed_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_and_one_hot_path(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("rows", [1, 40, 4096])
+    @pytest.mark.parametrize("bits, k", [(8, 3), (6, 4), (1, 25), (5, 5)])
+    def test_full_top_field_on_a_complete_graph(self, bits, k, rows):
+        """Every link's 2**b - 1 neighbours on the top channel: the top
+        field is full, the largest packed sum (2**b - 1) * 2**(b(K - 1))
+        is at most 2**24 - 2**(b(K - 1)) when packed."""
+        cg = dense_conflict_graph(bits)
+        assert cg.count_bits == bits
+        genes = np.full((rows, cg.link_count), k - 1)
+        self.check(cg, k, genes)
+        assert (interference_matrix(genes, cg, OverlapMatrix.orthogonal(k))
+                == 2 ** bits - 1).all()
 
 
 def random_conflict_graph(n_links, seed, density=0.05):

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from meshca.config import MAX_CHANNELS, RadioModel
 from meshca.harness import RESULTS_HEADER, brute_force_optimum
 from meshca.topology import (build_conflict_graph, generate_topology,
                              load_topology)
+import meshca.cli
 from meshca.cli import main
 from test_topology import isolate_node_zero
 
@@ -144,6 +146,25 @@ class TestAssignEvalOracle:
               "--out", str(tmp_path)])
         topo = tmp_path / "topology-clitest-seed3.json"
         assert main(["oracle", "--topology", str(topo)]) == 4
+
+    def test_oracle_non_finite_fitness_exits_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        cfg = small_config(tmp_path, node_count=4)
+        main(["gen", "--config", str(cfg), "--seed", "3",
+              "--out", str(tmp_path)])
+        topo = tmp_path / "topology-clitest-seed3.json"
+        found = brute_force_optimum
+
+        def nan_optimum(*args, **kwargs):
+            return replace(found(*args, **kwargs), fitness=math.nan)
+
+        monkeypatch.setattr(meshca.cli, "brute_force_optimum", nan_optimum)
+        capsys.readouterr()
+        assert main(["oracle", "--topology", str(topo), "--out",
+                     str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "non-finite metric: fitness = nan" in err
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("channels", [None, 4])

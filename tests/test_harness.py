@@ -19,6 +19,7 @@ from meshca import (
     GaConfig,
     InconsistentInputs,
     InvalidConfig,
+    NonFiniteMetric,
     ParseError,
     ScenarioConfig,
     SearchSpaceTooLarge,
@@ -33,7 +34,7 @@ from meshca.assignment import (
 )
 from meshca.cli import main
 from meshca.config import RadioModel
-from meshca.fitness import evaluate
+from meshca.fitness import FitnessReport, evaluate
 from meshca.ga import Problem, run
 from meshca.harness import (
     RESULTS_HEADER,
@@ -41,6 +42,7 @@ from meshca.harness import (
     _one_blas_thread,
     aggregate_records,
     brute_force_optimum,
+    build_record,
     evaluate_file,
     problem_for,
     replicate_seed,
@@ -276,6 +278,25 @@ class TestOracleBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2 ** 20
+
+    @pytest.mark.parametrize("m", [
+        OverlapMatrix.orthogonal(3), OverlapMatrix.orthogonal(4),
+        OverlapMatrix.graded(3)], ids=["orthogonal-3", "orthogonal-4",
+                                       "graded-3"])
+    def test_orthogonal_scoring_keeps_no_one_hot_scratch(self, m):
+        """Orthogonal channels inside the packed bound (K * count_bits <=
+        24) are scored without the one-hot path, through the GA and the
+        oracle's 4,096-row blocks alike, so the graph keeps no one-hot
+        scratch between calls; graded overlap still does."""
+        t = make_topology([(i * 55.0, 0.0) for i in range(9)],
+                          link_pairs=[(i, i + 1) for i in range(8)])
+        cg = build_conflict_graph(t)
+        problem = Problem(t, cg, m, RadioModel())
+        run("fa_scga", problem, GaConfig(population_size=8, max_iterations=3), 1)
+        brute_force_optimum(t, cg, m, RadioModel(), m.channel_count)
+        assert m.channel_count * cg.count_bits <= 24
+        for buf in (cg.scratch_onehot, cg.scratch_counts):
+            assert (buf.size == 0) == m.identity
 
 
 @st.composite
@@ -624,6 +645,28 @@ class TestEntryPointProperties:
                 assert evaluated.to_csv_row()[:-1] == record.to_csv_row()[:-1]
                 fi[record.algorithm] = record.fairness_index
         assert fi["fa_scga"] >= fi["mclr"]
+
+
+class TestOutputGuard:
+    """No results row carries a NaN or an infinity."""
+
+    @staticmethod
+    def report(**change):
+        fields = dict(interference=np.array([0.0, 1.0]),
+                      link_fairness=np.array([1.0, 0.5]), fairness_index=0.9,
+                      nc_raw=1.5, nc_norm=0.75, fni=0.5)
+        return FitnessReport(**{**fields, **change})
+
+    @pytest.mark.parametrize("change", [
+        {"fairness_index": math.nan}, {"nc_raw": math.inf},
+        {"nc_norm": -math.inf}, {"fni": math.nan},
+        {"interference": np.array([0.0, math.nan])},
+        {"link_fairness": np.array([math.inf, 0.5])}],
+        ids=["fairness_index", "nc_raw", "nc_norm", "fni", "interference",
+             "link_fairness"])
+    def test_non_finite_metric_raises(self, change):
+        with pytest.raises(NonFiniteMetric, match="non-finite metric"):
+            build_record("s", 1, "mclr", self.report(**change), 0, 1.0)
 
 
 class TestMetricsRecordCsv:
