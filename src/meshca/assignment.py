@@ -14,6 +14,7 @@ count and the one rule for which nodes' budgets can bind
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -141,7 +142,7 @@ def _openblas_threads():
 # where one thread lost at most one 8 ms call. On a quiet VM two threads'
 # median call is faster from L = 185 on (1.1-1.5x over 6 processes),
 # which is given up for the stalls. That holds at every benchmark shape;
-# at 2,000 nodes (L = 2,503, 3 orthogonal channels, the packed product)
+# at 2,000 nodes (L = 2,503, 3 orthogonal channels)
 # a 20-generation fa_scga took 1.4x longer on one thread than on two
 # when quiet (medians 503 and 360 ms over 10 alternating runs), and 1.8x
 # less with a contender (461 and 833 ms over 5).
@@ -160,7 +161,18 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
             api[1](prior)
 
 
-_FLOAT32_EXACT_BITS = 24  # float32 holds every integer below 2**24
+@functools.lru_cache(maxsize=None)
+def _packing(k: int, bits: int):
+    """How K channels' counts pack in ``bits``-bit fields: ``per`` fields
+    to a float32 column, each channel's field shift, and the (G, K)
+    float32 weights, channel c weighing 2**shift[c] in its group c // per
+    and 0 in the others. Cached, so the arrays are read-only."""
+    per = 24 // bits  # float32 holds every integer below 2**24
+    shift = np.arange(k, dtype=np.int32) % per * bits
+    weight = np.zeros((-(-k // per), k), dtype=np.float32)
+    weight[np.arange(k) // per, np.arange(k)] = np.ldexp(1.0, shift)
+    shift.flags.writeable = weight.flags.writeable = False
+    return per, shift, weight
 
 
 def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
@@ -168,34 +180,23 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
     """Per-link interference indices for one chromosome or a batch.
 
     ``genes`` is (L,) or (P, L); the result has the same shape (float64,
-    C-ordered). Each link's index sums ``ratio[gene(l), gene(n)]`` over
-    its conflict neighbors n. The one matrix product takes the float32
-    adjacency on one BLAS thread (``_product``), in one of two ways.
-
-    *Packed*, under an identity overlap while K * b <= 24, where b is
-    ``cg.count_bits``: a neighbour on channel c weighs 2**(b * c), so one
-    (P, L) product sums every channel's count into one float32 column per
-    row, each in its own b-bit field. A count is at most the degree, below
+    C-ordered, always a fresh array). Each link's index sums
+    ``ratio[gene(l), gene(n)]`` over its conflict neighbors n. One float32
+    product with the adjacency, on one BLAS thread (``_product``), counts
+    every link's neighbours on every channel, in b-bit fields, b being
+    ``cg.count_bits`` (at least 1), per = 24 // b to a column, so K
+    channels take G = ceil(K / per) groups of P rows. A count is below
     2**b, so no field carries into the next, and every partial sum is an
     integer below 2**24, which float32 holds exactly whatever the BLAS
-    blocking or thread count. The index is the field of the link's own
-    channel.
+    blocking or thread count.
 
-    *One-hot*, otherwise: one put at the flat indices ``own`` builds an
-    (L, P, K) float32 one-hot, and the product counts each link's
-    neighbours per channel, exactly while L < 2**24. Under an identity
-    overlap the index is the count read off at ``own``; otherwise the
-    counts are weighted by the link's overlap row and summed over K, as
-    with a float64 one-hot: float32 integers widen exactly, so the
-    products, numpy's summation order and the graded results are
-    unchanged, bit for bit. The one-hot, the counts and the graded
-    weights live in ``cg``'s scratch buffers, which grow to the largest
-    batch and are reused, so a warm call maps no fresh pages.
-
-    The scratch makes one graph unsafe to score from two threads at once;
-    and as the BLAS thread count is process-wide, no two threads may call
-    this at once at all. The result is always a fresh array and never
-    aliases the scratch, so callers may keep it.
+    Under an identity overlap the index is the own channel's field. Under
+    any other the K counts are weighted by the link's overlap row and
+    summed over the contiguous K axis, as float64 counts would be, bit for
+    bit, in ``cg``'s scratch buffers: they grow to the largest batch and
+    are reused, so a warm call maps no fresh pages. So one graph must not
+    be scored from two threads at once; and as the BLAS thread count is
+    process-wide, no two threads may call this at once at all.
 
     Raises
     ------
@@ -210,37 +211,34 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
             f"genes must lie in [0, {k}), got {g.min()}..{g.max()}"
         )
     p, n_links = g.shape
-    bits = cg.count_bits
-    if m.identity and k * bits <= _FLOAT32_EXACT_BITS:
-        shift = bits * np.arange(k, dtype=np.int32)
-        sums = np.empty((p, n_links), dtype=np.float32)
-        _product((1 << shift).astype(np.float32).take(g), cg.adjacency, sums)
-        counts = sums.astype(np.int32)
-        counts >>= shift.take(g)
-        counts &= (1 << bits) - 1
-        out = counts.astype(float)
-        return out[0] if genes.ndim == 1 else out
-    size = n_links * p * k
-    if cg.scratch_onehot.size < size:
-        cg.scratch_onehot = np.empty(size, dtype=np.float32)
-        cg.scratch_counts = np.empty(size, dtype=np.float32)
-    onehot = cg.scratch_onehot[:size]
-    onehot.view(np.uint8).fill(0)  # a memset: float32 0.0 is all zero bits
-    own = np.arange(n_links * p) * k + g.T.ravel()
-    onehot[own] = 1.0
-    counts = cg.scratch_counts[:size].reshape(n_links, p * k)
-    _product(cg.adjacency, onehot.reshape(n_links, p * k), counts)
-    if m.identity:
-        out = counts.reshape(-1)[own].astype(float).reshape(n_links, p)
+    bits = max(cg.count_bits, 1)
+    per, shift, weight = _packing(k, bits)
+    shape = (len(weight) * p, n_links)  # explicit: L may be 0
+    sums = np.empty(shape, dtype=np.float32)
+    _product(weight.take(g, axis=1).reshape(shape), cg.adjacency, sums)
+    fields = sums.astype(np.int32).reshape(len(weight), p, n_links)
+    mask = (1 << bits) - 1
+    if m.identity:  # with G > 1, a flat gather from each gene's group
+        own = fields[0] if len(weight) == 1 else fields.take(
+            np.arange(p * n_links).reshape(p, n_links)
+            + g // per * np.intp(p * n_links))  # intp: genes may be narrow
+        own >>= shift.take(g)
+        own &= mask
+        out = own.astype(float)
     else:
-        if cg.scratch_weights.size < size:
+        size = p * n_links * k
+        if cg.scratch_counts.size < size:
+            cg.scratch_counts = np.empty(size, dtype=np.int32)
             cg.scratch_weights = np.empty(size)
-        w = cg.scratch_weights[:size].reshape(n_links, p, k)
+        counts = cg.scratch_counts[:size].reshape(p, n_links, k)
+        for c in range(k):  # one shift a channel, each along L
+            np.right_shift(fields[c // per], shift[c], out=counts[..., c])
+        counts &= mask
+        w = cg.scratch_weights[:size].reshape(p, n_links, k)
         # the genes are in range, so "clip" gathers exactly what "raise"
         # would, without numpy's buffered copy of ``out``
-        np.take(m.ratio, g.T, axis=0, out=w, mode="clip")
-        out = np.multiply(counts.reshape(n_links, p, k), w, out=w).sum(axis=2)
-    out = np.ascontiguousarray(out.T)
+        np.take(m.ratio, g, axis=0, out=w, mode="clip")
+        out = np.multiply(counts, w, out=w).sum(axis=2)
     return out[0] if genes.ndim == 1 else out
 
 

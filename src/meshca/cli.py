@@ -73,8 +73,8 @@ def _dump_ranks(problem, path: Path) -> None:
 
 
 def _print_record(record) -> None:
-    print(",".join(RESULTS_HEADER))
-    print(",".join(record.to_csv_row()))
+    csv.writer(sys.stdout, lineterminator="\n").writerows(
+        [RESULTS_HEADER, record.to_csv_row()])
 
 
 def _cmd_gen(args) -> int:

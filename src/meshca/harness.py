@@ -216,7 +216,8 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
     With ``workers > 1`` the replicates run in a pool of spawned
     processes with one BLAS thread each (unless ``OPENBLAS_NUM_THREADS``
     or ``OMP_NUM_THREADS`` is set), whose ordered ``map`` gives the same
-    files as a serial run. A bad ``algorithms`` list or ``workers`` count
+    files as a serial run. A bad ``algorithms`` list or ``workers`` count,
+    or two different scenarios of one name (their rows would merge),
     raises :class:`InvalidConfig`; the configs were checked when built.
     """
     ga = ga or GaConfig()
@@ -232,6 +233,10 @@ def run_sweep(scenarios: list[ScenarioConfig], algorithms: list[str],
     if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
         raise InvalidConfig(f"workers must be an int in [1, {MAX_WORKERS}], "
                             f"got {workers!r}")
+    named = {}
+    for scenario in scenarios:
+        if named.setdefault(scenario.name, scenario) != scenario:
+            raise InvalidConfig(f"scenarios named {scenario.name!r} differ")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -282,8 +287,8 @@ def write_history_csv(result: GaResult, path: str | Path) -> None:
 
 SEARCH_GUARD = 10 ** 7
 # rows per scored block: each block's float64 (rows, L) temporaries and
-# float32 one-hot then stay inside a core's L2 cache, and the oracle's
-# working set stays a few MB however large the search space is
+# packed float32 counts then stay inside a core's L2 cache, and the
+# oracle's working set stays a few MB however large the search space is
 _CHUNK = 1 << 12
 
 

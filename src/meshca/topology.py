@@ -90,29 +90,25 @@ class ConflictGraph:
     """Link-conflict structure: vertices are link ids, edges join links
     whose closest endpoints are within the interference distance. It owns
     the scratch buffers that :func:`~meshca.assignment.interference_matrix`
-    reuses across calls, so one graph must not be scored from two threads
-    at once (the sweep's pool uses processes).
+    reuses under any non-identity overlap, so one graph must not be scored
+    from two threads at once (the sweep's pool uses processes).
 
     ``adjacency``, the interference kernel's (L, L) float32 operand, is
     the one quadratic array it keeps; ``neighbors`` is read off it lazily.
     ``count_bits``, the bit length of the largest conflict degree, is the
-    width of one channel's field in the kernel's packed path: under
-    orthogonal channels it packs K counts into one float32 column while
-    K * count_bits <= 24."""
+    width of one channel's field in the kernel's packed counts (1 without
+    edges): a float32 column holds 24 // width of them."""
 
     def __init__(self, link_count: int, edges: np.ndarray):
         self.link_count = link_count
         self.edges = edges  # (E, 2) with edges[:, 0] < edges[:, 1]
-        # dense 0/1 adjacency: one float32 matrix product counts every
-        # link's neighbours for a population, per channel (a one-hot
-        # operand) or packed 2**(count_bits * c) a neighbour on channel c;
-        # exact while every partial sum stays below 2**24
+        # dense 0/1 adjacency: one float32 product counts every link's
+        # neighbours on every channel for a population, in packed fields
         self.adjacency = np.zeros((link_count, link_count), dtype=np.float32)
         self.adjacency[edges[:, 0], edges[:, 1]] = 1.0
         self.adjacency[edges[:, 1], edges[:, 0]] = 1.0
-        # interference_matrix's flat one-hot, counts and graded weights
-        self.scratch_onehot = np.empty(0, dtype=np.float32)
-        self.scratch_counts = np.empty(0, dtype=np.float32)
+        # interference_matrix's unpacked counts and overlap weights
+        self.scratch_counts = np.empty(0, dtype=np.int32)
         self.scratch_weights = np.empty(0)
 
     @cached_property

@@ -218,7 +218,7 @@ class TestInterferenceKernel:
             assert np.array_equal(got, reference_count_kernel(genes, cg, m))
 
     def test_empty_conflict_graph_is_interference_free(self):
-        # orthogonal channels take the packed path with 0-bit fields
+        # no edges: count_bits is 0, and the counts pack in 1-bit fields
         for m in (OverlapMatrix.graded(4), OverlapMatrix.orthogonal(4)):
             cg = ConflictGraph(5, np.empty((0, 2), dtype=np.int64))
             for genes in (np.zeros(5, dtype=int), np.zeros((1, 5), dtype=int),
@@ -226,7 +226,7 @@ class TestInterferenceKernel:
                 assert np.array_equal(interference_matrix(genes, cg, m),
                                       np.zeros(genes.shape))
             assert cg.count_bits == 0
-            assert (cg.scratch_onehot.size == 0) == m.identity
+            assert (cg.scratch_weights.size == 0) == m.identity
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_gene_out_of_range_raises(self, bad):
@@ -278,7 +278,7 @@ class TestKernelScratch:
             want = interference_matrix(g, ConflictGraph(cg.link_count, cg.edges), m)
             assert np.array_equal(got, want)
             assert got.dtype == np.float64 and got.flags.c_contiguous
-            for buf in (cg.scratch_onehot, cg.scratch_counts, cg.scratch_weights):
+            for buf in (cg.scratch_counts, cg.scratch_weights):
                 assert not np.shares_memory(got, buf)
             kept.append((got, want))
         for got, want in kept:
@@ -288,11 +288,13 @@ class TestKernelScratch:
         (3, "orthogonal"), (12, "orthogonal"), (11, "graded")])
     def test_warm_calls_take_no_page_faults(self, channels, overlap_kind):
         """A (40, L) population on a 94-node topology: once the scratch
-        has grown, a call maps no fresh memory. 3 orthogonal channels take
-        the packed path, which needs no scratch; 12 (K * count_bits > 24)
-        and graded overlap take the one-hot path. A kernel that allocates
-        its one-hot and counts per call takes 85-211 minor faults a call
-        here."""
+        has grown, a call maps no fresh memory. 3 orthogonal channels pack
+        in one column group and 12 in four; both read the own channel's
+        field and need no scratch. 11 graded channels unpack every field
+        into the scratch counts and weights. At this one shape malloc
+        reuses freed memory, so counts and weights allocated per call
+        read no faults here either; over a warm radio_bound pass they
+        took about 860, against under 10 with the scratch."""
         resource = pytest.importorskip("resource")
         cfg = ScenarioConfig(node_count=94, channels=channels,
                              overlap_kind=overlap_kind)
@@ -307,13 +309,15 @@ class TestKernelScratch:
             interference_matrix(batches[i % 8], cg, m)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / 200 < 5
-        assert (cg.scratch_onehot.size == 0) == (channels == 3)
+        assert (cg.scratch_weights.size == 0) == (overlap_kind == "orthogonal")
 
 
-# (count_bits, channels): K * b = 24 is the widest packed product; 25
-# falls back to the one-hot path; 7 bits and 3 channels is paper density
+# (count_bits, channels): a float32 column packs 24 // b b-bit fields, so
+# these take from one column group (K * b <= 24) to 16 (6 bits, 64
+# channels); 7 bits and 3 channels is paper density, and 7 bits and 12
+# channels radio_bound's
 FIELD_WIDTHS = [(1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (7, 3), (8, 3),
-                (1, 25), (5, 5)]
+                (1, 25), (5, 5), (7, 12), (5, 11), (1, 64), (6, 64)]
 
 
 def dense_conflict_graph(bits, seed=None, density=1.0):
@@ -327,65 +331,98 @@ def dense_conflict_graph(bits, seed=None, density=1.0):
     return ConflictGraph(n_links, np.stack([a[keep], b[keep]], axis=1))
 
 
+def group_tops(bits, k):
+    """The top channel of each column group of K channels packed in
+    ``bits``-bit fields: the channel in the highest field of its column."""
+    per = min(24 // bits, k)
+    return [min(j + per, k) - 1 for j in range(0, k, per)]
+
+
 @st.composite
 def packed_cases(draw):
-    """A :func:`dense_conflict_graph` with K orthogonal channels from
-    ``FIELD_WIDTHS``, and genes of shape (L,) or (P, L), P in {1, 40,
-    4096}: every gene on the top channel, or random genes with row 0 on
-    the top channel. Either way link 0's count in row 0 fills its field."""
+    """A :func:`dense_conflict_graph` with K channels from
+    ``FIELD_WIDTHS``, and genes of shape (L,) (one column group only) or
+    (P, L), P in {G, 40, 4096} while P * L * K stays at most 2**22. Row i
+    puts every gene on group i mod G's top channel, or only the first G
+    rows do and the rest are random; either way, for each group, link 0
+    has a full top field in one row."""
     bits, k = draw(st.sampled_from(FIELD_WIDTHS))
     seed = draw(st.integers(0, 2**32 - 1))
     cg = dense_conflict_graph(bits, seed,
                               draw(st.sampled_from([1.0, 0.5, 0.05])))
-    rows = draw(st.sampled_from([None, 1, 40, 4096]))
-    shape = (cg.link_count,) if rows is None else (rows, cg.link_count)
-    genes = np.full(shape, k - 1)
+    tops = group_tops(bits, k)
+    rows = [r for r in (len(tops), 40, 4096)
+            if r * cg.link_count * k <= 2**22]
+    rows = draw(st.sampled_from(rows + [None] * (len(tops) == 1)))
+    if rows is None:
+        return cg, k, np.full(cg.link_count, k - 1), seed
+    genes = np.resize(tops, rows)[:, None].repeat(cg.link_count, axis=1)
     if draw(st.booleans()):
-        genes = np.random.default_rng(seed).integers(0, k, shape)
-        np.atleast_2d(genes)[0] = k - 1
-    return cg, k, genes
+        genes[len(tops):] = np.random.default_rng(seed).integers(
+            0, k, (rows - len(tops), cg.link_count))
+    return cg, k, genes, seed
 
 
 class TestPackedKernel:
-    """Under orthogonal channels with K * count_bits <= 24 the kernel
-    packs every channel's count into one float32 column; beyond that, and
-    under any other overlap, it keeps the one-hot path. Both give the
-    float64 reference's counts, bit for bit."""
+    """The kernel packs every channel's count in b-bit fields of float32
+    columns, in as many column groups as K needs, under every overlap. It
+    gives the float64 reference's results, bit for bit, in one product."""
 
     @staticmethod
-    def check(cg, k, genes):
-        m = OverlapMatrix.orthogonal(k)
-        packed = k * cg.count_bits <= 24
-        got = interference_matrix(genes, cg, m)
-        assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert got.shape == genes.shape
-        assert (cg.scratch_onehot.size == 0) == packed
-        assert not np.shares_memory(got, interference_matrix(genes, cg, m))
-        assert np.array_equal(got, reference_count_kernel(genes, cg, m))
-        assert np.atleast_2d(got)[0, 0] == 2 ** cg.count_bits - 1
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(assignment, "_FLOAT32_EXACT_BITS", -1)  # one-hot only
-            one_hot = ConflictGraph(cg.link_count, cg.edges)
-            assert np.array_equal(got, interference_matrix(genes, one_hot, m))
-            assert one_hot.scratch_onehot.size > 0
+    def overlaps(k, seed):
+        upper = np.triu(np.random.default_rng(seed).uniform(size=(k, k)), 1)
+        return (OverlapMatrix.orthogonal(k), OverlapMatrix.graded(k, 3),
+                OverlapMatrix(upper + upper.T + np.eye(k)))
+
+    def check(self, cg, k, genes, seed=0):
+        full = 2 ** cg.count_bits - 1
+        for m in self.overlaps(k, seed):
+            got = interference_matrix(genes, cg, m)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == genes.shape
+            assert not np.shares_memory(got, interference_matrix(genes, cg, m))
+            assert np.array_equal(got, reference_count_kernel(genes, cg, m))
+            narrow = interference_matrix(genes.astype(np.uint8), cg, m)
+            assert np.array_equal(got, narrow)
+            if m.identity:  # link 0's field is full in each group's row
+                top = np.atleast_2d(got)[:len(group_tops(cg.count_bits, k)), 0]
+                assert (top == full).all()
 
     @given(packed_cases())
-    @settings(max_examples=40, deadline=None)
-    def test_matches_reference_and_one_hot_path(self, case):
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_under_every_overlap(self, case):
         self.check(*case)
 
     @pytest.mark.parametrize("rows", [1, 40, 4096])
     @pytest.mark.parametrize("bits, k", [(8, 3), (6, 4), (1, 25), (5, 5)])
     def test_full_top_field_on_a_complete_graph(self, bits, k, rows):
         """Every link's 2**b - 1 neighbours on the top channel: the top
-        field is full, the largest packed sum (2**b - 1) * 2**(b(K - 1))
-        is at most 2**24 - 2**(b(K - 1)) when packed."""
+        field of the last group is full, and that column's sum, up to
+        (2**b - 1) * 2**(b * (per - 1)), is below 2**24."""
         cg = dense_conflict_graph(bits)
         assert cg.count_bits == bits
         genes = np.full((rows, cg.link_count), k - 1)
         self.check(cg, k, genes)
         assert (interference_matrix(genes, cg, OverlapMatrix.orthogonal(k))
                 == 2 ** bits - 1).all()
+
+    @pytest.mark.parametrize("k", [1, 3, 11, 12, 25, 64])
+    def test_one_product_of_every_group_per_call(self, monkeypatch, k):
+        """Whatever the overlap and K, a call makes one product, whose
+        left operand is the (G * P, L) packed rows."""
+        cg = random_conflict_graph(60, k, density=0.2)
+        genes = np.random.default_rng(k).integers(0, k, (40, 60))
+        shapes, product = [], assignment._product
+
+        def spy(a, b, out):
+            shapes.append(a.shape)
+            product(a, b, out)
+
+        monkeypatch.setattr(assignment, "_product", spy)
+        groups = len(group_tops(cg.count_bits, k))
+        for m in self.overlaps(k, k):
+            interference_matrix(genes, cg, m)
+        assert shapes == [(groups * 40, 60)] * 3
 
 
 def random_conflict_graph(n_links, seed, density=0.05):

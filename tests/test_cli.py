@@ -1,3 +1,4 @@
+import csv
 import functools
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from meshca import ScenarioConfig
 from meshca.assignment import OverlapMatrix
 from meshca.config import MAX_CHANNELS, RadioModel
-from meshca.harness import RESULTS_HEADER, brute_force_optimum
+from meshca.harness import RESULTS_HEADER, brute_force_optimum, evaluate_file
 from meshca.topology import (build_conflict_graph, generate_topology,
                              load_topology)
 import meshca.cli
@@ -124,6 +125,34 @@ class TestAssignEvalOracle:
         assert row[1:3] == ["3", "unknown"]
         # nor an iterations header: the row reports 0
         assert row[RESULTS_HEADER.index("iterations")] == "0"
+
+    def test_printed_row_is_csv_when_a_name_holds_a_comma(self, tmp_path,
+                                                          capsys):
+        """A comma in the scenario name (assign) or in the ``# algorithm:``
+        header (eval) is quoted: stdout parses as CSV to the header and to
+        the record's own row, but for wall_ms."""
+        cfg = small_config(tmp_path, name="mesh,a")
+        assert main(["gen", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        topology = tmp_path / "topology-mesh,a-seed1.json"
+        assert main(["assign", "--algo", "mclr", "--topology", str(topology),
+                     "--out", str(tmp_path)]) == 0
+        assignment = tmp_path / "assignment-mclr-seed1.csv"
+        text = assignment.read_text()
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(text.replace("# algorithm: mclr",
+                                        "# algorithm: mclr,tuned"))
+        capsys.readouterr()
+        for args, path in ((["assign", "--algo", "mclr", "--out",
+                             str(tmp_path)], assignment),
+                           (["eval", "--assignment", str(renamed)], renamed)):
+            assert main(args + ["--topology", str(topology)]) == 0
+            header, row = list(csv.reader(
+                capsys.readouterr().out.splitlines()))[-2:]
+            want = evaluate_file(topology, path).to_csv_row()
+            assert header == RESULTS_HEADER
+            assert row[:-1] == want[:-1]
+        assert want[:3] == ["mesh,a", "1", "mclr,tuned"]
 
     def test_eval_missing_file_exits_3(self, tmp_path, topology_path):
         assert main(["eval", "--topology", str(topology_path),
@@ -303,10 +332,11 @@ class TestInputErrors:
         {"scenarios": [{"node_count": 8, "area_w": math.inf}]},
         {"scenarios": [{"node_count": 8, "rate_hi": 10 ** 400}]},
         {"scenarios": [{"node_count": 8}], "ga": {"mutation_prob": math.nan}},
+        {"scenarios": [{"node_count": 8}, {"node_count": 12}]},
     ], ids=["no_scenarios", "unknown_scenario_key", "wrong_ga_type",
             "algorithms_not_a_list", "algorithms_repeated",
             "negative_master_seed", "nan_path_loss", "infinite_area",
-            "huge_int_rate", "nan_mutation_prob"])
+            "huge_int_rate", "nan_mutation_prob", "one_name_two_configs"])
     def test_bad_sweep_config_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(doc))

@@ -279,25 +279,6 @@ class TestOracleBlocks:
             tracemalloc.stop()
         assert peak < 6 * 2 ** 20
 
-    @pytest.mark.parametrize("m", [
-        OverlapMatrix.orthogonal(3), OverlapMatrix.orthogonal(4),
-        OverlapMatrix.graded(3)], ids=["orthogonal-3", "orthogonal-4",
-                                       "graded-3"])
-    def test_orthogonal_scoring_keeps_no_one_hot_scratch(self, m):
-        """Orthogonal channels inside the packed bound (K * count_bits <=
-        24) are scored without the one-hot path, through the GA and the
-        oracle's 4,096-row blocks alike, so the graph keeps no one-hot
-        scratch between calls; graded overlap still does."""
-        t = make_topology([(i * 55.0, 0.0) for i in range(9)],
-                          link_pairs=[(i, i + 1) for i in range(8)])
-        cg = build_conflict_graph(t)
-        problem = Problem(t, cg, m, RadioModel())
-        run("fa_scga", problem, GaConfig(population_size=8, max_iterations=3), 1)
-        brute_force_optimum(t, cg, m, RadioModel(), m.channel_count)
-        assert m.channel_count * cg.count_bits <= 24
-        for buf in (cg.scratch_onehot, cg.scratch_counts):
-            assert (buf.size == 0) == m.identity
-
 
 @st.composite
 def oracle_scenarios(draw):
@@ -428,6 +409,14 @@ class TestSweep:
                             workers=workers)
         assert [r.seed for r in records] == [x for x in want for _ in "ab"]
         assert results_rows(tmp_path) == csv_rows(records)
+
+    def test_different_configs_of_one_name_rejected(self, tmp_path):
+        """Their rows would merge into one aggregate row, averaging an
+        8-node and a 12-node scenario as two replicates of one."""
+        scenarios = [tiny_scenario("same"), tiny_scenario("same", nodes=12)]
+        with pytest.raises(InvalidConfig, match="'same'"):
+            run_sweep(scenarios, ["mclr"], tmp_path)
+        assert not (tmp_path / "results.csv").exists()
 
     # 10**30 overflowed the pool's C int; 65 is one past MAX_WORKERS
     @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2", 65, 10 ** 30])
