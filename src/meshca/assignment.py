@@ -104,35 +104,29 @@ def overlap_for_config(cfg) -> OverlapMatrix:
 # alone, and the sweep's pool sets only the unset ones for its workers
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# (get, set) of numpy's OpenBLAS thread count, () for none, None until
-# looked up: one per process, as the library's count is
-_thread_api = None
-
-
+@functools.cache
 def _openblas_threads():
     """The thread-count functions ``(get, set)`` of numpy's bundled
     OpenBLAS, or ``()`` where a variable of ``BLAS_THREAD_VARS`` is set
     or the library or its symbols are missing (another BLAS build). Looked
-    up on the first call, not at import."""
-    global _thread_api
-    if _thread_api is None:
-        _thread_api = ()
-        if not any(name in os.environ for name in BLAS_THREAD_VARS):
-            import ctypes
+    up on the first call, not at import, and kept for the process, as the
+    library's count is process-wide."""
+    if any(name in os.environ for name in BLAS_THREAD_VARS):
+        return ()
+    import ctypes
 
-            libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-            for path in sorted(libs.glob("libscipy_openblas*")):
-                try:
-                    lib = ctypes.CDLL(str(path))
-                    get = lib.scipy_openblas_get_num_threads64_
-                    set_ = lib.scipy_openblas_set_num_threads64_
-                except (OSError, AttributeError):
-                    continue
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                _thread_api = (get, set_)
-                break
-    return _thread_api
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return ()
 
 
 # The kernel's product runs on one OpenBLAS thread. Measured on a 2-vCPU
@@ -193,10 +187,8 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
     Under an identity overlap the index is the own channel's field. Under
     any other the K counts are weighted by the link's overlap row and
     summed over the contiguous K axis, as float64 counts would be, bit for
-    bit, in ``cg``'s scratch buffers: they grow to the largest batch and
-    are reused, so a warm call maps no fresh pages. So one graph must not
-    be scored from two threads at once; and as the BLAS thread count is
-    process-wide, no two threads may call this at once at all.
+    bit. Nothing it is given is changed; but as the BLAS thread count is
+    process-wide, no two threads may call this at once.
 
     Raises
     ------
@@ -226,18 +218,16 @@ def interference_matrix(genes: np.ndarray, cg: ConflictGraph,
         own &= mask
         out = own.astype(float)
     else:
-        size = p * n_links * k
-        if cg.scratch_counts.size < size:
-            cg.scratch_counts = np.empty(size, dtype=np.int32)
-            cg.scratch_weights = np.empty(size)
-        counts = cg.scratch_counts[:size].reshape(p, n_links, k)
+        # b-bit counts in the smallest unsigned type that holds them (uint8
+        # at paper density): the shift wraps into it, the mask keeps the
+        # field. int32 counts made a (40, 116, 11) call's temporaries big
+        # enough for glibc to hand the heap back after each call (~140 faults)
+        counts = np.empty((p, n_links, k), dtype=np.min_scalar_type(mask))
         for c in range(k):  # one shift a channel, each along L
-            np.right_shift(fields[c // per], shift[c], out=counts[..., c])
+            np.right_shift(fields[c // per], shift[c], out=counts[..., c],
+                           casting="unsafe")
         counts &= mask
-        w = cg.scratch_weights[:size].reshape(p, n_links, k)
-        # the genes are in range, so "clip" gathers exactly what "raise"
-        # would, without numpy's buffered copy of ``out``
-        np.take(m.ratio, g, axis=0, out=w, mode="clip")
+        w = m.ratio.take(g, axis=0)
         out = np.multiply(counts, w, out=w).sum(axis=2)
     return out[0] if genes.ndim == 1 else out
 

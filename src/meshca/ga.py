@@ -246,10 +246,7 @@ def crossover(genes_a: np.ndarray, fairness_a: np.ndarray,
     the children have the same shape."""
     children = np.where(fairness_a >= fairness_b, genes_a, genes_b)
     if problem.binding.size:
-        rows = children.reshape(-1, children.shape[-1])
-        bad = ~within_budget(rows, problem)
-        if bad.any():
-            rows[bad] = repair_radio_constraint(rows[bad], problem)
+        return repair_radio_constraint(children, problem)
     return children
 
 

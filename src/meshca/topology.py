@@ -88,13 +88,12 @@ class Topology:
 
 class ConflictGraph:
     """Link-conflict structure: vertices are link ids, edges join links
-    whose closest endpoints are within the interference distance. It owns
-    the scratch buffers that :func:`~meshca.assignment.interference_matrix`
-    reuses under any non-identity overlap, so one graph must not be scored
-    from two threads at once (the sweep's pool uses processes).
+    whose closest endpoints are within the interference distance. It
+    holds only what is built once for its topology: the (E, 2) ``edges``
+    and the (L, L) float32 0/1 ``adjacency``, the interference kernel's
+    operand and the one quadratic array it keeps, plus the properties
+    cached from them. ``neighbors`` is read off ``adjacency`` lazily.
 
-    ``adjacency``, the interference kernel's (L, L) float32 operand, is
-    the one quadratic array it keeps; ``neighbors`` is read off it lazily.
     ``count_bits``, the bit length of the largest conflict degree, is the
     width of one channel's field in the kernel's packed counts (1 without
     edges): a float32 column holds 24 // width of them."""
@@ -107,9 +106,6 @@ class ConflictGraph:
         self.adjacency = np.zeros((link_count, link_count), dtype=np.float32)
         self.adjacency[edges[:, 0], edges[:, 1]] = 1.0
         self.adjacency[edges[:, 1], edges[:, 0]] = 1.0
-        # interference_matrix's unpacked counts and overlap weights
-        self.scratch_counts = np.empty(0, dtype=np.int32)
-        self.scratch_weights = np.empty(0)
 
     @cached_property
     def neighbors(self) -> list[np.ndarray]:

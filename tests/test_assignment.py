@@ -226,7 +226,6 @@ class TestInterferenceKernel:
                 assert np.array_equal(interference_matrix(genes, cg, m),
                                       np.zeros(genes.shape))
             assert cg.count_bits == 0
-            assert (cg.scratch_weights.size == 0) == m.identity
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_gene_out_of_range_raises(self, bad):
@@ -240,8 +239,9 @@ class TestInterferenceKernel:
 
 
 class TestKernelScratch:
-    """``interference_matrix`` reuses its graph's scratch buffers across
-    calls of every shape; no call may see what an earlier one left."""
+    """``interference_matrix`` allocates what it works in afresh each
+    call, and changes nothing it is given: no call may see what an
+    earlier one did."""
 
     @given(kernel_cases(), st.lists(
         st.tuples(st.integers(1, 12),
@@ -256,8 +256,8 @@ class TestKernelScratch:
         the identity overlap, and a gene put below or above the channel
         range must raise. The steps run forwards then backwards, so the
         batch grows and shrinks on one graph. Every result must equal the
-        result on a fresh graph, never alias the scratch, and stay as it
-        was returned through all later calls."""
+        result on a fresh graph, share memory with no other, and stay as
+        it was returned through all later calls."""
         cg, k, genes = case
         calls = [(genes, OverlapMatrix.graded(k, 5), None)]
         for channels, rows, span, bad, seed in steps + steps[::-1]:
@@ -278,23 +278,56 @@ class TestKernelScratch:
             want = interference_matrix(g, ConflictGraph(cg.link_count, cg.edges), m)
             assert np.array_equal(got, want)
             assert got.dtype == np.float64 and got.flags.c_contiguous
-            for buf in (cg.scratch_counts, cg.scratch_weights):
-                assert not np.shares_memory(got, buf)
             kept.append((got, want))
-        for got, want in kept:
+        for i, (got, want) in enumerate(kept):
             assert np.array_equal(got, want)
+            for other, _ in kept[i + 1:]:
+                assert not np.shares_memory(got, other)
+
+    @pytest.mark.parametrize("rows", [None, 1, 40, 300])
+    @pytest.mark.parametrize("overlap", ["orthogonal", "graded", "random"])
+    def test_changes_nothing_it_is_given(self, overlap, rows):
+        """After a warm-up call, which fills the graph's ``degree`` and
+        ``count_bits``, a call leaves every attribute of the graph the
+        same object with the same bytes, and the genes and overlap
+        ratios as they were."""
+        k = 11
+        cg = random_conflict_graph(60, 7, density=0.2)
+        upper = np.triu(np.random.default_rng(3).uniform(size=(k, k)), 1)
+        m = {"orthogonal": OverlapMatrix.orthogonal(k),
+             "graded": OverlapMatrix.graded(k),
+             "random": OverlapMatrix(upper + upper.T + np.eye(k))}[overlap]
+        shape = (60,) if rows is None else (rows, 60)
+        genes = np.random.default_rng(rows).integers(0, k, shape)
+        interference_matrix(genes, cg, m)
+
+        def snapshot():
+            return {name: (value, value.tobytes() if isinstance(
+                value, np.ndarray) else value)
+                for name, value in vars(cg).items()}
+
+        before, genes_before, ratio = snapshot(), genes.copy(), m.ratio.copy()
+        for g in (genes, genes[..., ::-1]):
+            interference_matrix(g, cg, m)
+        after = snapshot()
+        assert after.keys() == before.keys()
+        for name, (value, data) in before.items():
+            assert after[name][0] is value and after[name][1] == data
+        assert np.array_equal(genes, genes_before)
+        assert np.array_equal(m.ratio, ratio)
 
     @pytest.mark.parametrize("channels, overlap_kind", [
         (3, "orthogonal"), (12, "orthogonal"), (11, "graded")])
     def test_warm_calls_take_no_page_faults(self, channels, overlap_kind):
-        """A (40, L) population on a 94-node topology: once the scratch
-        has grown, a call maps no fresh memory. 3 orthogonal channels pack
-        in one column group and 12 in four; both read the own channel's
-        field and need no scratch. 11 graded channels unpack every field
-        into the scratch counts and weights. At this one shape malloc
-        reuses freed memory, so counts and weights allocated per call
-        read no faults here either; over a warm radio_bound pass they
-        took about 860, against under 10 with the scratch."""
+        """A (40, L) population on a 94-node topology: warm calls average
+        under 5 minor page faults. 3 orthogonal channels pack in one
+        column group and 12 in four; both read the own channel's field.
+        11 graded channels unpack every field into fresh (40, L, 11)
+        counts and weights. Called alone at one shape, malloc reuses what
+        the previous call freed, so this catches only a call that maps
+        fresh memory every time: inside a radio_bound pass, among the
+        GA's arrays, int32 counts took about 140 faults a call at this
+        shape and still passed here."""
         resource = pytest.importorskip("resource")
         cfg = ScenarioConfig(node_count=94, channels=channels,
                              overlap_kind=overlap_kind)
@@ -309,7 +342,6 @@ class TestKernelScratch:
             interference_matrix(batches[i % 8], cg, m)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / 200 < 5
-        assert (cg.scratch_weights.size == 0) == (overlap_kind == "orthogonal")
 
 
 # (count_bits, channels): a float32 column packs 24 // b b-bit fields, so
@@ -406,6 +438,16 @@ class TestPackedKernel:
         assert (interference_matrix(genes, cg, OverlapMatrix.orthogonal(k))
                 == 2 ** bits - 1).all()
 
+    @pytest.mark.parametrize("bits, k", [(9, 3), (10, 2)])
+    def test_counts_wider_than_a_byte(self, bits, k):
+        """Over 8 bits the graded readout unpacks each count into 16 bits:
+        link 0's full fields, 2**b - 1, and random genes in later rows."""
+        cg = dense_conflict_graph(bits)
+        tops = group_tops(bits, k)
+        genes = np.random.default_rng(bits).integers(0, k, (40, cg.link_count))
+        genes[:len(tops)] = np.array(tops)[:, None]
+        self.check(cg, k, genes)
+
     @pytest.mark.parametrize("k", [1, 3, 11, 12, 25, 64])
     def test_one_product_of_every_group_per_call(self, monkeypatch, k):
         """Whatever the overlap and K, a call makes one product, whose
@@ -450,16 +492,21 @@ class FakeOpenBlas:
 @pytest.fixture
 def no_thread_vars(monkeypatch):
     """Neither BLAS thread variable set, and the OpenBLAS lookup undone,
-    so the next kernel call looks it up again."""
+    so the next kernel call looks it up again; undone again afterwards,
+    so no later test sees this test's lookup."""
     for name in assignment.BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
-    monkeypatch.setattr(assignment, "_thread_api", None)
+    lookup = assignment._openblas_threads  # a test may patch it out
+    lookup.cache_clear()
+    yield
+    lookup.cache_clear()
 
 
 @pytest.fixture
 def fake_blas(monkeypatch, no_thread_vars):
     blas = FakeOpenBlas(4)
-    monkeypatch.setattr(assignment, "_thread_api", (blas.get, blas.set))
+    monkeypatch.setattr(assignment, "_openblas_threads",
+                        lambda: (blas.get, blas.set))
     return blas
 
 
@@ -526,7 +573,8 @@ class TestBlasThreadRule:
         genes, cg, m = self.case()
         assert np.array_equal(interference_matrix(genes, cg, m),
                               reference_count_kernel(genes, cg, m))
-        assert assignment._thread_api == ()
+        assert assignment._openblas_threads.cache_info().misses == 1
+        assert assignment._openblas_threads() == ()
 
     @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     def test_noop_when_the_user_sets_the_threads(self, no_thread_vars,
@@ -539,7 +587,8 @@ class TestBlasThreadRule:
         genes, cg, m = self.case()
         assert np.array_equal(interference_matrix(genes, cg, m),
                               reference_count_kernel(genes, cg, m))
-        assert assignment._thread_api == ()
+        assert assignment._openblas_threads.cache_info().misses == 1
+        assert assignment._openblas_threads() == ()
 
     def test_numpys_openblas_count_is_restored(self, no_thread_vars,
                                                monkeypatch):
@@ -567,7 +616,8 @@ class TestThreadCountIndependence:
              else OverlapMatrix.graded(3, 2))
         genes = np.random.default_rng(2).integers(0, 3, (40, n_links))
         got = [interference_matrix(genes, cg, m)]
-        monkeypatch.setattr(assignment, "_thread_api", ())  # the default count
+        # the default count
+        monkeypatch.setattr(assignment, "_openblas_threads", lambda: ())
         got.append(interference_matrix(genes, cg, m))
         want = reference_count_kernel(genes, cg, m)
         for g in got:
